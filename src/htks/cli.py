@@ -40,7 +40,7 @@ from .pipeline import (
     run_pipeline,
 )
 from .pose import LABEL_ORDER, LabeledFrame
-from .synth import SynthConfig, generate as synth_generate, generate_confusable
+from .synth import SynthConfig, generate_frames as synth_generate
 
 _path_arg = click.Path(path_type=Path)
 
@@ -112,9 +112,9 @@ def generate(out_poses, out_labels, seed, frames_per_class, torso_length, jitter
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    frames = generate_confusable(config) if confusable else synth_generate(config)
-    write_poses(out_poses, (pose for pose, _ in frames))
-    write_labels(out_labels, (LabeledFrame(pose.frame_id, label) for pose, label in frames))
+    frames = synth_generate(config, confusable=confusable)
+    write_poses(out_poses, frames.coords)
+    write_labels(out_labels, (LabeledFrame(i, label) for i, label in enumerate(frames.labels)))
     click.echo(f"wrote {len(frames)} frames to {out_poses} and labels to {out_labels}")
 
 

@@ -39,6 +39,8 @@ class ConfusionMatrix:
         counts = np.asarray(self.counts)
         if counts.shape != (len(LABEL_ORDER), len(LABEL_ORDER)):
             raise ValueError(f"counts must be 4x4, got shape {counts.shape}")
+        if counts.dtype.kind not in "biuf":
+            raise ValueError(f"counts must be numbers, got dtype {counts.dtype}")
         if not np.issubdtype(counts.dtype, np.integer):
             rounded = np.rint(counts)
             if not np.array_equal(rounded, counts):

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Iterator
 
+import numpy as np
 import yaml
 
 from .classifier import ClassifierConfig, DistanceProfile, FrameDecision, Normalization
@@ -65,10 +66,38 @@ DECISIONS_HEADER = (
 )
 
 
+def _first_bad_line(path) -> int | None:
+    """Line number of the first byte in ``path`` that is not UTF-8.
+
+    Text files decode ahead of the line being read, so the decoder's own
+    error does not say which line holds the byte.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        prefix = data[: exc.start].decode("utf-8")
+        return prefix.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+    return None
+
+
+def _not_utf8(path) -> ParseError:
+    return ParseError("not valid UTF-8", path, _first_bad_line(path))
+
+
+def _text_lines(fh, path) -> Iterator[str]:
+    """The lines of the text file ``fh`` opened from ``path``."""
+    try:
+        yield from fh
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
 def _content_lines(path) -> Iterator[tuple[int, str]]:
     """Yield (line_no, stripped_line) skipping blanks and # comments."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
+        for line_no, raw in enumerate(_text_lines(fh, path), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -79,18 +108,42 @@ def _content_lines(path) -> Iterator[tuple[int, str]]:
 # poses
 
 
-def write_poses(path, poses: Iterable[BodyPose]) -> None:
+# One pose line: the frame id, then x,y of each joint in JointId order.
+# ``%r`` of a Python float is its shortest repr, which the parser reads
+# back to the same float.
+_JOINT_ENTRIES = tuple(f"{joint.value}=%r,%r" for joint in JointId)
+_POSE_LINE = " ".join(["%d", *_JOINT_ENTRIES]) + "\n"
+# Rows formatted per write; bounds the lists a large array is turned into.
+_ROWS_PER_CHUNK = 4096
+
+
+def write_poses(path, poses: Iterable[BodyPose] | np.ndarray) -> None:
+    """Write a pose file from BodyPose objects, or from an ``(N, 12, 2)``
+    coordinate array in JointId order whose row ``i`` is frame id ``i``."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# pose frames: frame_id joint=x,y[,confidence] x12; head = head center\n")
+        if isinstance(poses, np.ndarray):
+            rows = poses.reshape(len(poses), -1)
+            for start in range(0, len(rows), _ROWS_PER_CHUNK):
+                chunk = rows[start:start + _ROWS_PER_CHUNK].tolist()
+                fh.write("".join([
+                    _POSE_LINE % (frame_id, *row)
+                    for frame_id, row in enumerate(chunk, start)
+                ]))
+            return
         for pose in poses:
-            parts = [str(pose.frame_id)]
-            for joint in JointId:
-                point = pose.joints[joint]
-                entry = f"{joint.value}={point.x!r},{point.y!r}"
-                if pose.confidence is not None and joint in pose.confidence:
-                    entry += f",{pose.confidence[joint]!r}"
-                parts.append(entry)
-            fh.write(" ".join(parts) + "\n")
+            fh.write(_pose_line(pose))
+
+
+def _pose_line(pose: BodyPose) -> str:
+    points = [pose.joints[joint] for joint in JointId]
+    if pose.confidence is None:
+        return _POSE_LINE % (pose.frame_id, *(v for p in points for v in (p.x, p.y)))
+    parts = [str(pose.frame_id)]
+    for joint, entry, point in zip(JointId, _JOINT_ENTRIES, points):
+        confidence = f",{pose.confidence[joint]!r}" if joint in pose.confidence else ""
+        parts.append(entry % (point.x, point.y) + confidence)
+    return " ".join(parts) + "\n"
 
 
 def _parse_pose_line(line: str, path, line_no: int, prev_frame_id: int | None) -> BodyPose:
@@ -340,6 +393,8 @@ def _load_yaml(path):
         raise ConfigError(f"config file not found: {path}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"invalid config file: {_not_utf8(path)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +427,11 @@ def _parse_bool(token: str, path, line_no: int) -> bool:
 
 def iter_decisions(path) -> Iterator[tuple[int, FrameDecision]]:
     with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\n")
+        lines = _text_lines(fh, path)
+        first = next(lines, "").rstrip("\n")
         if first != DECISIONS_HEADER:
             raise ParseError(f"bad decisions header: {first!r}", path, 1)
-        for line_no, raw in enumerate(fh, start=2):
+        for line_no, raw in enumerate(lines, start=2):
             line = raw.strip()
             if not line:
                 continue
@@ -446,6 +502,8 @@ def load_report_json(path) -> EvalReport:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", path) from None
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     if not isinstance(data, dict) or "counts" not in data:
         raise ParseError("report JSON must contain a 'counts' grid", path)
     try:

@@ -18,6 +18,16 @@ stay exact in floating point (the confusable preset relies on exact
 knee/ankle ties). Isotropic Gaussian jitter is applied per joint; noise
 is drawn unconditionally and scaled, so runs with the same seed align
 frame-for-frame across jitter settings.
+
+``generate_frames`` is the one producer. Each class draws its noise from
+its own ``SeedSequence(entropy=seed, spawn_key=(class_index,))`` stream
+as ``standard_normal((n, 12, 2)) * sigma`` and adds it to ``template *
+torso``, giving one ``(N, 12, 2)`` float64 array for the whole sequence.
+``generate`` and ``generate_confusable`` build their (pose, label) lists
+from that array. Every coordinate is one float64 multiply and one add of
+the same operands, whether computed elementwise in numpy or per joint in
+Python floats, so the values are bit-identical either way; the pose
+writer formats them with ``repr`` and yields the same bytes from both.
 """
 
 from __future__ import annotations
@@ -30,7 +40,14 @@ import numpy as np
 
 from .pose import BodyPose, JointId, Point2, TouchLabel
 
-__all__ = ["BendModel", "SynthConfig", "generate", "generate_confusable"]
+__all__ = [
+    "BendModel",
+    "SynthConfig",
+    "SynthFrames",
+    "generate",
+    "generate_confusable",
+    "generate_frames",
+]
 
 
 class BendModel(str, Enum):
@@ -172,30 +189,62 @@ _CLASS_TEMPLATES = (
     (TouchLabel.TOES, _with_wrists_at(_DEEP_FOLD, JointId.LEFT_ANKLE, JointId.RIGHT_ANKLE)),
 )
 
+_CONFUSABLE_TEMPLATES = (
+    (
+        TouchLabel.TOES,
+        _with_wrists_midway(
+            _SEMI_FOLD,
+            JointId.LEFT_KNEE,
+            JointId.LEFT_ANKLE,
+            JointId.RIGHT_KNEE,
+            JointId.RIGHT_ANKLE,
+        ),
+    ),
+)
 
-def _emit_frames(config: SynthConfig, class_templates) -> list[tuple[BodyPose, TouchLabel]]:
+
+@dataclass(frozen=True, eq=False)
+class SynthFrames:
+    """Generated frames as arrays; row ``i`` is frame id ``i``.
+
+    ``coords`` is an ``(N, 12, 2)`` float64 array, joints in ``JointId``
+    order; ``labels`` holds the N touch labels.
+    """
+
+    coords: np.ndarray
+    labels: tuple[TouchLabel, ...]
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def pairs(self) -> list[tuple[BodyPose, TouchLabel]]:
+        """The frames as (pose, label) pairs."""
+        poses = (
+            BodyPose(frame_id, {joint: Point2(x, y) for joint, (x, y) in zip(_JOINTS, row)})
+            for frame_id, row in enumerate(self.coords.tolist())
+        )
+        return list(zip(poses, self.labels))
+
+
+def generate_frames(config: SynthConfig, confusable: bool = False) -> SynthFrames:
+    """Generate the frames of ``generate`` (or, with ``confusable``, of
+    ``generate_confusable``) as arrays."""
+    class_templates = _CONFUSABLE_TEMPLATES if confusable else _CLASS_TEMPLATES
     torso = config.torso_length
     sigma = config.jitter_stddev_ratio * torso
-    frames: list[tuple[BodyPose, TouchLabel]] = []
-    frame_id = 0
+    n = config.frames_per_class
+    blocks = []
+    labels: tuple[TouchLabel, ...] = ()
     for class_index, (label, template) in enumerate(class_templates):
         # Independent per-class streams keep the classes parallelizable
         # and insensitive to one another's frame counts.
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=config.seed, spawn_key=(class_index,))
         )
-        noise = rng.standard_normal((config.frames_per_class, len(_JOINTS), 2)) * sigma
-        for i in range(config.frames_per_class):
-            joints = {
-                joint: Point2(
-                    template[joint][0] * torso + noise[i, j, 0],
-                    template[joint][1] * torso + noise[i, j, 1],
-                )
-                for j, joint in enumerate(_JOINTS)
-            }
-            frames.append((BodyPose(frame_id=frame_id, joints=joints), label))
-            frame_id += 1
-    return frames
+        noise = rng.standard_normal((n, len(_JOINTS), 2)) * sigma
+        blocks.append(np.array([template[joint] for joint in _JOINTS]) * torso + noise)
+        labels += (label,) * n
+    return SynthFrames(coords=np.concatenate(blocks), labels=labels)
 
 
 def generate(config: SynthConfig) -> list[tuple[BodyPose, TouchLabel]]:
@@ -203,7 +252,7 @@ def generate(config: SynthConfig) -> list[tuple[BodyPose, TouchLabel]]:
 
     Deterministic for a given config; jitter 0 yields the bare templates.
     """
-    return _emit_frames(config, _CLASS_TEMPLATES)
+    return generate_frames(config).pairs()
 
 
 def generate_confusable(config: SynthConfig) -> list[tuple[BodyPose, TouchLabel]]:
@@ -212,11 +261,4 @@ def generate_confusable(config: SynthConfig) -> list[tuple[BodyPose, TouchLabel]
 
     Useful for exercising tie-breaking and knee/toe confusion handling.
     """
-    template = _with_wrists_midway(
-        _SEMI_FOLD,
-        JointId.LEFT_KNEE,
-        JointId.LEFT_ANKLE,
-        JointId.RIGHT_KNEE,
-        JointId.RIGHT_ANKLE,
-    )
-    return _emit_frames(config, ((TouchLabel.TOES, template),))
+    return generate_frames(config, confusable=True).pairs()

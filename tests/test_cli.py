@@ -93,6 +93,13 @@ class TestClassifyCommand:
         code = main(["classify", "--poses", str(bad), "--out", str(tmp_path / "d.csv")])
         assert code == 2
 
+    def test_non_utf8_pose_file_is_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"# poses\n0 head=\xff\n")
+        code = main(["classify", "--poses", str(bad), "--out", str(tmp_path / "d.csv")])
+        assert code == 2
+        assert f"{bad}:2: not valid UTF-8" in capsys.readouterr().err
+
 
 class TestEvaluateCommand:
     def test_reports_perfect_noiseless_accuracy(self, corpus, tmp_path, capsys):
@@ -161,6 +168,12 @@ class TestReportCommand:
         assert main(["report", "--report", str(report_a), "--compare", str(report_b)]) == 0
         out = capsys.readouterr().out
         assert "delta[toes]" in out and "delta[overall]" in out
+
+    def test_string_counts_are_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"counts": [["1", "0", "0", "0"]] * 4}), encoding="utf-8")
+        assert main(["report", "--report", str(path)]) == 2
+        assert "counts must be numbers" in capsys.readouterr().err
 
 
 class TestRunCommand:

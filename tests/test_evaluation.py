@@ -133,6 +133,13 @@ class TestConfusionMatrixType:
         with pytest.raises(ValueError):
             ConfusionMatrix(counts)
 
+    @pytest.mark.parametrize("cell", ["1", None, 1 + 0j], ids=["string", "none", "complex"])
+    def test_rejects_non_numeric(self, cell):
+        grid = [[1] * 4 for _ in range(4)]
+        grid[2][1] = cell
+        with pytest.raises(ValueError, match="numbers"):
+            ConfusionMatrix(grid)
+
     def test_accepts_integral_floats_and_lists(self):
         matrix = ConfusionMatrix([[1.0] * 4] * 4)
         assert matrix.total == 16

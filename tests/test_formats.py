@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from htks import (
+    BodyPose,
     ClassifierConfig,
     ConfigError,
     ConfusionMatrix,
     DistanceProfile,
     FrameDecision,
+    JointId,
     LabeledFrame,
     Normalization,
     ParseError,
@@ -18,6 +20,7 @@ from htks import (
     report,
 )
 from htks.formats import (
+    DECISIONS_HEADER,
     classifier_config_from_dict,
     classifier_config_to_dict,
     iter_poses,
@@ -34,6 +37,7 @@ from htks.formats import (
     write_report_json,
     write_script,
 )
+from htks.synth import generate_frames
 
 H, S, K, T = TouchLabel.HEAD, TouchLabel.SHOULDERS, TouchLabel.KNEES, TouchLabel.TOES
 
@@ -73,6 +77,29 @@ class TestPoseFile:
         path = tmp_path / "poses.txt"
         write_poses(path, [pose])
         assert load_poses(path) == [pose]
+
+    # 4,400 frames span two of the array writer's row chunks.
+    @pytest.mark.parametrize("jitter, confusable", [
+        (0.0, False), (0.05, False), (0.05, True),
+    ], ids=["noiseless", "jittered", "confusable"])
+    def test_pose_objects_and_array_write_same_bytes(self, tmp_path, jitter, confusable):
+        config = SynthConfig(seed=3, jitter_stddev_ratio=jitter, frames_per_class=1100)
+        frames = generate_frames(config, confusable=confusable)
+        write_poses(tmp_path / "objects.txt", (pose for pose, _ in frames.pairs()))
+        write_poses(tmp_path / "array.txt", frames.coords)
+        assert (tmp_path / "objects.txt").read_bytes() == (tmp_path / "array.txt").read_bytes()
+
+    def test_confidence_line_extends_the_array_line(self, tmp_path):
+        frames = generate_frames(SynthConfig(seed=3, jitter_stddev_ratio=0.05, frames_per_class=1))
+        pose, _ = frames.pairs()[0]
+        pose = BodyPose(pose.frame_id, pose.joints,
+                        confidence={JointId.HEAD: 0.25, JointId.RIGHT_ANKLE: 1.0})
+        write_poses(tmp_path / "objects.txt", [pose])
+        write_poses(tmp_path / "array.txt", frames.coords[:1])
+        assert load_poses(tmp_path / "objects.txt") == [pose]
+        with_confidence = (tmp_path / "objects.txt").read_text(encoding="utf-8")
+        without = with_confidence.replace(",0.25 ", " ").replace(",1.0\n", "\n")
+        assert without == (tmp_path / "array.txt").read_text(encoding="utf-8")
 
     def test_joint_order_within_line_is_free(self, tmp_path):
         path = tmp_path / "poses.txt"
@@ -319,3 +346,33 @@ class TestReportJson:
         path.write_text("{\"labels\": []}", encoding="utf-8")
         with pytest.raises(ParseError, match="counts"):
             load_report_json(path)
+
+
+class TestNonUtf8Input:
+    # Two lines that are valid in each format, then a byte that is not UTF-8.
+    @pytest.mark.parametrize("loader, prefix", [
+        (load_poses, "# poses\n\n"),
+        (load_labels, "# labels\n\n"),
+        (load_script, "# script\n\n"),
+        (load_decisions, DECISIONS_HEADER + "\n\n"),
+        (load_report_json, "{\n\n"),
+    ], ids=["poses", "labels", "script", "decisions", "report_json"])
+    def test_parse_error_names_path_and_line(self, tmp_path, loader, prefix):
+        path = tmp_path / "input"
+        path.write_bytes(prefix.encode() + b"\xff\n")
+        with pytest.raises(ParseError) as exc_info:
+            loader(path)
+        assert (exc_info.value.path, exc_info.value.line_no) == (path, 3)
+
+    def test_yaml_config_is_config_error(self, tmp_path):
+        path = tmp_path / "config.yaml"
+        path.write_bytes(b"classifier:\n  enable_rule1: true\n  \xff: 1\n")
+        with pytest.raises(ConfigError, match=r"config.yaml:3: not valid UTF-8"):
+            load_classifier_config(path)
+
+    def test_line_found_past_the_first_decoded_chunk(self, tmp_path):
+        path = tmp_path / "poses.txt"
+        path.write_bytes((b"# " + b"x" * 60 + b"\r\n") * 300 + b"# \xc3\n")
+        with pytest.raises(ParseError) as exc_info:
+            load_poses(path)
+        assert exc_info.value.line_no == 301

@@ -66,24 +66,19 @@ DECISIONS_HEADER = (
 )
 
 
-def _first_bad_line(path) -> int | None:
-    """Line number of the first byte in ``path`` that is not UTF-8.
-
-    Text files decode ahead of the line being read, so the decoder's own
-    error does not say which line holds the byte.
-    """
+def _not_utf8(path) -> ParseError:
+    """A ParseError at the line of the first byte in ``path`` that is not
+    UTF-8. Text files decode ahead of the line being read, so the
+    decoder's own error does not say which line holds the byte."""
     with open(path, "rb") as fh:
         data = fh.read()
+    line_no = None
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
         prefix = data[: exc.start].decode("utf-8")
-        return prefix.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
-    return None
-
-
-def _not_utf8(path) -> ParseError:
-    return ParseError("not valid UTF-8", path, _first_bad_line(path))
+        line_no = prefix.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+    return ParseError("not valid UTF-8", path, line_no)
 
 
 def _text_lines(fh, path) -> Iterator[str]:

@@ -39,7 +39,7 @@ class ConfusionMatrix:
         counts = np.asarray(self.counts)
         if counts.shape != (len(LABEL_ORDER), len(LABEL_ORDER)):
             raise ValueError(f"counts must be 4x4, got shape {counts.shape}")
-        if counts.dtype.kind not in "biuf":
+        if counts.dtype.kind not in "iuf":
             raise ValueError(f"counts must be numbers, got dtype {counts.dtype}")
         if not np.issubdtype(counts.dtype, np.integer):
             rounded = np.rint(counts)

@@ -131,13 +131,12 @@ def write_poses(path, poses: Iterable[BodyPose] | np.ndarray) -> None:
 
 
 def _pose_line(pose: BodyPose) -> str:
-    points = [pose.joints[joint] for joint in JointId]
-    if pose.confidence is None:
-        return _POSE_LINE % (pose.frame_id, *(v for p in points for v in (p.x, p.y)))
+    confidence = pose.confidence or {}
     parts = [str(pose.frame_id)]
-    for joint, entry, point in zip(JointId, _JOINT_ENTRIES, points):
-        confidence = f",{pose.confidence[joint]!r}" if joint in pose.confidence else ""
-        parts.append(entry % (point.x, point.y) + confidence)
+    for joint, entry in zip(JointId, _JOINT_ENTRIES):
+        point = pose.joints[joint]
+        conf = f",{confidence[joint]!r}" if joint in confidence else ""
+        parts.append(entry % (point.x, point.y) + conf)
     return " ".join(parts) + "\n"
 
 

@@ -169,9 +169,11 @@ class TestReportCommand:
         out = capsys.readouterr().out
         assert "delta[toes]" in out and "delta[overall]" in out
 
-    def test_string_counts_are_parse_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("row", [["1", "0", "0", "0"], [True, False, False, False]],
+                             ids=["strings", "booleans"])
+    def test_string_counts_are_parse_error(self, tmp_path, capsys, row):
         path = tmp_path / "report.json"
-        path.write_text(json.dumps({"counts": [["1", "0", "0", "0"]] * 4}), encoding="utf-8")
+        path.write_text(json.dumps({"counts": [row] * 4}), encoding="utf-8")
         assert main(["report", "--report", str(path)]) == 2
         assert "counts must be numbers" in capsys.readouterr().err
 

@@ -140,6 +140,10 @@ class TestConfusionMatrixType:
         with pytest.raises(ValueError, match="numbers"):
             ConfusionMatrix(grid)
 
+    def test_rejects_booleans(self):
+        with pytest.raises(ValueError, match="numbers"):
+            ConfusionMatrix([[True] * 4] * 4)
+
     def test_accepts_integral_floats_and_lists(self):
         matrix = ConfusionMatrix([[1.0] * 4] * 4)
         assert matrix.total == 16

@@ -26,8 +26,8 @@ from itertools import islice
 from math import isfinite
 from typing import Iterable, Sequence
 
-from .errors import ConfigError, EmptyInput, DegeneratePose, InvalidScale
-from .pose import BodyPose, JointId, TouchLabel, euclidean
+from .errors import ConfigError, EmptyInput, DegeneratePose, EvaluationError, InvalidScale
+from .pose import LABEL_ORDER, BodyPose, JointId, TouchLabel, euclidean
 
 __all__ = [
     "Normalization",
@@ -40,8 +40,6 @@ __all__ = [
     "classify_baseline",
     "classify",
     "calibration_scale",
-    "sequence_scale",
-    "classify_sequence",
 ]
 
 
@@ -83,14 +81,10 @@ class DistanceProfile:
 
     def value(self, label: TouchLabel) -> float:
         """Distance entry competing for the given label (ankles map to toes)."""
-        return {
-            TouchLabel.HEAD: self.d_head,
-            TouchLabel.SHOULDERS: self.d_shoulders,
-            TouchLabel.KNEES: self.d_knees,
-            TouchLabel.TOES: self.d_ankles,
-        }[label]
+        return self.as_tuple()[LABEL_ORDER.index(label)]
 
     def as_tuple(self) -> tuple[float, float, float, float]:
+        """The four distances in LABEL_ORDER."""
         return (self.d_head, self.d_shoulders, self.d_knees, self.d_ankles)
 
 
@@ -130,7 +124,10 @@ class ClassifierConfig:
         try:
             object.__setattr__(self, "normalization", Normalization(self.normalization))
         except ValueError:
-            raise ConfigError(f"unknown normalization mode: {self.normalization!r}") from None
+            raise ConfigError(
+                f"normalization must be one of "
+                f"{[m.value for m in Normalization]}, got {self.normalization!r}"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -171,17 +168,18 @@ def distance_profile(pose: BodyPose) -> DistanceProfile:
 
 
 def _argmin_label(
-    values: dict[TouchLabel, float], order: Sequence[TouchLabel]
+    values: Sequence[float], order: Sequence[TouchLabel]
 ) -> tuple[TouchLabel, bool]:
-    best = min(values.values())
-    tied = [label for label in order if values[label] == best]
+    """Label of the smallest of ``values`` (given in LABEL_ORDER); exact
+    ties go to the label that comes first in ``order``."""
+    best = min(values)
+    tied = [label for label in order if values[LABEL_ORDER.index(label)] == best]
     return tied[0], len(tied) > 1
 
 
 def classify_baseline(profile: DistanceProfile, config: ClassifierConfig) -> FrameDecision:
     """Plain argmin over the four distances; no rules involved."""
-    values = {label: profile.value(label) for label in TouchLabel}
-    label, tie_broken = _argmin_label(values, config.tie_break_order)
+    label, tie_broken = _argmin_label(profile.as_tuple(), config.tie_break_order)
     return FrameDecision(label=label, profile=profile, tie_broken=tie_broken)
 
 
@@ -190,20 +188,26 @@ def classify(pose: BodyPose, config: ClassifierConfig, scale: float) -> FrameDec
 
     ``scale`` is the reference scale in pixels (1.0 in fixed-pixels mode).
     Rule 1 is checked first and short-circuits the distance comparison;
-    rule 2 only biases the shoulder entry inside the argmin.
+    rule 2 only biases the shoulder entry inside the argmin. Coordinates
+    so far apart that a distance overflows raise EvaluationError.
     """
     if not isfinite(scale) or scale <= 0.0:
         raise InvalidScale(f"reference scale must be positive and finite, got {scale!r}")
-    profile = distance_profile(pose)
+    try:
+        profile = distance_profile(pose)
+    except ValueError as exc:
+        raise EvaluationError(f"frame {pose.frame_id}: {exc}") from None
     j = pose.joints
     if config.enable_rule1:
         head_hip = euclidean(j[JointId.HEAD], j[JointId.HIP])
         if head_hip < config.rule1_threshold_ratio * scale:
             return FrameDecision(label=TouchLabel.TOES, profile=profile, rule1_fired=True)
-    values = {label: profile.value(label) for label in TouchLabel}
+    d_head, d_shoulders, d_knees, d_ankles = profile.as_tuple()
     if config.enable_rule2:
-        values[TouchLabel.SHOULDERS] += config.rule2_bias_ratio * scale
-    label, tie_broken = _argmin_label(values, config.tie_break_order)
+        d_shoulders += config.rule2_bias_ratio * scale
+    label, tie_broken = _argmin_label(
+        (d_head, d_shoulders, d_knees, d_ankles), config.tie_break_order
+    )
     return FrameDecision(
         label=label,
         profile=profile,
@@ -226,19 +230,3 @@ def calibration_scale(poses: Iterable[BodyPose], window: int = CALIBRATION_WINDO
     if scale <= 0.0:
         raise DegeneratePose("head and hip coincide in every calibration frame")
     return scale
-
-
-def sequence_scale(poses: Sequence[BodyPose], config: ClassifierConfig) -> float:
-    """Reference scale for a sequence under the configured normalization."""
-    if config.normalization is Normalization.FIXED_PIXELS:
-        return 1.0
-    return calibration_scale(poses)
-
-
-def classify_sequence(
-    poses: Iterable[BodyPose], config: ClassifierConfig
-) -> list[tuple[int, FrameDecision]]:
-    """Classify every frame of a sequence; returns (frame_id, decision) pairs."""
-    pose_list = list(poses)
-    scale = sequence_scale(pose_list, config)
-    return [(p.frame_id, classify(p, config, scale)) for p in pose_list]

@@ -34,7 +34,7 @@ from .game import score_session
 from .pipeline import (
     REPORT_FORMATS,
     RunConfig,
-    decision_row_stream,
+    classify_sequence,
     evaluate_decisions,
     load_run_settings,
     run_pipeline,
@@ -62,9 +62,9 @@ def _classifier_overrides(command):
                      help="Toggle the bent-torso short-circuit."),
         click.option("--rule2/--no-rule2", "enable_rule2", default=None,
                      help="Toggle the shoulder-distance bias."),
-        click.option("--rule1-threshold", type=float, default=None,
+        click.option("--rule1-threshold", "rule1_threshold_ratio", type=float, default=None,
                      help="Head-hip threshold as a fraction of the reference scale."),
-        click.option("--rule2-bias", type=float, default=None,
+        click.option("--rule2-bias", "rule2_bias_ratio", type=float, default=None,
                      help="Shoulder bias as a fraction of the reference scale."),
         click.option("--normalization", type=click.Choice([m.value for m in Normalization]),
                      default=None, help="Reference-scale mode."),
@@ -74,19 +74,9 @@ def _classifier_overrides(command):
     return command
 
 
-def _merge_classifier(base: ClassifierConfig, enable_rule1, enable_rule2,
-                      rule1_threshold, rule2_bias, normalization) -> ClassifierConfig:
-    updates = {}
-    if enable_rule1 is not None:
-        updates["enable_rule1"] = enable_rule1
-    if enable_rule2 is not None:
-        updates["enable_rule2"] = enable_rule2
-    if rule1_threshold is not None:
-        updates["rule1_threshold_ratio"] = rule1_threshold
-    if rule2_bias is not None:
-        updates["rule2_bias_ratio"] = rule2_bias
-    if normalization is not None:
-        updates["normalization"] = Normalization(normalization)
+def _merge_classifier(base: ClassifierConfig, overrides: dict) -> ClassifierConfig:
+    """``base`` with every classifier flag the command line set."""
+    updates = {key: value for key, value in overrides.items() if value is not None}
     return dataclasses.replace(base, **updates) if updates else base
 
 
@@ -125,15 +115,13 @@ def generate(out_poses, out_labels, seed, frames_per_class, torso_length, jitter
 @click.option("--config", "config_path", type=_path_arg, default=None,
               help="Classifier config YAML.")
 @_classifier_overrides
-def classify(poses_path, out_path, config_path, enable_rule1, enable_rule2,
-             rule1_threshold, rule2_bias, normalization):
+def classify(poses_path, out_path, config_path, **overrides):
     """Classify every frame of a pose file."""
     if not poses_path.is_file():
         raise ConfigError(f"pose file does not exist: {poses_path}")
     base = load_classifier_config(config_path) if config_path else ClassifierConfig()
-    config = _merge_classifier(base, enable_rule1, enable_rule2,
-                               rule1_threshold, rule2_bias, normalization)
-    write_decisions(out_path, decision_row_stream(iter_poses(poses_path), config))
+    config = _merge_classifier(base, overrides)
+    write_decisions(out_path, classify_sequence(iter_poses(poses_path), config))
     click.echo(f"wrote decisions to {out_path}")
 
 
@@ -219,26 +207,20 @@ def report(report_path, compare_path, style):
 @click.option("--format", "style", type=click.Choice(REPORT_FORMATS), default=None,
               help="Rendered report style [default: table].")
 @_classifier_overrides
-def run(config_path, poses_path, labels_path, script_path, out_dir, style,
-        enable_rule1, enable_rule2, rule1_threshold, rule2_bias, normalization):
+def run(config_path, poses_path, labels_path, script_path, out_dir, style, **overrides):
     """Classify, evaluate and score in one go."""
-    settings = load_run_settings(config_path) if config_path else {
-        "classifier": None, "poses_path": None, "labels_path": None,
-        "script_path": None, "out_dir": None, "report_format": None,
-    }
-    poses = poses_path if poses_path is not None else settings["poses_path"]
+    settings = load_run_settings(config_path) if config_path else {}
+    poses = poses_path or settings.get("poses_path")
     if poses is None:
         raise ConfigError("a pose file is required (--poses or paths.poses in the config)")
-    base = settings["classifier"] if settings["classifier"] is not None else ClassifierConfig()
-    classifier = _merge_classifier(base, enable_rule1, enable_rule2,
-                                   rule1_threshold, rule2_bias, normalization)
+    base = settings.get("classifier", ClassifierConfig())
     run_config = RunConfig(
         poses_path=poses,
-        labels_path=labels_path if labels_path is not None else settings["labels_path"],
-        script_path=script_path if script_path is not None else settings["script_path"],
-        out_dir=(out_dir if out_dir is not None else settings["out_dir"]) or Path("htks_out"),
-        classifier=classifier,
-        report_format=(style if style is not None else settings["report_format"]) or "table",
+        labels_path=labels_path or settings.get("labels_path"),
+        script_path=script_path or settings.get("script_path"),
+        out_dir=out_dir or settings.get("out_dir") or Path("htks_out"),
+        classifier=_merge_classifier(base, overrides),
+        report_format=style or settings.get("report_format") or "table",
     )
     result = run_pipeline(run_config)
     click.echo(f"decisions: {result.decisions_path} ({result.frames} frames)")

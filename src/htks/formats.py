@@ -32,7 +32,7 @@ from typing import Iterable, Iterator
 import numpy as np
 import yaml
 
-from .classifier import ClassifierConfig, DistanceProfile, FrameDecision, Normalization
+from .classifier import ClassifierConfig, DistanceProfile, FrameDecision
 from .errors import ConfigError, EmptyScript, ParseError
 from .evaluation import ConfusionMatrix, EvalReport, format_report, report
 from .game import PartMapping, SessionScript, SessionResult, Trial, DEFAULT_PART_MAPPING
@@ -178,14 +178,11 @@ def _parse_pose_line(line: str, path, line_no: int, prev_frame_id: int | None) -
         joints[joint] = point
         if len(fields) == 3:
             try:
-                conf = float(fields[2])
+                confidence[joint] = float(fields[2])
             except ValueError:
                 raise ParseError(
                     f"bad confidence for {name}: {fields[2]!r}", path, line_no
                 ) from None
-            if not (0.0 <= conf <= 1.0):
-                raise ParseError(f"confidence for {name} out of [0, 1]: {conf}", path, line_no)
-            confidence[joint] = conf
     try:
         return BodyPose(
             frame_id=frame_id, joints=joints, confidence=confidence if confidence else None
@@ -344,18 +341,9 @@ def classifier_config_from_dict(data: dict) -> ClassifierConfig:
         raw = data["tie_break_order"]
         if not isinstance(raw, (list, tuple)):
             raise ConfigError(f"tie_break_order must be a list, got {raw!r}")
-        try:
-            kwargs["tie_break_order"] = tuple(TouchLabel(item) for item in raw)
-        except ValueError as exc:
-            raise ConfigError(f"tie_break_order: {exc}") from None
+        kwargs["tie_break_order"] = raw
     if "normalization" in data:
-        try:
-            kwargs["normalization"] = Normalization(data["normalization"])
-        except ValueError:
-            raise ConfigError(
-                f"normalization must be one of "
-                f"{[m.value for m in Normalization]}, got {data['normalization']!r}"
-            ) from None
+        kwargs["normalization"] = data["normalization"]
     return ClassifierConfig(**kwargs)
 
 
@@ -399,16 +387,19 @@ def _bool_str(value: bool) -> str:
     return "true" if value else "false"
 
 
-def write_decisions(path, rows: Iterable[tuple[int, FrameDecision]]) -> None:
+def write_decisions(path, rows: Iterable[tuple[int, FrameDecision]]) -> int:
+    """Write a decisions CSV; returns the number of rows written."""
+    count = 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(DECISIONS_HEADER + "\n")
-        for frame_id, decision in rows:
+        for count, (frame_id, decision) in enumerate(rows, start=1):
             p = decision.profile
             fh.write(
                 f"{frame_id},{decision.label.value},{_bool_str(decision.rule1_fired)},"
                 f"{_bool_str(decision.rule2_applied)},{_bool_str(decision.tie_broken)},"
                 f"{p.d_head!r},{p.d_shoulders!r},{p.d_knees!r},{p.d_ankles!r}\n"
             )
+    return count
 
 
 def _parse_bool(token: str, path, line_no: int) -> bool:

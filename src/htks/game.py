@@ -183,8 +183,6 @@ def score_session(
     Frames outside every trial window are ignored; missing frames simply
     thin the windows they belong to. An undecided trial is never correct.
     """
-    if not script.trials:
-        raise EmptyScript("session script has no trials")
     if isinstance(decisions, Mapping):
         items = list(decisions.items())
     else:

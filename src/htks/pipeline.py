@@ -1,9 +1,14 @@
 """The end-to-end pipeline: ingest, classify, evaluate, score, report.
 
 Stages communicate only through the documented file formats, so any stage
-can be re-run in isolation from the artifacts of the previous one. The
-classify stage streams: apart from the fixed calibration window it holds
-one frame at a time.
+can be re-run in isolation from the artifacts of the previous one.
+
+``classify_sequence`` is the package's one calibrate-and-classify path,
+used by ``run_pipeline``, ``htks classify`` and library callers alike. It
+streams: apart from the fixed calibration window it holds one frame at a
+time. It stays in this module, not in ``classifier``, because it looks up
+``calibration_scale`` and ``classify`` here, where the benchmark's tracer
+(``bench/spans.py``) wraps them to time the classifier layer.
 """
 
 from __future__ import annotations
@@ -40,10 +45,9 @@ from .game import SessionResult, score_session
 from .pose import BodyPose, LabeledFrame
 
 __all__ = [
-    "ReportFormat",
     "RunConfig",
     "PipelineResult",
-    "decision_row_stream",
+    "classify_sequence",
     "evaluate_decisions",
     "load_run_settings",
     "run_pipeline",
@@ -84,10 +88,15 @@ class PipelineResult:
     skipped_unlabeled: int = 0
 
 
-def decision_row_stream(
+def classify_sequence(
     poses: Iterable[BodyPose], config: ClassifierConfig
 ) -> Iterator[tuple[int, FrameDecision]]:
-    """Classify a pose stream, buffering only the calibration window."""
+    """Classify every frame of a pose stream, yielding (frame_id, decision)
+    pairs lazily; buffers only the calibration window.
+
+    The result is an iterator, so it can be consumed once. A sequence with
+    no frames raises EmptyInput under either normalization.
+    """
     pose_iter = iter(poses)
     first = next(pose_iter, None)
     if first is None:
@@ -132,8 +141,10 @@ def evaluate_decisions(
 def load_run_settings(path) -> dict:
     """Parse a run-config YAML into normalized settings.
 
-    Returns a dict with None for everything the file leaves unset; path
-    values are resolved relative to the config file's directory.
+    Returns only the keys the file sets, out of ``classifier``,
+    ``report_format``, ``poses_path``, ``labels_path``, ``script_path`` and
+    ``out_dir``; path values are resolved relative to the config file's
+    directory.
     """
     data = _load_yaml(path)
     if data is None:
@@ -143,14 +154,7 @@ def load_run_settings(path) -> dict:
     unknown = set(data) - {"classifier", "paths", "report_format"}
     if unknown:
         raise ConfigError(f"unknown run config keys: {', '.join(sorted(unknown))}")
-    settings: dict = {
-        "classifier": None,
-        "poses_path": None,
-        "labels_path": None,
-        "script_path": None,
-        "out_dir": None,
-        "report_format": None,
-    }
+    settings: dict = {}
     if "classifier" in data:
         settings["classifier"] = classifier_config_from_dict(data["classifier"])
     if "report_format" in data:
@@ -192,18 +196,11 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     decisions_path = out_dir / "decisions.csv"
 
-    frames = [0]
-
-    def counted_rows():
-        for frame_id, decision in decision_row_stream(
-            iter_poses(config.poses_path), config.classifier
-        ):
-            frames[0] += 1
-            yield frame_id, decision
-
-    write_decisions(decisions_path, counted_rows())
-    log.info("classified %d frames -> %s", frames[0], decisions_path)
-    result = PipelineResult(decisions_path=decisions_path, frames=frames[0])
+    frames = write_decisions(
+        decisions_path, classify_sequence(iter_poses(config.poses_path), config.classifier)
+    )
+    log.info("classified %d frames -> %s", frames, decisions_path)
+    result = PipelineResult(decisions_path=decisions_path, frames=frames)
 
     if config.labels_path is not None:
         labels = load_labels(config.labels_path)

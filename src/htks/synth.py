@@ -1,7 +1,8 @@
 """Deterministic synthetic skeleton generator.
 
 Emits labelled pose sequences for the four touch classes from three
-posture templates:
+posture templates, one fixed template per class (there is no choice of
+bend model):
 
 - upright (head and shoulders classes): full standing torso, wrists on
   the target joints;
@@ -33,7 +34,6 @@ writer formats them with ``repr`` and yields the same bytes from both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from math import isfinite
 
 import numpy as np
@@ -41,19 +41,12 @@ import numpy as np
 from .pose import BodyPose, JointId, Point2, TouchLabel
 
 __all__ = [
-    "BendModel",
     "SynthConfig",
     "SynthFrames",
     "generate",
     "generate_confusable",
     "generate_frames",
 ]
-
-
-class BendModel(str, Enum):
-    """Posture model used for the bent (knees/toes) classes."""
-
-    RIGID_BEND = "rigid_bend"
 
 
 @dataclass(frozen=True)
@@ -64,7 +57,6 @@ class SynthConfig:
     torso_length: float = 300.0
     jitter_stddev_ratio: float = 0.0
     frames_per_class: int = 100
-    bend_model: BendModel = BendModel.RIGID_BEND
 
     def __post_init__(self):
         if not isinstance(self.seed, int) or self.seed < 0:
@@ -77,8 +69,6 @@ class SynthConfig:
             )
         if self.frames_per_class < 1:
             raise ValueError(f"frames_per_class must be >= 1, got {self.frames_per_class!r}")
-        if not isinstance(self.bend_model, BendModel):
-            raise ValueError(f"unknown bend model: {self.bend_model!r}")
 
 
 # Joint order used for the per-frame noise array.

@@ -340,8 +340,13 @@ class TestCalibrationScale:
         config = ClassifierConfig(normalization=Normalization.FIXED_PIXELS,
                                   rule1_threshold_ratio=5.0)
         # head-hip distance 300 >= 5.0 * 1.0, so rule 1 must not fire
-        rows = classify_sequence([make_pose()], config)
+        rows = list(classify_sequence([make_pose()], config))
         assert len(rows) == 1 and not rows[0][1].rule1_fired
+
+    @pytest.mark.parametrize("normalization", list(Normalization))
+    def test_classify_sequence_rejects_empty_input(self, normalization):
+        with pytest.raises(EmptyInput):
+            list(classify_sequence([], ClassifierConfig(normalization=normalization)))
 
 
 @given(values=st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False), min_size=4, max_size=4))

@@ -1,5 +1,8 @@
+import importlib.util
 import json
+import pkgutil
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +25,7 @@ from htks.formats import (
     write_poses,
     write_script,
 )
-from htks.pipeline import RunConfig, decision_row_stream, run_pipeline
+from htks.pipeline import RunConfig, classify_sequence, run_pipeline
 
 from conftest import make_pose
 
@@ -99,6 +102,29 @@ class TestClassifyCommand:
         code = main(["classify", "--poses", str(bad), "--out", str(tmp_path / "d.csv")])
         assert code == 2
         assert f"{bad}:2: not valid UTF-8" in capsys.readouterr().err
+
+    def test_comment_only_pose_file_is_evaluation_error(self, tmp_path):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("# poses\n# no frames\n", encoding="utf-8")
+        code = main(["classify", "--poses", str(empty), "--out", str(tmp_path / "d.csv")])
+        assert code == 4
+
+
+@pytest.mark.parametrize("normalization", [m.value for m in Normalization])
+@pytest.mark.parametrize("command", ["classify", "run"])
+def test_overflowing_distance_is_evaluation_error(tmp_path, capsys, command, normalization):
+    # Every coordinate is finite, but the wrist-to-head distance is not.
+    pose = make_pose(head=(1e308, -300.0), left_wrist=(-1e308, -40.0),
+                     right_wrist=(-1e308, -40.0))
+    poses_path = tmp_path / "poses.txt"
+    write_poses(poses_path, [pose])
+    if command == "classify":
+        out = ["--out", str(tmp_path / "d.csv")]
+    else:
+        out = ["--out-dir", str(tmp_path / "out")]
+    code = main([command, "--poses", str(poses_path), "--normalization", normalization, *out])
+    assert code == 4
+    assert "frame 0" in capsys.readouterr().err
 
 
 class TestEvaluateCommand:
@@ -265,11 +291,11 @@ class TestPipelineApi:
                 i += 1
 
         config = ClassifierConfig()
-        rows = decision_row_stream(endless(), config)
+        rows = classify_sequence(endless(), config)
         taken = list(islice(rows, 50))
         assert [fid for fid, _ in taken] == list(range(50))
         fixed = ClassifierConfig(normalization=Normalization.FIXED_PIXELS)
-        assert len(list(islice(decision_row_stream(endless(), fixed), 5))) == 5
+        assert len(list(islice(classify_sequence(endless(), fixed), 5))) == 5
 
     def test_run_pipeline_validates_paths_before_processing(self, tmp_path):
         from htks import ConfigError
@@ -293,3 +319,28 @@ class TestPipelineApi:
     def test_version_of_usage_error(self, capsys):
         assert main(["frobnicate"]) == 3
         capsys.readouterr()
+
+
+def test_every_public_name_exists():
+    import htks
+
+    for info in pkgutil.iter_modules(htks.__path__):
+        module = importlib.import_module(f"htks.{info.name}")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert missing == [], info.name
+
+
+def test_benchmark_traced_names_exist():
+    """The benchmark tracer skips a name the package no longer has, which
+    would silently zero that layer's metrics."""
+    spans_path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", spans_path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        (module, attr)
+        for module, attr, *_ in spans.TRACED_NAMES
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert spans.TRACED_NAMES
+    assert missing == []

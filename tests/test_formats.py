@@ -285,8 +285,10 @@ class TestClassifierConfigFile:
             classifier_config_from_dict({"rule1_threshold_ratio": "big"})
         with pytest.raises(ConfigError):
             classifier_config_from_dict({"enable_rule1": "yes"})
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="calibration_frame"):
             classifier_config_from_dict({"normalization": "raw"})
+        with pytest.raises(ConfigError, match="calibration_frame"):
+            ClassifierConfig(normalization="raw")
         with pytest.raises(ConfigError):
             classifier_config_from_dict({"tie_break_order": ["head", "head", "knees", "toes"]})
 

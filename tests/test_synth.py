@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from htks import (
-    BendModel,
     ClassifierConfig,
     JointId,
     SynthConfig,
@@ -26,14 +25,10 @@ class TestSynthConfig:
         {"torso_length": -3.0},
         {"jitter_stddev_ratio": -0.1},
         {"frames_per_class": 0},
-        {"bend_model": "floppy"},
     ])
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SynthConfig(**kwargs)
-
-    def test_bend_model_default(self):
-        assert SynthConfig().bend_model is BendModel.RIGID_BEND
 
 
 class TestNoiselessGeometry:

@@ -17,9 +17,9 @@ from .classifier import ClassifierConfig, Normalization
 from .errors import ConfigError, EvaluationError, HtksError, ParseError
 from .evaluation import compare_reports, format_report
 from .formats import (
+    iter_decisions,
     iter_poses,
     load_classifier_config,
-    load_decisions,
     load_labels,
     load_report_json,
     load_script,
@@ -137,7 +137,9 @@ def evaluate(decisions_path, labels_path, out_json, out_text, style):
     for description, candidate in (("decisions", decisions_path), ("labels", labels_path)):
         if not candidate.is_file():
             raise ConfigError(f"{description} file does not exist: {candidate}")
-    rep, skipped = evaluate_decisions(load_decisions(decisions_path), load_labels(labels_path))
+    decided = [(frame_id, d.label) for frame_id, d in iter_decisions(decisions_path)]
+    truth = {item.frame_id: item.truth for item in load_labels(labels_path)}
+    rep, skipped = evaluate_decisions(decided, truth)
     if skipped:
         click.echo(f"note: {skipped} frames had no ground truth and were skipped", err=True)
     click.echo(format_report(rep, style=style), nl=False)
@@ -157,7 +159,9 @@ def score(decisions_path, script_path, out_json):
         if not candidate.is_file():
             raise ConfigError(f"{description} file does not exist: {candidate}")
     script = load_script(script_path)
-    result = score_session(script, load_decisions(decisions_path))
+    result = score_session(
+        script, ((frame_id, d.label) for frame_id, d in iter_decisions(decisions_path))
+    )
     for index, outcome in enumerate(result.per_trial):
         observed = outcome.observed_part.value if outcome.observed_part else "undecided"
         status = "correct" if outcome.correct else "wrong"

@@ -27,7 +27,11 @@ defaults.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator
+import os
+import stat
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 import yaml
@@ -81,6 +85,37 @@ def _not_utf8(path) -> ParseError:
     return ParseError("not valid UTF-8", path, line_no)
 
 
+def _cannot_write(path, exc: OSError) -> ConfigError:
+    return ConfigError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+@contextmanager
+def _output(path) -> Iterator[TextIO]:
+    """Open ``path`` for every writer here. A path that cannot be opened is
+    a ConfigError naming it. If the body raises, the half-written file is
+    removed, unless it is not a regular file (``/dev/null``, a pipe)."""
+    try:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise _cannot_write(path, exc) from None
+    regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if regular:
+            Path(path).unlink(missing_ok=True)
+        raise
+
+
+def _make_output_dir(path) -> None:
+    """Create the directory ``path`` and its parents, if missing."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _cannot_write(path, exc) from None
+
+
 def _text_lines(fh, path) -> Iterator[str]:
     """The lines of the text file ``fh`` opened from ``path``."""
     try:
@@ -115,7 +150,7 @@ _ROWS_PER_CHUNK = 4096
 def write_poses(path, poses: Iterable[BodyPose] | np.ndarray) -> None:
     """Write a pose file from BodyPose objects, or from an ``(N, 12, 2)``
     coordinate array in JointId order whose row ``i`` is frame id ``i``."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _output(path) as fh:
         fh.write("# pose frames: frame_id joint=x,y[,confidence] x12; head = head center\n")
         if isinstance(poses, np.ndarray):
             rows = poses.reshape(len(poses), -1)
@@ -209,7 +244,7 @@ def load_poses(path) -> list[BodyPose]:
 
 
 def write_labels(path, labels: Iterable[LabeledFrame]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _output(path) as fh:
         fh.write("# ground truth: frame_id class\n")
         for item in labels:
             fh.write(f"{item.frame_id} {item.truth.value}\n")
@@ -245,7 +280,7 @@ def load_labels(path) -> list[LabeledFrame]:
 
 
 def write_script(path, script: SessionScript) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _output(path) as fh:
         fh.write("# session script\n")
         for stated in LABEL_ORDER:
             fh.write(f"map {stated.value} {script.mapping.required_for(stated).value}\n")
@@ -363,7 +398,7 @@ def load_classifier_config(path) -> ClassifierConfig:
 
 
 def write_classifier_config(path, config: ClassifierConfig) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _output(path) as fh:
         yaml.safe_dump({"classifier": classifier_config_to_dict(config)}, fh, sort_keys=True)
 
 
@@ -390,7 +425,7 @@ def _bool_str(value: bool) -> str:
 def write_decisions(path, rows: Iterable[tuple[int, FrameDecision]]) -> int:
     """Write a decisions CSV; returns the number of rows written."""
     count = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with _output(path) as fh:
         fh.write(DECISIONS_HEADER + "\n")
         for count, (frame_id, decision) in enumerate(rows, start=1):
             p = decision.profile
@@ -460,7 +495,7 @@ def load_decisions(path) -> list[tuple[int, FrameDecision]]:
 
 
 def _dump_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _output(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -500,7 +535,7 @@ def load_report_json(path) -> EvalReport:
 
 
 def write_report_text(path, rep: EvalReport, style: str = "table") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _output(path) as fh:
         fh.write(format_report(rep, style=style))
 
 

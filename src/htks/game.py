@@ -6,15 +6,20 @@ the majority frame label inside its window; majority ties go to the label
 with the longest consecutive run, then to the classifier tie-break order.
 Trials with no frames are undecided and score as incorrect, so the score
 denominator never shrinks.
+
+Scoring sees only what the classifier decided: each frame is a
+``(frame_id, TouchLabel)`` pair.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from operator import itemgetter
+from typing import Iterable, Mapping, Optional, Sequence
 
-from .classifier import DEFAULT_TIE_BREAK_ORDER, FrameDecision
+from .classifier import DEFAULT_TIE_BREAK_ORDER
 from .errors import EmptyScript
 from .pose import TouchLabel
 
@@ -83,9 +88,6 @@ class Trial:
                 f"trial window reversed: start {self.start_frame} > end {self.end_frame}"
             )
 
-    def contains(self, frame_id: int) -> bool:
-        return self.start_frame <= frame_id <= self.end_frame
-
 
 @dataclass(frozen=True)
 class SessionScript:
@@ -131,13 +133,6 @@ class SessionResult:
         object.__setattr__(self, "score_fraction", self.num_correct / self.num_trials)
 
 
-DecisionLike = Union[FrameDecision, TouchLabel]
-
-
-def _label_of(decision: DecisionLike) -> TouchLabel:
-    return decision.label if isinstance(decision, FrameDecision) else decision
-
-
 def _longest_run(labels: Sequence[TouchLabel], target: TouchLabel) -> int:
     best = run = 0
     for label in labels:
@@ -147,16 +142,16 @@ def _longest_run(labels: Sequence[TouchLabel], target: TouchLabel) -> int:
 
 
 def aggregate_trial(
-    decisions: Iterable[DecisionLike],
+    labels: Iterable[TouchLabel],
     tie_break_order: Sequence[TouchLabel] = DEFAULT_TIE_BREAK_ORDER,
 ) -> Optional[TouchLabel]:
-    """Reduce the frame decisions of one window to a single touched part.
+    """Reduce the frame labels of one window to a single touched part.
 
     Majority label wins; an empty window is undecided (None). Majority
     ties go to the label with the longest consecutive run, remaining ties
     to the earliest label in ``tie_break_order``.
     """
-    labels = [_label_of(d) for d in decisions]
+    labels = list(labels)
     if not labels:
         return None
     counts = Counter(labels)
@@ -174,24 +169,23 @@ def aggregate_trial(
 
 def score_session(
     script: SessionScript,
-    decisions: Union[Mapping[int, DecisionLike], Iterable[tuple[int, DecisionLike]]],
+    decisions: Iterable[tuple[int, TouchLabel]],
     tie_break_order: Sequence[TouchLabel] = DEFAULT_TIE_BREAK_ORDER,
 ) -> SessionResult:
     """Score a full session against its script.
 
-    ``decisions`` pairs frame ids with frame decisions (or bare labels).
-    Frames outside every trial window are ignored; missing frames simply
-    thin the windows they belong to. An undecided trial is never correct.
+    ``decisions`` pairs frame ids with frame labels, in any order; pairs
+    with the same frame id keep their given order. Frames outside every
+    trial window are ignored; missing frames simply thin the windows they
+    belong to. An undecided trial is never correct.
     """
-    if isinstance(decisions, Mapping):
-        items = list(decisions.items())
-    else:
-        items = list(decisions)
-    items.sort(key=lambda pair: pair[0])
+    frame_id = itemgetter(0)
+    items = sorted(decisions, key=frame_id)
     outcomes = []
     for trial in script.trials:
-        window = [_label_of(d) for fid, d in items if trial.contains(fid)]
-        observed = aggregate_trial(window, tie_break_order)
+        start = bisect_left(items, trial.start_frame, key=frame_id)
+        end = bisect_right(items, trial.end_frame, lo=start, key=frame_id)
+        observed = aggregate_trial([label for _, label in items[start:end]], tie_break_order)
         required = script.mapping.required_for(trial.stated_part)
         outcomes.append(
             TrialOutcome(

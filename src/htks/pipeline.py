@@ -1,7 +1,9 @@
 """The end-to-end pipeline: ingest, classify, evaluate, score, report.
 
-Stages communicate only through the documented file formats, so any stage
-can be re-run in isolation from the artifacts of the previous one.
+The stage commands communicate only through the documented file formats,
+so any stage can be re-run in isolation from the artifacts of the previous
+one. ``run_pipeline`` classifies once and evaluates and scores from the
+labels it kept in memory, never reading ``decisions.csv`` back.
 
 ``classify_sequence`` is the package's one calibrate-and-classify path,
 used by ``run_pipeline``, ``htks classify`` and library callers alike. It
@@ -17,7 +19,7 @@ import logging
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .classifier import (
     CALIBRATION_WINDOW,
@@ -30,7 +32,6 @@ from .classifier import (
 from .errors import ConfigError, EmptyInput
 from .evaluation import EvalReport, build_confusion, report
 from .formats import (
-    iter_decisions,
     iter_poses,
     load_labels,
     load_script,
@@ -40,9 +41,10 @@ from .formats import (
     write_session_json,
     classifier_config_from_dict,
     _load_yaml,
+    _make_output_dir,
 )
 from .game import SessionResult, score_session
-from .pose import BodyPose, LabeledFrame
+from .pose import BodyPose, TouchLabel
 
 __all__ = [
     "RunConfig",
@@ -114,28 +116,20 @@ def classify_sequence(
 
 
 def evaluate_decisions(
-    decisions: Iterable[tuple[int, FrameDecision]], labels: Iterable[LabeledFrame]
+    decided: Sequence[tuple[int, TouchLabel]], truth: Mapping[int, TouchLabel]
 ) -> tuple[EvalReport, int]:
-    """Join decisions with ground truth and report accuracies.
+    """Join (frame_id, label) pairs with ground truth and report accuracies.
 
-    Decisions without a labelled frame are skipped; the count of skips is
+    Frames without a ground-truth label are skipped; the count of skips is
     returned alongside the report.
     """
-    truth = {item.frame_id: item.truth for item in labels}
-    skipped = [0]
-
-    def pairs():
-        for frame_id, decision in decisions:
-            expected = truth.get(frame_id)
-            if expected is None:
-                skipped[0] += 1
-                continue
-            yield expected, decision.label
-
-    rep = report(build_confusion(pairs()))
-    if skipped[0]:
-        log.warning("skipped %d frames with no ground truth", skipped[0])
-    return rep, skipped[0]
+    rep = report(build_confusion(
+        (truth[frame_id], label) for frame_id, label in decided if frame_id in truth
+    ))
+    skipped = len(decided) - rep.matrix.total
+    if skipped:
+        log.warning("skipped %d frames with no ground truth", skipped)
+    return rep, skipped
 
 
 def load_run_settings(path) -> dict:
@@ -177,12 +171,22 @@ def load_run_settings(path) -> dict:
     return settings
 
 
+def _keep_labels(
+    rows: Iterable[tuple[int, FrameDecision]], kept: list[tuple[int, TouchLabel]]
+) -> Iterator[tuple[int, FrameDecision]]:
+    """Pass ``rows`` through, appending each row's (frame_id, label) to ``kept``."""
+    for frame_id, decision in rows:
+        kept.append((frame_id, decision.label))
+        yield frame_id, decision
+
+
 def run_pipeline(config: RunConfig) -> PipelineResult:
     """Classify a pose file and write every requested artifact.
 
     Writes decisions.csv always, report.json/report.txt when labels are
     supplied, session.json when a script is supplied. Reruns with the same
-    config overwrite the outputs with identical bytes.
+    config overwrite the outputs with identical bytes. Labels and script
+    are loaded first, so a bad one leaves no output behind.
     """
     for description, candidate in (
         ("pose file", config.poses_path),
@@ -192,19 +196,24 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         if candidate is not None and not Path(candidate).is_file():
             raise ConfigError(f"{description} does not exist: {candidate}")
 
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    decisions_path = out_dir / "decisions.csv"
+    truth = None if config.labels_path is None else {
+        item.frame_id: item.truth for item in load_labels(config.labels_path)
+    }
+    script = None if config.script_path is None else load_script(config.script_path)
 
-    frames = write_decisions(
-        decisions_path, classify_sequence(iter_poses(config.poses_path), config.classifier)
-    )
+    out_dir = Path(config.out_dir)
+    _make_output_dir(out_dir)
+    decisions_path = out_dir / "decisions.csv"
+    decided: list[tuple[int, TouchLabel]] = []
+    rows = classify_sequence(iter_poses(config.poses_path), config.classifier)
+    if truth is not None or script is not None:
+        rows = _keep_labels(rows, decided)
+    frames = write_decisions(decisions_path, rows)
     log.info("classified %d frames -> %s", frames, decisions_path)
     result = PipelineResult(decisions_path=decisions_path, frames=frames)
 
-    if config.labels_path is not None:
-        labels = load_labels(config.labels_path)
-        rep, skipped = evaluate_decisions(iter_decisions(decisions_path), labels)
+    if truth is not None:
+        rep, skipped = evaluate_decisions(decided, truth)
         result.report = rep
         result.skipped_unlabeled = skipped
         result.report_path = out_dir / "report.json"
@@ -213,13 +222,8 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         write_report_text(result.report_text_path, rep, style=config.report_format)
         log.info("overall accuracy %.2f -> %s", rep.overall_accuracy, result.report_path)
 
-    if config.script_path is not None:
-        script = load_script(config.script_path)
-        session = score_session(
-            script,
-            iter_decisions(decisions_path),
-            tie_break_order=config.classifier.tie_break_order,
-        )
+    if script is not None:
+        session = score_session(script, decided, config.classifier.tie_break_order)
         result.session = session
         result.session_path = out_dir / "session.json"
         write_session_json(result.session_path, session)

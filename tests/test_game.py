@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from htks import (
     DEFAULT_PART_MAPPING,
-    DistanceProfile,
     EmptyScript,
-    FrameDecision,
     PartMapping,
+    SessionResult,
     SessionScript,
     TouchLabel,
     Trial,
+    TrialOutcome,
     aggregate_trial,
     score_session,
 )
@@ -86,11 +88,6 @@ class TestAggregateTrial:
     def test_single_label_window(self):
         assert aggregate_trial([S]) is S
 
-    def test_accepts_frame_decisions(self):
-        profile = DistanceProfile(1, 2, 3, 4)
-        decisions = [FrameDecision(label=K, profile=profile)] * 3
-        assert aggregate_trial(decisions) is K
-
 
 def _fill(window, label):
     return [(fid, label) for fid in range(window[0], window[1] + 1)]
@@ -125,12 +122,6 @@ class TestScoreSession:
         decisions = _fill((10, 13), T)
         noisy = decisions + _fill((0, 9), K) + _fill((14, 50), S)
         assert score_session(script, decisions) == score_session(script, noisy)
-
-    def test_accepts_mapping_input(self):
-        script = SessionScript(trials=(Trial(K, 0, 2),))
-        result = score_session(script, {0: S, 1: S, 2: K})
-        assert result.per_trial[0].observed_part is S
-        assert result.per_trial[0].correct  # knees -> shoulders under the default pairing
 
     def test_twenty_trials_thirteen_correct(self):
         rng = np.random.default_rng(13)
@@ -175,3 +166,41 @@ class TestScoreSession:
             result = score_session(script, decisions)
             assert 0 <= result.num_correct <= result.num_trials == n
             assert result.score_fraction == result.num_correct / n
+
+
+def _score_by_filter(script, decisions, tie_break_order):
+    """Reference scoring: stable sort by frame id, then scan every frame
+    for every trial."""
+    items = sorted(decisions, key=lambda pair: pair[0])
+    outcomes = []
+    for trial in script.trials:
+        window = [label for fid, label in items if trial.start_frame <= fid <= trial.end_frame]
+        observed = aggregate_trial(window, tie_break_order)
+        required = script.mapping.required_for(trial.stated_part)
+        outcomes.append(TrialOutcome(trial.stated_part, required, observed, observed == required))
+    return SessionResult(per_trial=tuple(outcomes))
+
+
+_labels = st.sampled_from(list(TouchLabel))
+
+
+@st.composite
+def _sessions(draw):
+    """A script plus unsorted (frame_id, label) pairs with gaps, frames
+    outside every window and repeated frame ids."""
+    trials, cursor = [], -1
+    for _ in range(draw(st.integers(1, 8))):
+        start = cursor + 1 + draw(st.integers(0, 4))
+        cursor = start + draw(st.integers(0, 6))
+        trials.append(Trial(draw(_labels), start, cursor))
+    frame_ids = st.integers(0, cursor + 5)
+    decisions = draw(st.lists(st.tuples(frame_ids, _labels), max_size=120))
+    return SessionScript(trials=tuple(trials)), decisions
+
+
+@given(_sessions(), st.permutations(list(TouchLabel)))
+def test_score_session_matches_per_trial_filter(session, tie_break_order):
+    script, decisions = session
+    assert score_session(script, decisions, tie_break_order) == _score_by_filter(
+        script, decisions, tie_break_order
+    )

@@ -47,14 +47,12 @@ from .pose import (
     LABEL_ORDER,
     BodyPose,
     JointId,
-    LabeledFrame,
     Point2,
     TouchLabel,
     euclidean,
-    reference_scale,
 )
 from .pipeline import classify_sequence
-from .synth import SynthConfig, generate, generate_confusable
+from .synth import SynthConfig, generate
 
 __version__ = "0.1.0"
 
@@ -78,7 +76,6 @@ __all__ = [
     "InvalidScale",
     "JointId",
     "LABEL_ORDER",
-    "LabeledFrame",
     "Normalization",
     "ParseError",
     "PartMapping",
@@ -101,8 +98,6 @@ __all__ = [
     "euclidean",
     "format_report",
     "generate",
-    "generate_confusable",
-    "reference_scale",
     "report",
     "score_session",
 ]

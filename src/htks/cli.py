@@ -39,7 +39,7 @@ from .pipeline import (
     load_run_settings,
     run_pipeline,
 )
-from .pose import LABEL_ORDER, LabeledFrame
+from .pose import LABEL_ORDER
 from .synth import SynthConfig, generate_frames as synth_generate
 
 _path_arg = click.Path(path_type=Path)
@@ -104,7 +104,7 @@ def generate(out_poses, out_labels, seed, frames_per_class, torso_length, jitter
         raise ConfigError(str(exc)) from None
     frames = synth_generate(config, confusable=confusable)
     write_poses(out_poses, frames.coords)
-    write_labels(out_labels, (LabeledFrame(i, label) for i, label in enumerate(frames.labels)))
+    write_labels(out_labels, enumerate(frames.labels))
     click.echo(f"wrote {len(frames)} frames to {out_poses} and labels to {out_labels}")
 
 
@@ -138,8 +138,7 @@ def evaluate(decisions_path, labels_path, out_json, out_text, style):
         if not candidate.is_file():
             raise ConfigError(f"{description} file does not exist: {candidate}")
     decided = [(frame_id, d.label) for frame_id, d in iter_decisions(decisions_path)]
-    truth = {item.frame_id: item.truth for item in load_labels(labels_path)}
-    rep, skipped = evaluate_decisions(decided, truth)
+    rep, skipped = evaluate_decisions(decided, load_labels(labels_path))
     if skipped:
         click.echo(f"note: {skipped} frames had no ground truth and were skipped", err=True)
     click.echo(format_report(rep, style=style), nl=False)

@@ -13,7 +13,7 @@ Frame ids must be strictly increasing. The head entry is expected to be
 the head *center*; adapt estimator output that reports the head top.
 
 Labels file: ``<frame_id> <class>`` with class one of head, shoulders,
-knees, toes.
+knees, toes. Frame ids are non-negative, unique and in any order.
 
 Script file: optional ``map <stated> <required>`` lines (all four classes
 must be covered when overriding the default head<->toes, shoulders<->knees
@@ -29,9 +29,10 @@ from __future__ import annotations
 import json
 import os
 import stat
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 import yaml
@@ -40,12 +41,11 @@ from .classifier import ClassifierConfig, DistanceProfile, FrameDecision
 from .errors import ConfigError, EmptyScript, ParseError
 from .evaluation import ConfusionMatrix, EvalReport, format_report, report
 from .game import PartMapping, SessionScript, SessionResult, Trial, DEFAULT_PART_MAPPING
-from .pose import BodyPose, JointId, LabeledFrame, Point2, TouchLabel, LABEL_ORDER
+from .pose import BodyPose, JointId, Point2, TouchLabel, LABEL_ORDER
 
 __all__ = [
     "write_poses",
     "iter_poses",
-    "load_poses",
     "write_labels",
     "load_labels",
     "write_script",
@@ -56,7 +56,6 @@ __all__ = [
     "write_classifier_config",
     "write_decisions",
     "iter_decisions",
-    "load_decisions",
     "report_to_dict",
     "write_report_json",
     "load_report_json",
@@ -85,23 +84,34 @@ def _not_utf8(path) -> ParseError:
     return ParseError("not valid UTF-8", path, line_no)
 
 
-def _cannot_write(path, exc: OSError) -> ConfigError:
-    return ConfigError(f"cannot write {path}: {exc.strerror or exc}")
+def _writing(path, call, *args, **kwargs):
+    """``call(*args, **kwargs)``, with an OSError raised as a ConfigError
+    saying that the output ``path`` cannot be written."""
+    try:
+        return call(*args, **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 @contextmanager
-def _output(path) -> Iterator[TextIO]:
-    """Open ``path`` for every writer here. A path that cannot be opened is
-    a ConfigError naming it. If the body raises, the half-written file is
-    removed, unless it is not a regular file (``/dev/null``, a pipe)."""
-    try:
-        fh = open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise _cannot_write(path, exc) from None
+def _output(path) -> Iterator[Callable[[str], object]]:
+    """Open ``path`` for every writer here and yield its ``write``. A path
+    that cannot be opened, written, flushed or closed is a ConfigError
+    naming it; any other error of the body, such as a ParseError from the
+    pose reader ``write_decisions`` pulls, keeps its type. If the body
+    raises, the half-written file is removed, unless it is not a regular
+    file (``/dev/null``, a pipe)."""
+    fh = _writing(path, open, path, "w", encoding="utf-8")
     regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
     try:
-        with fh:
-            yield fh
+        try:
+            yield partial(_writing, path, fh.write)
+        except BaseException:
+            # The body's error is the one to report, not a failed flush.
+            with suppress(OSError):
+                fh.close()
+            raise
+        _writing(path, fh.close)
     except BaseException:
         if regular:
             Path(path).unlink(missing_ok=True)
@@ -110,10 +120,7 @@ def _output(path) -> Iterator[TextIO]:
 
 def _make_output_dir(path) -> None:
     """Create the directory ``path`` and its parents, if missing."""
-    try:
-        Path(path).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise _cannot_write(path, exc) from None
+    _writing(path, Path(path).mkdir, parents=True, exist_ok=True)
 
 
 def _text_lines(fh, path) -> Iterator[str]:
@@ -150,19 +157,19 @@ _ROWS_PER_CHUNK = 4096
 def write_poses(path, poses: Iterable[BodyPose] | np.ndarray) -> None:
     """Write a pose file from BodyPose objects, or from an ``(N, 12, 2)``
     coordinate array in JointId order whose row ``i`` is frame id ``i``."""
-    with _output(path) as fh:
-        fh.write("# pose frames: frame_id joint=x,y[,confidence] x12; head = head center\n")
+    with _output(path) as write:
+        write("# pose frames: frame_id joint=x,y[,confidence] x12; head = head center\n")
         if isinstance(poses, np.ndarray):
             rows = poses.reshape(len(poses), -1)
             for start in range(0, len(rows), _ROWS_PER_CHUNK):
                 chunk = rows[start:start + _ROWS_PER_CHUNK].tolist()
-                fh.write("".join([
+                write("".join([
                     _POSE_LINE % (frame_id, *row)
                     for frame_id, row in enumerate(chunk, start)
                 ]))
             return
         for pose in poses:
-            fh.write(_pose_line(pose))
+            write(_pose_line(pose))
 
 
 def _pose_line(pose: BodyPose) -> str:
@@ -235,24 +242,21 @@ def iter_poses(path) -> Iterator[BodyPose]:
         yield pose
 
 
-def load_poses(path) -> list[BodyPose]:
-    return list(iter_poses(path))
-
-
 # ---------------------------------------------------------------------------
 # labels
 
 
-def write_labels(path, labels: Iterable[LabeledFrame]) -> None:
-    with _output(path) as fh:
-        fh.write("# ground truth: frame_id class\n")
-        for item in labels:
-            fh.write(f"{item.frame_id} {item.truth.value}\n")
+def write_labels(path, pairs: Iterable[tuple[int, TouchLabel]]) -> None:
+    """Write a labels file from (frame_id, label) pairs."""
+    with _output(path) as write:
+        write("# ground truth: frame_id class\n")
+        for frame_id, truth in pairs:
+            write(f"{frame_id} {truth.value}\n")
 
 
-def load_labels(path) -> list[LabeledFrame]:
-    labels = []
-    seen = set()
+def load_labels(path) -> dict[int, TouchLabel]:
+    """Ground truth as ``{frame_id: label}``, in file order."""
+    labels: dict[int, TouchLabel] = {}
     for line_no, line in _content_lines(path):
         tokens = line.split()
         if len(tokens) != 2:
@@ -265,13 +269,11 @@ def load_labels(path) -> list[LabeledFrame]:
             truth = TouchLabel(tokens[1])
         except ValueError:
             raise ParseError(f"unknown class name: {tokens[1]!r}", path, line_no) from None
-        if frame_id in seen:
+        if frame_id in labels:
             raise ParseError(f"duplicate frame id: {frame_id}", path, line_no)
-        seen.add(frame_id)
-        try:
-            labels.append(LabeledFrame(frame_id=frame_id, truth=truth))
-        except ValueError as exc:
-            raise ParseError(str(exc), path, line_no) from None
+        if frame_id < 0:
+            raise ParseError(f"frame id must be non-negative: {frame_id}", path, line_no)
+        labels[frame_id] = truth
     return labels
 
 
@@ -280,12 +282,12 @@ def load_labels(path) -> list[LabeledFrame]:
 
 
 def write_script(path, script: SessionScript) -> None:
-    with _output(path) as fh:
-        fh.write("# session script\n")
+    with _output(path) as write:
+        write("# session script\n")
         for stated in LABEL_ORDER:
-            fh.write(f"map {stated.value} {script.mapping.required_for(stated).value}\n")
+            write(f"map {stated.value} {script.mapping.required_for(stated).value}\n")
         for trial in script.trials:
-            fh.write(
+            write(
                 f"trial {trial.stated_part.value} {trial.start_frame} {trial.end_frame}\n"
             )
 
@@ -398,8 +400,8 @@ def load_classifier_config(path) -> ClassifierConfig:
 
 
 def write_classifier_config(path, config: ClassifierConfig) -> None:
-    with _output(path) as fh:
-        yaml.safe_dump({"classifier": classifier_config_to_dict(config)}, fh, sort_keys=True)
+    with _output(path) as write:
+        write(yaml.safe_dump({"classifier": classifier_config_to_dict(config)}, sort_keys=True))
 
 
 def _load_yaml(path):
@@ -425,11 +427,11 @@ def _bool_str(value: bool) -> str:
 def write_decisions(path, rows: Iterable[tuple[int, FrameDecision]]) -> int:
     """Write a decisions CSV; returns the number of rows written."""
     count = 0
-    with _output(path) as fh:
-        fh.write(DECISIONS_HEADER + "\n")
+    with _output(path) as write:
+        write(DECISIONS_HEADER + "\n")
         for count, (frame_id, decision) in enumerate(rows, start=1):
             p = decision.profile
-            fh.write(
+            write(
                 f"{frame_id},{decision.label.value},{_bool_str(decision.rule1_fired)},"
                 f"{_bool_str(decision.rule2_applied)},{_bool_str(decision.tie_broken)},"
                 f"{p.d_head!r},{p.d_shoulders!r},{p.d_knees!r},{p.d_ankles!r}\n"
@@ -486,18 +488,13 @@ def iter_decisions(path) -> Iterator[tuple[int, FrameDecision]]:
             yield frame_id, decision
 
 
-def load_decisions(path) -> list[tuple[int, FrameDecision]]:
-    return list(iter_decisions(path))
-
-
 # ---------------------------------------------------------------------------
 # evaluation reports and session results (JSON)
 
 
 def _dump_json(path, payload: dict) -> None:
-    with _output(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with _output(path) as write:
+        write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def report_to_dict(rep: EvalReport) -> dict:
@@ -535,8 +532,8 @@ def load_report_json(path) -> EvalReport:
 
 
 def write_report_text(path, rep: EvalReport, style: str = "table") -> None:
-    with _output(path) as fh:
-        fh.write(format_report(rep, style=style))
+    with _output(path) as write:
+        write(format_report(rep, style=style))
 
 
 def session_to_dict(result: SessionResult) -> dict:

@@ -196,9 +196,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         if candidate is not None and not Path(candidate).is_file():
             raise ConfigError(f"{description} does not exist: {candidate}")
 
-    truth = None if config.labels_path is None else {
-        item.frame_id: item.truth for item in load_labels(config.labels_path)
-    }
+    truth = None if config.labels_path is None else load_labels(config.labels_path)
     script = None if config.script_path is None else load_script(config.script_path)
 
     out_dir = Path(config.out_dir)

@@ -18,17 +18,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional
 
-from .errors import DegeneratePose
-
 __all__ = [
     "JointId",
     "TouchLabel",
     "LABEL_ORDER",
     "Point2",
     "BodyPose",
-    "LabeledFrame",
     "euclidean",
-    "reference_scale",
 ]
 
 
@@ -115,26 +111,3 @@ class BodyPose:
 
     def __getitem__(self, joint: JointId) -> Point2:
         return self.joints[joint]
-
-
-@dataclass(frozen=True)
-class LabeledFrame:
-    """Ground-truth touch class for one frame."""
-
-    frame_id: int
-    truth: TouchLabel
-
-    def __post_init__(self):
-        if not isinstance(self.frame_id, int) or self.frame_id < 0:
-            raise ValueError(f"frame_id must be a non-negative integer, got {self.frame_id!r}")
-
-
-def reference_scale(pose: BodyPose) -> float:
-    """Head-to-hip distance of a calibration pose, in pixels.
-
-    Raises DegeneratePose when head and hip coincide exactly.
-    """
-    scale = euclidean(pose[JointId.HEAD], pose[JointId.HIP])
-    if scale == 0.0:
-        raise DegeneratePose(f"head and hip coincide in frame {pose.frame_id}")
-    return scale

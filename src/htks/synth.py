@@ -24,8 +24,8 @@ frame-for-frame across jitter settings.
 its own ``SeedSequence(entropy=seed, spawn_key=(class_index,))`` stream
 as ``standard_normal((n, 12, 2)) * sigma`` and adds it to ``template *
 torso``, giving one ``(N, 12, 2)`` float64 array for the whole sequence.
-``generate`` and ``generate_confusable`` build their (pose, label) lists
-from that array. Every coordinate is one float64 multiply and one add of
+``generate`` and ``SynthFrames.pairs`` build (pose, label) lists from
+that array. Every coordinate is one float64 multiply and one add of
 the same operands, whether computed elementwise in numpy or per joint in
 Python floats, so the values are bit-identical either way; the pose
 writer formats them with ``repr`` and yields the same bytes from both.
@@ -44,7 +44,6 @@ __all__ = [
     "SynthConfig",
     "SynthFrames",
     "generate",
-    "generate_confusable",
     "generate_frames",
 ]
 
@@ -217,8 +216,9 @@ class SynthFrames:
 
 
 def generate_frames(config: SynthConfig, confusable: bool = False) -> SynthFrames:
-    """Generate the frames of ``generate`` (or, with ``confusable``, of
-    ``generate_confusable``) as arrays."""
+    """Generate the frames of ``generate`` as arrays. With ``confusable``,
+    every frame is a toes-labelled folded pose with the wrists exactly
+    midway between knee and ankle, so the knee and ankle distances tie."""
     class_templates = _CONFUSABLE_TEMPLATES if confusable else _CLASS_TEMPLATES
     torso = config.torso_length
     sigma = config.jitter_stddev_ratio * torso
@@ -244,11 +244,3 @@ def generate(config: SynthConfig) -> list[tuple[BodyPose, TouchLabel]]:
     """
     return generate_frames(config).pairs()
 
-
-def generate_confusable(config: SynthConfig) -> list[tuple[BodyPose, TouchLabel]]:
-    """Toes-labelled folded poses with the wrists exactly midway between
-    knee and ankle, making the knee and ankle distances tie.
-
-    Useful for exercising tie-breaking and knee/toe confusion handling.
-    """
-    return generate_frames(config, confusable=True).pairs()

@@ -7,10 +7,10 @@ from itertools import islice
 from pathlib import Path
 
 import pytest
+from hypothesis import given
 
 from htks import (
     ClassifierConfig,
-    LabeledFrame,
     Normalization,
     SessionScript,
     SynthConfig,
@@ -20,9 +20,9 @@ from htks import (
 )
 from htks.cli import main
 from htks.formats import (
-    load_decisions,
+    iter_decisions,
+    iter_poses,
     load_labels,
-    load_poses,
     write_labels,
     write_poses,
     write_script,
@@ -30,6 +30,7 @@ from htks.formats import (
 from htks.pipeline import RunConfig, classify_sequence, run_pipeline
 
 from conftest import make_pose
+from test_formats import LABEL_FILE_BYTES
 
 H, S, K, T = TouchLabel.HEAD, TouchLabel.SHOULDERS, TouchLabel.KNEES, TouchLabel.TOES
 
@@ -41,7 +42,7 @@ def corpus(tmp_path):
     poses_path = tmp_path / "poses.txt"
     labels_path = tmp_path / "labels.txt"
     write_poses(poses_path, (pose for pose, _ in frames))
-    write_labels(labels_path, (LabeledFrame(p.frame_id, lab) for p, lab in frames))
+    write_labels(labels_path, ((p.frame_id, lab) for p, lab in frames))
     return poses_path, labels_path
 
 
@@ -53,7 +54,7 @@ class TestGenerateCommand:
                      "--out-labels", str(labels_path),
                      "--seed", "5", "--frames-per-class", "3", "--jitter", "0.02"])
         assert code == 0
-        assert len(load_poses(poses_path)) == 12
+        assert len(list(iter_poses(poses_path))) == 12
         assert len(load_labels(labels_path)) == 12
 
     def test_confusable_flag(self, tmp_path):
@@ -62,7 +63,7 @@ class TestGenerateCommand:
                      "--frames-per-class", "2", "--confusable"])
         assert code == 0
         labels = load_labels(tmp_path / "l.txt")
-        assert all(item.truth is T for item in labels)
+        assert all(label is T for label in labels.values())
 
     def test_bad_seed_is_config_error(self, tmp_path):
         code = main(["generate", "--out-poses", str(tmp_path / "p.txt"),
@@ -76,7 +77,7 @@ class TestClassifyCommand:
         out = tmp_path / "decisions.csv"
         code = main(["classify", "--poses", str(poses_path), "--out", str(out)])
         assert code == 0
-        rows = load_decisions(out)
+        rows = list(iter_decisions(out))
         assert len(rows) == 40
         assert [fid for fid, _ in rows] == list(range(40))
 
@@ -85,7 +86,7 @@ class TestClassifyCommand:
         out = tmp_path / "decisions.csv"
         assert main(["classify", "--poses", str(poses_path), "--out", str(out),
                      "--no-rule1", "--no-rule2"]) == 0
-        assert not any(d.rule1_fired or d.rule2_applied for _, d in load_decisions(out))
+        assert not any(d.rule1_fired or d.rule2_applied for _, d in iter_decisions(out))
 
     def test_missing_pose_file_is_config_error(self, tmp_path):
         code = main(["classify", "--poses", str(tmp_path / "absent.txt"),
@@ -148,7 +149,7 @@ class TestEvaluateCommand:
         decisions = tmp_path / "decisions.csv"
         assert main(["classify", "--poses", str(poses_path), "--out", str(decisions)]) == 0
         other = tmp_path / "other_labels.txt"
-        write_labels(other, [LabeledFrame(999, H)])
+        write_labels(other, [(999, H)])
         code = main(["evaluate", "--decisions", str(decisions), "--labels", str(other)])
         assert code == 4
 
@@ -227,7 +228,7 @@ class TestRunCommand:
         for name in ("decisions.csv", "report.json", "report.txt", "session.json"):
             assert (out_dir / name).is_file()
         # session totals must agree with an external recount from the file
-        rows = load_decisions(out_dir / "decisions.csv")
+        rows = list(iter_decisions(out_dir / "decisions.csv"))
         session = json.loads((out_dir / "session.json").read_text(encoding="utf-8"))
         by_frame = dict(rows)
         recount = 0
@@ -289,7 +290,7 @@ class TestRunCommand:
         assert main(["generate", "--out-poses", str(poses), "--out-labels", str(labels),
                      "--seed", "3", "--frames-per-class", "60", "--jitter", "0.2"]) == 0
         # Unlabelled frames are skipped by both paths.
-        write_labels(labels, [item for item in load_labels(labels) if item.frame_id % 7])
+        write_labels(labels, [(f, lab) for f, lab in load_labels(labels).items() if f % 7])
         script = tmp_path / "script.txt"
         write_script(script, SessionScript(trials=(
             Trial(T, 0, 9), Trial(H, 50, 70), Trial(K, 119, 125),
@@ -377,6 +378,53 @@ def test_unusable_output_path_is_config_error(corpus, tmp_path, capsys, case):
         target, argv = tmp_path, classify
     assert main([*argv, str(target)]) == 3
     assert f"config error: cannot write {target}" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("case, expected", [
+    ("classify", 3), ("generate-fails-on-close", 3), ("generate-fails-on-write", 3),
+    ("classify-bad-line-at-40", 2),
+])
+def test_output_to_full_device(corpus, tmp_path, capsys, case, expected):
+    # /dev/full opens, but every write to it fails: a small output fails when
+    # its buffer is flushed on close, a large one on a write. A pose-file
+    # error raised while writing keeps its own exit code.
+    poses_path, _ = corpus
+    if case.startswith("generate"):
+        per_class = "1" if case.endswith("close") else "100"
+        argv = ["generate", "--out-labels", str(tmp_path / "l.txt"),
+                "--frames-per-class", per_class, "--out-poses", "/dev/full"]
+    else:
+        if case.endswith("40"):
+            poses_path = tmp_path / "bad.txt"
+            write_poses(poses_path, [make_pose(frame_id=i) for i in range(40)])
+            with open(poses_path, "a", encoding="utf-8") as fh:
+                fh.write("40 head=1,2\n")
+        argv = ["classify", "--poses", str(poses_path), "--out", "/dev/full"]
+    assert main(argv) == expected
+    err = capsys.readouterr().err
+    if expected == 3:
+        assert "config error: cannot write /dev/full: " in err
+    else:
+        assert f"parse error: {poses_path}:42: " in err
+
+
+@pytest.fixture(scope="module")
+def decisions_csv(tmp_path_factory):
+    """decisions.csv of 8 noiseless frames (ids 0-7), in a directory of its own."""
+    root = tmp_path_factory.mktemp("decided")
+    poses, decisions = root / "poses.txt", root / "decisions.csv"
+    write_poses(poses, (pose for pose, _ in generate(SynthConfig(frames_per_class=2))))
+    assert main(["classify", "--poses", str(poses), "--out", str(decisions)]) == 0
+    return decisions
+
+
+@given(data=LABEL_FILE_BYTES)
+def test_evaluate_exit_code_for_any_labels_bytes(decisions_csv, data):
+    labels = decisions_csv.parent / "labels.txt"
+    labels.write_bytes(data)
+    code = main(["evaluate", "--decisions", str(decisions_csv), "--labels", str(labels)])
+    assert code in {0, 2, 3, 4}
 
 
 class TestPipelineApi:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from htks import (
     BodyPose,
@@ -9,7 +11,6 @@ from htks import (
     DistanceProfile,
     FrameDecision,
     JointId,
-    LabeledFrame,
     Normalization,
     ParseError,
     SessionScript,
@@ -23,11 +24,10 @@ from htks.formats import (
     DECISIONS_HEADER,
     classifier_config_from_dict,
     classifier_config_to_dict,
+    iter_decisions,
     iter_poses,
     load_classifier_config,
-    load_decisions,
     load_labels,
-    load_poses,
     load_report_json,
     load_script,
     write_classifier_config,
@@ -58,7 +58,7 @@ class TestPoseFile:
         path = tmp_path / "poses.txt"
         write_lines(path, ["# comment", "", POSE_LINE.format(fid=0),
                            POSE_LINE.format(fid=1), POSE_LINE.format(fid=2)])
-        poses = load_poses(path)
+        poses = list(iter_poses(path))
         assert [p.frame_id for p in poses] == [0, 1, 2]
         assert poses[0].joints[list(poses[0].joints)[0]].x == 320.5
 
@@ -66,7 +66,7 @@ class TestPoseFile:
         frames = generate(SynthConfig(seed=21, jitter_stddev_ratio=0.04, frames_per_class=100))
         path = tmp_path / "poses.txt"
         write_poses(path, (pose for pose, _ in frames))
-        loaded = load_poses(path)
+        loaded = list(iter_poses(path))
         assert loaded == [pose for pose, _ in frames]
 
     def test_confidence_round_trip(self, tmp_path):
@@ -76,7 +76,7 @@ class TestPoseFile:
         pose = make_pose(confidence={JointId.HEAD: 0.25, JointId.HIP: 1.0})
         path = tmp_path / "poses.txt"
         write_poses(path, [pose])
-        assert load_poses(path) == [pose]
+        assert list(iter_poses(path)) == [pose]
 
     # 4,400 frames span two of the array writer's row chunks.
     @pytest.mark.parametrize("jitter, confusable", [
@@ -96,7 +96,7 @@ class TestPoseFile:
                         confidence={JointId.HEAD: 0.25, JointId.RIGHT_ANKLE: 1.0})
         write_poses(tmp_path / "objects.txt", [pose])
         write_poses(tmp_path / "array.txt", frames.coords[:1])
-        assert load_poses(tmp_path / "objects.txt") == [pose]
+        assert list(iter_poses(tmp_path / "objects.txt")) == [pose]
         with_confidence = (tmp_path / "objects.txt").read_text(encoding="utf-8")
         without = with_confidence.replace(",0.25 ", " ").replace(",1.0\n", "\n")
         assert without == (tmp_path / "array.txt").read_text(encoding="utf-8")
@@ -106,7 +106,8 @@ class TestPoseFile:
         tokens = POSE_LINE.format(fid=0).split()
         reordered = [tokens[0]] + list(reversed(tokens[1:]))
         write_lines(path, [" ".join(reordered)])
-        assert load_poses(path)[0] == load_poses_from_line(tmp_path, POSE_LINE.format(fid=0))
+        from_line = load_poses_from_line(tmp_path, POSE_LINE.format(fid=0))
+        assert list(iter_poses(path))[0] == from_line
 
     def test_missing_joint_named_with_line(self, tmp_path):
         path = tmp_path / "poses.txt"
@@ -114,7 +115,7 @@ class TestPoseFile:
             " left_knee=300.0,420.0", "")
         write_lines(path, ["# header", line])
         with pytest.raises(ParseError) as exc_info:
-            load_poses(path)
+            list(iter_poses(path))
         message = str(exc_info.value)
         assert "left_knee" in message and ":2:" in message
 
@@ -122,32 +123,32 @@ class TestPoseFile:
         path = tmp_path / "poses.txt"
         write_lines(path, [POSE_LINE.format(fid=0) + " nose=1.0,2.0"])
         with pytest.raises(ParseError, match="nose"):
-            load_poses(path)
+            list(iter_poses(path))
 
     def test_duplicate_joint_rejected(self, tmp_path):
         path = tmp_path / "poses.txt"
         write_lines(path, [POSE_LINE.format(fid=0) + " head=1.0,2.0"])
         with pytest.raises(ParseError, match="duplicate"):
-            load_poses(path)
+            list(iter_poses(path))
 
     def test_non_finite_coordinate_rejected(self, tmp_path):
         path = tmp_path / "poses.txt"
         write_lines(path, [POSE_LINE.format(fid=0).replace("320.5", "nan")])
         with pytest.raises(ParseError, match="head"):
-            load_poses(path)
+            list(iter_poses(path))
 
     def test_decreasing_frame_ids_rejected(self, tmp_path):
         path = tmp_path / "poses.txt"
         write_lines(path, [POSE_LINE.format(fid=5), POSE_LINE.format(fid=5)])
         with pytest.raises(ParseError, match="strictly increasing"):
-            load_poses(path)
+            list(iter_poses(path))
 
     def test_bad_confidence_rejected(self, tmp_path):
         path = tmp_path / "poses.txt"
         write_lines(path, [POSE_LINE.format(fid=0).replace("hip=320.0,300.0",
                                                            "hip=320.0,300.0,1.5")])
         with pytest.raises(ParseError, match="confidence"):
-            load_poses(path)
+            list(iter_poses(path))
 
     def test_streaming_is_lazy(self, tmp_path):
         path = tmp_path / "poses.txt"
@@ -157,18 +158,37 @@ class TestPoseFile:
         assert first.frame_id == 0
 
 
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    """A directory for tests that rewrite one file per hypothesis example."""
+    return tmp_path_factory.mktemp("examples")
+
+
+# Labels-file bytes: raw bytes, or "<id> <class> [extra]" lines near the
+# format (signs, non-ASCII digits, unknown or miscased classes, comments,
+# empty tokens, bad UTF-8).
+_LABEL_LINE = st.tuples(
+    st.sampled_from([b"0", b"7", b"-1", b"+2", b"1_0", b"1.5", b"\xd9\xa3", b"#", b""]),
+    st.sampled_from([b"head", b"toes", b"Toes", b"elbows", b"\xff", b"\x00", b""]),
+    st.sampled_from([b"", b"x"]),
+).map(b" ".join)
+LABEL_FILE_BYTES = st.one_of(
+    st.binary(max_size=80), st.lists(_LABEL_LINE, max_size=6).map(b"\n".join)
+)
+
+
 def load_poses_from_line(tmp_path, line):
     path = tmp_path / "one.txt"
     write_lines(path, [line])
-    return load_poses(path)[0]
+    return list(iter_poses(path))[0]
 
 
 class TestLabelsFile:
     def test_round_trip(self, tmp_path):
-        labels = [LabeledFrame(0, H), LabeledFrame(3, T), LabeledFrame(7, K)]
+        labels = [(7, K), (0, H), (3, T)]
         path = tmp_path / "labels.txt"
         write_labels(path, labels)
-        assert load_labels(path) == labels
+        assert list(load_labels(path).items()) == labels
 
     def test_unknown_class_is_hard_error(self, tmp_path):
         path = tmp_path / "labels.txt"
@@ -187,6 +207,33 @@ class TestLabelsFile:
         write_lines(path, ["0 head extra"])
         with pytest.raises(ParseError):
             load_labels(path)
+
+    def test_negative_frame_rejected(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        write_lines(path, ["0 head", "-1 head"])
+        with pytest.raises(ParseError) as exc_info:
+            load_labels(path)
+        assert (exc_info.value.path, exc_info.value.line_no) == (path, 2)
+
+    @given(pairs=st.lists(
+        st.tuples(st.integers(0, 10**12), st.sampled_from(list(TouchLabel))),
+        unique_by=lambda pair: pair[0],
+    ))
+    def test_round_trip_any_ids(self, scratch_dir, pairs):
+        path = scratch_dir / "labels.txt"
+        write_labels(path, pairs)
+        assert list(load_labels(path).items()) == pairs
+
+    @given(data=LABEL_FILE_BYTES)
+    def test_any_bytes_parse_or_raise_parse_error(self, scratch_dir, data):
+        path = scratch_dir / "labels.txt"
+        path.write_bytes(data)
+        try:
+            labels = load_labels(path)
+        except ParseError as exc:
+            assert exc.path == path and exc.line_no >= 1
+        else:
+            assert all(frame_id >= 0 for frame_id in labels)
 
 
 class TestScriptFile:
@@ -309,13 +356,13 @@ class TestDecisionsFile:
         ]
         path = tmp_path / "decisions.csv"
         write_decisions(path, rows)
-        assert load_decisions(path) == rows
+        assert list(iter_decisions(path)) == rows
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "decisions.csv"
         path.write_text("frame,stuff\n", encoding="utf-8")
         with pytest.raises(ParseError, match="header"):
-            load_decisions(path)
+            list(iter_decisions(path))
 
     def test_bad_label_rejected(self, tmp_path):
         path = tmp_path / "decisions.csv"
@@ -323,7 +370,7 @@ class TestDecisionsFile:
         text = path.read_text(encoding="utf-8").replace(",head,", ",hihat,")
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError, match="hihat"):
-            load_decisions(path)
+            list(iter_decisions(path))
 
 
 class TestReportJson:
@@ -353,10 +400,10 @@ class TestReportJson:
 class TestNonUtf8Input:
     # Two lines that are valid in each format, then a byte that is not UTF-8.
     @pytest.mark.parametrize("loader, prefix", [
-        (load_poses, "# poses\n\n"),
+        (lambda p: list(iter_poses(p)), "# poses\n\n"),
         (load_labels, "# labels\n\n"),
         (load_script, "# script\n\n"),
-        (load_decisions, DECISIONS_HEADER + "\n\n"),
+        (lambda p: list(iter_decisions(p)), DECISIONS_HEADER + "\n\n"),
         (load_report_json, "{\n\n"),
     ], ids=["poses", "labels", "script", "decisions", "report_json"])
     def test_parse_error_names_path_and_line(self, tmp_path, loader, prefix):
@@ -376,5 +423,5 @@ class TestNonUtf8Input:
         path = tmp_path / "poses.txt"
         path.write_bytes((b"# " + b"x" * 60 + b"\r\n") * 300 + b"# \xc3\n")
         with pytest.raises(ParseError) as exc_info:
-            load_poses(path)
+            list(iter_poses(path))
         assert exc_info.value.line_no == 301

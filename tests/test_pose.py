@@ -2,21 +2,16 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from htks import (
     BodyPose,
-    DegeneratePose,
     JointId,
-    LabeledFrame,
     Point2,
     TouchLabel,
     euclidean,
-    reference_scale,
 )
 
-from conftest import make_pose, scale_pose, translate_pose
+from conftest import make_pose
 
 
 class TestJointId:
@@ -96,49 +91,6 @@ class TestBodyPose:
         pose = make_pose()
         with pytest.raises(dataclasses.FrozenInstanceError):
             pose.frame_id = 3
-
-
-class TestLabeledFrame:
-    def test_negative_frame_rejected(self):
-        with pytest.raises(ValueError):
-            LabeledFrame(frame_id=-2, truth=TouchLabel.HEAD)
-
-
-class TestReferenceScale:
-    def test_axis_aligned_distance(self):
-        pose = make_pose(head=(0.0, 0.0), hip=(0.0, 100.0))
-        assert reference_scale(pose) == 100.0
-
-    def test_three_four_five_triangle(self):
-        pose = make_pose(head=(3.0, 0.0), hip=(0.0, 4.0))
-        assert reference_scale(pose) == 5.0
-
-    def test_coincident_head_hip_degenerate(self):
-        pose = make_pose(head=(5.0, 5.0), hip=(5.0, 5.0))
-        with pytest.raises(DegeneratePose):
-            reference_scale(pose)
-
-    # Integer coordinates and offsets keep every float addition exact, so
-    # invariance holds bit-for-bit, not just approximately.
-    @given(
-        hx=st.integers(-10**6, 10**6),
-        hy=st.integers(-10**6, 10**6),
-        px=st.integers(-10**6, 10**6),
-        py=st.integers(-10**6, 10**6),
-        tx=st.integers(-10**6, 10**6),
-        ty=st.integers(-10**6, 10**6),
-    )
-    def test_translation_invariance_exact(self, hx, hy, px, py, tx, ty):
-        if (hx, hy) == (px, py):
-            px += 1
-        pose = make_pose(head=(float(hx), float(hy)), hip=(float(px), float(py)))
-        assert reference_scale(translate_pose(pose, tx, ty)) == reference_scale(pose)
-
-    @given(s=st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False))
-    def test_scale_equivariance(self, s):
-        pose = make_pose(head=(13.0, -41.0), hip=(-7.0, 29.0))
-        expected = s * reference_scale(pose)
-        assert reference_scale(scale_pose(pose, s)) == pytest.approx(expected, rel=1e-9)
 
 
 def test_euclidean_matches_hypot(rng):

@@ -14,8 +14,8 @@ from htks import (
     distance_profile,
     euclidean,
     generate,
-    generate_confusable,
 )
+from htks.synth import generate_frames
 
 
 class TestSynthConfig:
@@ -138,7 +138,7 @@ class TestJitter:
 
 class TestConfusablePreset:
     def test_exact_knee_ankle_tie(self):
-        frames = generate_confusable(SynthConfig(seed=9, frames_per_class=5))
+        frames = generate_frames(SynthConfig(seed=9, frames_per_class=5), confusable=True).pairs()
         assert len(frames) == 5
         for pose, label in frames:
             assert label is TouchLabel.TOES
@@ -146,7 +146,7 @@ class TestConfusablePreset:
             assert profile.d_knees == profile.d_ankles
 
     def test_tie_broken_by_configured_order(self):
-        frames = generate_confusable(SynthConfig(seed=9, frames_per_class=3))
+        frames = generate_frames(SynthConfig(seed=9, frames_per_class=3), confusable=True).pairs()
         profile = distance_profile(frames[0][0])
         toes_first = classify_baseline(profile, ClassifierConfig())
         assert toes_first.label is TouchLabel.TOES and toes_first.tie_broken

@@ -20,14 +20,17 @@ they survive camera-distance changes. Fixed-pixels mode pins the scale to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 from math import isfinite
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import ConfigError, EmptyInput, DegeneratePose, EvaluationError, InvalidScale
-from .pose import LABEL_ORDER, BodyPose, JointId, TouchLabel, euclidean
+from .pose import LABEL_ORDER, BodyPose, JointId, TouchLabel, _joint_array, euclidean
 
 __all__ = [
     "Normalization",
@@ -149,70 +152,116 @@ class FrameDecision:
             raise ValueError("rule 1 can only ever conclude toes")
 
 
+# The nine distances of a frame as (from, to) joint pairs, in JointId
+# indices: each wrist to the four parts (LABEL_ORDER, ankles standing for
+# toes; left wrist to left-side joints, right to right), then head to hip.
+_J = {joint: index for index, joint in enumerate(JointId)}
+_DISTANCE_PAIRS = np.array([
+    *((_J[JointId.LEFT_WRIST], _J[part]) for part in (
+        JointId.HEAD, JointId.LEFT_SHOULDER, JointId.LEFT_KNEE, JointId.LEFT_ANKLE)),
+    *((_J[JointId.RIGHT_WRIST], _J[part]) for part in (
+        JointId.HEAD, JointId.RIGHT_SHOULDER, JointId.RIGHT_KNEE, JointId.RIGHT_ANKLE)),
+    (_J[JointId.HEAD], _J[JointId.HIP]),
+])
+_SHOULDERS = LABEL_ORDER.index(TouchLabel.SHOULDERS)
+_TOES = LABEL_ORDER.index(TouchLabel.TOES)
+
+
+def _distances(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(n, 4)`` distance profiles (LABEL_ORDER) and the ``(n,)``
+    head-to-hip distances of ``(n, 12, 2)`` JointId-ordered coordinates.
+
+    Each distance is ``math.hypot``: ``np.hypot`` rounds differently in
+    the last bit on some inputs, which would change written decisions.
+    """
+    # Overflow to inf is caught by the caller, as a distance that overflows.
+    with np.errstate(over="ignore"):
+        delta = coords[:, _DISTANCE_PAIRS[:, 0]] - coords[:, _DISTANCE_PAIRS[:, 1]]
+        dist = np.fromiter(
+            map(math.hypot, delta[..., 0].ravel().tolist(), delta[..., 1].ravel().tolist()),
+            np.float64,
+            delta.shape[0] * delta.shape[1],
+        ).reshape(-1, len(_DISTANCE_PAIRS))
+        return (dist[:, 0:4] + dist[:, 4:8]) / 2.0, dist[:, 8]
+
+
+def _argmin(values: np.ndarray, order: Sequence[TouchLabel]) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``values`` (columns in LABEL_ORDER): the LABEL_ORDER
+    index of the smallest entry, exact ties going to the label first in
+    ``order``, and whether the minimum was tied."""
+    columns = np.array([LABEL_ORDER.index(label) for label in order])
+    ordered = values[:, columns]
+    best = ordered.min(axis=1, keepdims=True)
+    tied = np.count_nonzero(ordered == best, axis=1) > 1
+    return columns[ordered.argmin(axis=1)], tied
+
+
+def _decide(frame_ids, coords: np.ndarray, config: ClassifierConfig, scale: float) -> tuple:
+    """Classify ``(n, 12, 2)`` coordinates of the frames ``frame_ids``.
+
+    Returns ``(labels, rule1_fired, rule2_applied, tie_broken, profiles)``:
+    LABEL_ORDER indices, three boolean arrays and the ``(n, 4)`` unadjusted
+    distances. Rule 1 overrides whatever the argmin picked; rule 2 biases
+    the shoulder entry inside it. The first frame with a distance that
+    overflows raises EvaluationError.
+    """
+    if not isfinite(scale) or scale <= 0.0:
+        raise InvalidScale(f"reference scale must be positive and finite, got {scale!r}")
+    profiles, head_hip = _distances(coords)
+    overflow = ~np.isfinite(profiles).all(axis=1)
+    if overflow.any():
+        row = int(overflow.argmax())
+        try:
+            DistanceProfile(*profiles[row].tolist())
+        except ValueError as exc:
+            raise EvaluationError(f"frame {frame_ids[row]}: {exc}") from None
+    values = profiles
+    if config.enable_rule2:
+        values = profiles.copy()
+        values[:, _SHOULDERS] += config.rule2_bias_ratio * scale
+    labels, tie_broken = _argmin(values, config.tie_break_order)
+    if config.enable_rule1:
+        rule1_fired = head_hip < config.rule1_threshold_ratio * scale
+    else:
+        rule1_fired = np.zeros(len(profiles), dtype=bool)
+    labels[rule1_fired] = _TOES
+    tie_broken &= ~rule1_fired
+    rule2_applied = ~rule1_fired if config.enable_rule2 else np.zeros_like(rule1_fired)
+    return labels, rule1_fired, rule2_applied, tie_broken, profiles
+
+
 def distance_profile(pose: BodyPose) -> DistanceProfile:
     """Average left/right wrist distances to head, shoulders, knees, ankles."""
-    j = pose.joints
-    lw, rw = j[JointId.LEFT_WRIST], j[JointId.RIGHT_WRIST]
-    head = j[JointId.HEAD]
-    return DistanceProfile(
-        d_head=(euclidean(lw, head) + euclidean(rw, head)) / 2.0,
-        d_shoulders=(
-            euclidean(lw, j[JointId.LEFT_SHOULDER]) + euclidean(rw, j[JointId.RIGHT_SHOULDER])
-        )
-        / 2.0,
-        d_knees=(euclidean(lw, j[JointId.LEFT_KNEE]) + euclidean(rw, j[JointId.RIGHT_KNEE]))
-        / 2.0,
-        d_ankles=(euclidean(lw, j[JointId.LEFT_ANKLE]) + euclidean(rw, j[JointId.RIGHT_ANKLE]))
-        / 2.0,
-    )
-
-
-def _argmin_label(
-    values: Sequence[float], order: Sequence[TouchLabel]
-) -> tuple[TouchLabel, bool]:
-    """Label of the smallest of ``values`` (given in LABEL_ORDER); exact
-    ties go to the label that comes first in ``order``."""
-    best = min(values)
-    tied = [label for label in order if values[LABEL_ORDER.index(label)] == best]
-    return tied[0], len(tied) > 1
+    profiles, _ = _distances(_joint_array([pose]))
+    return DistanceProfile(*profiles[0].tolist())
 
 
 def classify_baseline(profile: DistanceProfile, config: ClassifierConfig) -> FrameDecision:
     """Plain argmin over the four distances; no rules involved."""
-    label, tie_broken = _argmin_label(profile.as_tuple(), config.tie_break_order)
-    return FrameDecision(label=label, profile=profile, tie_broken=tie_broken)
+    labels, tie_broken = _argmin(np.array([profile.as_tuple()]), config.tie_break_order)
+    return FrameDecision(
+        label=LABEL_ORDER[labels[0]], profile=profile, tie_broken=bool(tie_broken[0])
+    )
 
 
 def classify(pose: BodyPose, config: ClassifierConfig, scale: float) -> FrameDecision:
     """Classify one frame with the configured rules.
 
     ``scale`` is the reference scale in pixels (1.0 in fixed-pixels mode).
-    Rule 1 is checked first and short-circuits the distance comparison;
-    rule 2 only biases the shoulder entry inside the argmin. Coordinates
-    so far apart that a distance overflows raise EvaluationError.
+    Rule 1 overrides the distance comparison; rule 2 only biases the
+    shoulder entry inside the argmin. Coordinates so far apart that a
+    distance overflows raise EvaluationError. A one-row call into the
+    array core that classifies pose files.
     """
-    if not isfinite(scale) or scale <= 0.0:
-        raise InvalidScale(f"reference scale must be positive and finite, got {scale!r}")
-    try:
-        profile = distance_profile(pose)
-    except ValueError as exc:
-        raise EvaluationError(f"frame {pose.frame_id}: {exc}") from None
-    j = pose.joints
-    if config.enable_rule1:
-        head_hip = euclidean(j[JointId.HEAD], j[JointId.HIP])
-        if head_hip < config.rule1_threshold_ratio * scale:
-            return FrameDecision(label=TouchLabel.TOES, profile=profile, rule1_fired=True)
-    d_head, d_shoulders, d_knees, d_ankles = profile.as_tuple()
-    if config.enable_rule2:
-        d_shoulders += config.rule2_bias_ratio * scale
-    label, tie_broken = _argmin_label(
-        (d_head, d_shoulders, d_knees, d_ankles), config.tie_break_order
+    labels, rule1_fired, rule2_applied, tie_broken, profiles = _decide(
+        [pose.frame_id], _joint_array([pose]), config, scale
     )
     return FrameDecision(
-        label=label,
-        profile=profile,
-        rule2_applied=config.enable_rule2,
-        tie_broken=tie_broken,
+        label=LABEL_ORDER[labels[0]],
+        profile=DistanceProfile(*profiles[0].tolist()),
+        rule1_fired=bool(rule1_fired[0]),
+        rule2_applied=bool(rule2_applied[0]),
+        tie_broken=bool(tie_broken[0]),
     )
 
 

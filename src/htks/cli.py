@@ -18,7 +18,6 @@ from .errors import ConfigError, EvaluationError, HtksError, ParseError
 from .evaluation import compare_reports, format_report
 from .formats import (
     iter_decisions,
-    iter_poses,
     load_classifier_config,
     load_labels,
     load_report_json,
@@ -29,12 +28,13 @@ from .formats import (
     write_report_json,
     write_report_text,
     write_session_json,
+    _all_or_none,
 )
 from .game import score_session
 from .pipeline import (
     REPORT_FORMATS,
     RunConfig,
-    classify_sequence,
+    _classify_file,
     evaluate_decisions,
     load_run_settings,
     run_pipeline,
@@ -74,6 +74,11 @@ def _classifier_overrides(command):
     return command
 
 
+def _load_classifier(config_path) -> ClassifierConfig:
+    """The classifier config in the YAML file ``config_path``, or the defaults."""
+    return load_classifier_config(config_path) if config_path else ClassifierConfig()
+
+
 def _merge_classifier(base: ClassifierConfig, overrides: dict) -> ClassifierConfig:
     """``base`` with every classifier flag the command line set."""
     updates = {key: value for key, value in overrides.items() if value is not None}
@@ -103,8 +108,9 @@ def generate(out_poses, out_labels, seed, frames_per_class, torso_length, jitter
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     frames = synth_generate(config, confusable=confusable)
-    write_poses(out_poses, frames.coords)
-    write_labels(out_labels, enumerate(frames.labels))
+    with _all_or_none() as output:
+        output(write_poses, out_poses, frames.coords)
+        output(write_labels, out_labels, enumerate(frames.labels))
     click.echo(f"wrote {len(frames)} frames to {out_poses} and labels to {out_labels}")
 
 
@@ -119,9 +125,8 @@ def classify(poses_path, out_path, config_path, **overrides):
     """Classify every frame of a pose file."""
     if not poses_path.is_file():
         raise ConfigError(f"pose file does not exist: {poses_path}")
-    base = load_classifier_config(config_path) if config_path else ClassifierConfig()
-    config = _merge_classifier(base, overrides)
-    write_decisions(out_path, classify_sequence(iter_poses(poses_path), config))
+    config = _merge_classifier(_load_classifier(config_path), overrides)
+    write_decisions(out_path, _classify_file(poses_path, config))
     click.echo(f"wrote decisions to {out_path}")
 
 
@@ -142,24 +147,30 @@ def evaluate(decisions_path, labels_path, out_json, out_text, style):
     if skipped:
         click.echo(f"note: {skipped} frames had no ground truth and were skipped", err=True)
     click.echo(format_report(rep, style=style), nl=False)
-    if out_json:
-        write_report_json(out_json, rep)
-    if out_text:
-        write_report_text(out_text, rep, style=style)
+    with _all_or_none() as output:
+        if out_json:
+            output(write_report_json, out_json, rep)
+        if out_text:
+            output(write_report_text, out_text, rep, style=style)
 
 
 @cli.command()
 @click.option("--decisions", "decisions_path", type=_path_arg, required=True)
 @click.option("--script", "script_path", type=_path_arg, required=True)
 @click.option("--out-json", type=_path_arg, default=None, help="Write the session result as JSON.")
-def score(decisions_path, script_path, out_json):
+@click.option("--config", "config_path", type=_path_arg, default=None,
+              help="Classifier config YAML; its tie_break_order settles tied trials.")
+def score(decisions_path, script_path, out_json, config_path):
     """Score a session script against per-frame decisions."""
     for description, candidate in (("decisions", decisions_path), ("script", script_path)):
         if not candidate.is_file():
             raise ConfigError(f"{description} file does not exist: {candidate}")
+    tie_break_order = _load_classifier(config_path).tie_break_order
     script = load_script(script_path)
     result = score_session(
-        script, ((frame_id, d.label) for frame_id, d in iter_decisions(decisions_path))
+        script,
+        ((frame_id, d.label) for frame_id, d in iter_decisions(decisions_path)),
+        tie_break_order,
     )
     for index, outcome in enumerate(result.per_trial):
         observed = outcome.observed_part.value if outcome.observed_part else "undecided"

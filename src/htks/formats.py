@@ -11,9 +11,13 @@ within a line never matters::
 
 Frame ids must be strictly increasing. The head entry is expected to be
 the head *center*; adapt estimator output that reports the head top.
+Chunks of lines in the layout ``write_poses`` writes from an array are
+parsed as a whole; every other line goes through the strict parser.
 
 Labels file: ``<frame_id> <class>`` with class one of head, shoulders,
-knees, toes. Frame ids are non-negative, unique and in any order.
+knees, toes. Frame ids are unique and in any order.
+
+In every file a frame id is ASCII decimal digits, up to 2**63 - 1.
 
 Script file: optional ``map <stated> <required>`` lines (all four classes
 must be covered when overriding the default head<->toes, shoulders<->knees
@@ -28,9 +32,11 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import stat
 from contextlib import contextmanager, suppress
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -41,7 +47,7 @@ from .classifier import ClassifierConfig, DistanceProfile, FrameDecision
 from .errors import ConfigError, EmptyScript, ParseError
 from .evaluation import ConfusionMatrix, EvalReport, format_report, report
 from .game import PartMapping, SessionScript, SessionResult, Trial, DEFAULT_PART_MAPPING
-from .pose import BodyPose, JointId, Point2, TouchLabel, LABEL_ORDER
+from .pose import BodyPose, JointId, Point2, TouchLabel, LABEL_ORDER, _joint_array
 
 __all__ = [
     "write_poses",
@@ -118,6 +124,28 @@ def _output(path) -> Iterator[Callable[[str], object]]:
         raise
 
 
+@contextmanager
+def _all_or_none() -> Iterator[Callable]:
+    """Yield ``output(writer, path, *args)``, which calls ``writer(path,
+    *args)`` and returns its result. If the body raises, the regular files
+    ``output`` already wrote are removed, so a command that fails leaves
+    none of its outputs rather than some of them."""
+    written: list[Path] = []
+
+    def output(writer, path, *args, **kwargs):
+        result = writer(path, *args, **kwargs)
+        written.append(Path(path))
+        return result
+
+    try:
+        yield output
+    except BaseException:
+        for path in written:
+            if path.is_file():
+                path.unlink(missing_ok=True)
+        raise
+
+
 def _make_output_dir(path) -> None:
     """Create the directory ``path`` and its parents, if missing."""
     _writing(path, Path(path).mkdir, parents=True, exist_ok=True)
@@ -139,6 +167,23 @@ def _content_lines(path) -> Iterator[tuple[int, str]]:
             if not line or line.startswith("#"):
                 continue
             yield line_no, line
+
+
+# A frame id in every file: ASCII decimal digits that fit in an int64.
+_FRAME_ID_RE = "[0-9]{1,19}"
+_FRAME_ID = re.compile(_FRAME_ID_RE)
+_MAX_FRAME_ID = int(np.iinfo(np.int64).max)
+
+
+def _frame_id(token: str, path, line_no: int) -> int:
+    """The frame id spelled by ``token``, or a ParseError at ``line_no``."""
+    if _FRAME_ID.fullmatch(token):
+        frame_id = int(token)
+        if frame_id <= _MAX_FRAME_ID:
+            return frame_id
+    raise ParseError(
+        f"frame id must be ASCII digits from 0 to {_MAX_FRAME_ID}: {token!r}", path, line_no
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +229,7 @@ def _pose_line(pose: BodyPose) -> str:
 
 def _parse_pose_line(line: str, path, line_no: int, prev_frame_id: int | None) -> BodyPose:
     tokens = line.split()
-    try:
-        frame_id = int(tokens[0])
-    except ValueError:
-        raise ParseError(f"frame id is not an integer: {tokens[0]!r}", path, line_no) from None
-    if frame_id < 0:
-        raise ParseError(f"frame id must be non-negative: {frame_id}", path, line_no)
+    frame_id = _frame_id(tokens[0], path, line_no)
     if prev_frame_id is not None and frame_id <= prev_frame_id:
         raise ParseError(
             f"frame ids must be strictly increasing: {frame_id} after {prev_frame_id}",
@@ -242,6 +282,91 @@ def iter_poses(path) -> Iterator[BodyPose]:
         yield pose
 
 
+# Frames per chunk of the array reader. Peak memory grows with it: on a
+# 100k-frame ``htks classify`` run, 256-frame chunks peak about 1.3 MB above
+# the per-frame reader, 512-frame chunks about 3 MB.
+_CHUNK_FRAMES = 256
+# A line exactly as ``write_poses`` writes it from an array: ASCII digits,
+# then x,y of every joint in JointId order, one space apart, no
+# confidences. Its number tokens hold nothing ``str.split`` splits on.
+_NUMBER = "([0-9A-Za-z.+_-]+)"
+_CANONICAL_POSE = re.compile(
+    " ".join([f"({_FRAME_ID_RE})", *(f"{joint.value}={_NUMBER},{_NUMBER}" for joint in JointId)]),
+    re.ASCII,
+)
+_COORDINATE_GROUPS = range(2, 2 + 2 * len(JointId))
+
+
+def _line_blocks(path) -> Iterator[list[tuple[int, str]]]:
+    """The content lines of ``path`` in lists of up to ``_CHUNK_FRAMES``.
+    A line that cannot be read (not UTF-8) ends the last list early; its
+    ParseError follows that list, so no earlier line's error is skipped."""
+    block: list[tuple[int, str]] = []
+    try:
+        for item in _content_lines(path):
+            block.append(item)
+            if len(block) == _CHUNK_FRAMES:
+                yield block
+                block = []
+    except ParseError:
+        if block:
+            yield block
+        raise
+    if block:
+        yield block
+
+
+def _canonical_arrays(block, prev_frame_id: int | None):
+    """``(ids, coords)`` of a block of canonical lines whose ids increase
+    after ``prev_frame_id`` and whose coordinates are finite, else None."""
+    matches = [_CANONICAL_POSE.fullmatch(line) for _, line in block]
+    if not all(matches):
+        return None
+    try:
+        ids = np.fromiter(map(int, [match[1] for match in matches]), np.int64, len(matches))
+        coords = np.fromiter(
+            map(float, chain.from_iterable(match.group(*_COORDINATE_GROUPS) for match in matches)),
+            np.float64,
+            len(_COORDINATE_GROUPS) * len(matches),
+        ).reshape(len(matches), len(JointId), 2)
+    except (ValueError, OverflowError):
+        return None
+    first_ok = prev_frame_id is None or ids[0] > prev_frame_id
+    if first_ok and (np.diff(ids) > 0).all() and np.isfinite(coords).all():
+        return ids, coords
+    return None
+
+
+def _pose_chunks(path) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Stream a pose file as ``(ids int64 (n,), coords float64 (n, 12, 2))``
+    chunks of up to ``_CHUNK_FRAMES`` frames, with the frames and errors
+    of ``iter_poses``.
+
+    A chunk of canonical lines is parsed as a whole; any other chunk goes
+    through the strict per-line parser. On an error the frames before it
+    are yielded first, then its ParseError is raised.
+    """
+    prev_frame_id = None
+    for block in _line_blocks(path):
+        arrays = _canonical_arrays(block, prev_frame_id)
+        if arrays is not None:
+            prev_frame_id = int(arrays[0][-1])
+            yield arrays
+            continue
+        poses, error = [], None
+        for line_no, line in block:
+            try:
+                poses.append(_parse_pose_line(line, path, line_no, prev_frame_id))
+            except ParseError as exc:
+                error = exc
+                break
+            prev_frame_id = poses[-1].frame_id
+        if poses:
+            yield np.array([pose.frame_id for pose in poses], np.int64), _joint_array(poses)
+        if error is not None:
+            raise error
+
+
 # ---------------------------------------------------------------------------
 # labels
 
@@ -261,18 +386,13 @@ def load_labels(path) -> dict[int, TouchLabel]:
         tokens = line.split()
         if len(tokens) != 2:
             raise ParseError(f"expected 'frame_id class', got {line!r}", path, line_no)
-        try:
-            frame_id = int(tokens[0])
-        except ValueError:
-            raise ParseError(f"frame id is not an integer: {tokens[0]!r}", path, line_no) from None
+        frame_id = _frame_id(tokens[0], path, line_no)
         try:
             truth = TouchLabel(tokens[1])
         except ValueError:
             raise ParseError(f"unknown class name: {tokens[1]!r}", path, line_no) from None
         if frame_id in labels:
             raise ParseError(f"duplicate frame id: {frame_id}", path, line_no)
-        if frame_id < 0:
-            raise ParseError(f"frame id must be non-negative: {frame_id}", path, line_no)
         labels[frame_id] = truth
     return labels
 
@@ -318,10 +438,7 @@ def load_script(path) -> SessionScript:
                 stated = TouchLabel(tokens[1])
             except ValueError:
                 raise ParseError(f"unknown class name: {tokens[1]!r}", path, line_no) from None
-            try:
-                start, end = int(tokens[2]), int(tokens[3])
-            except ValueError:
-                raise ParseError(f"trial frames must be integers: {line!r}", path, line_no) from None
+            start, end = (_frame_id(token, path, line_no) for token in tokens[2:])
             try:
                 trials.append(Trial(stated_part=stated, start_frame=start, end_frame=end))
             except ValueError as exc:
@@ -424,18 +541,38 @@ def _bool_str(value: bool) -> str:
     return "true" if value else "false"
 
 
-def write_decisions(path, rows: Iterable[tuple[int, FrameDecision]]) -> int:
-    """Write a decisions CSV; returns the number of rows written."""
+# The ``label,rule1_fired,rule2_applied,tie_broken`` fields of a decisions
+# row, indexed by ``((label * 2 + rule1) * 2 + rule2) * 2 + tied`` with the
+# label as its LABEL_ORDER index.
+_DECISION_FIELDS = tuple(
+    f"{label.value},{_bool_str(rule1)},{_bool_str(rule2)},{_bool_str(tied)}"
+    for label in LABEL_ORDER
+    for rule1 in (False, True)
+    for rule2 in (False, True)
+    for tied in (False, True)
+)
+_DECISION_ROW = "%d,%s,%r,%r,%r,%r\n"
+
+
+def write_decisions(path, chunks: Iterable[tuple[np.ndarray, tuple]]) -> int:
+    """Write a decisions CSV; returns the number of rows written.
+
+    Each chunk is ``(frame_ids, (labels, rule1_fired, rule2_applied,
+    tie_broken, profiles))`` as the classifier core returns it: LABEL_ORDER
+    indices, three boolean arrays and the ``(n, 4)`` distances.
+    """
     count = 0
     with _output(path) as write:
         write(DECISIONS_HEADER + "\n")
-        for count, (frame_id, decision) in enumerate(rows, start=1):
-            p = decision.profile
-            write(
-                f"{frame_id},{decision.label.value},{_bool_str(decision.rule1_fired)},"
-                f"{_bool_str(decision.rule2_applied)},{_bool_str(decision.tie_broken)},"
-                f"{p.d_head!r},{p.d_shoulders!r},{p.d_knees!r},{p.d_ankles!r}\n"
-            )
+        for frame_ids, (labels, rule1, rule2, tied, profiles) in chunks:
+            fields = ((labels * 2 + rule1) * 2 + rule2) * 2 + tied
+            write("".join([
+                _DECISION_ROW % (frame_id, _DECISION_FIELDS[field], *profile)
+                for frame_id, field, profile in zip(
+                    frame_ids.tolist(), fields.tolist(), profiles.tolist()
+                )
+            ]))
+            count += len(frame_ids)
     return count
 
 
@@ -460,10 +597,7 @@ def iter_decisions(path) -> Iterator[tuple[int, FrameDecision]]:
             fields = line.split(",")
             if len(fields) != 9:
                 raise ParseError(f"expected 9 fields, got {len(fields)}", path, line_no)
-            try:
-                frame_id = int(fields[0])
-            except ValueError:
-                raise ParseError(f"bad frame id: {fields[0]!r}", path, line_no) from None
+            frame_id = _frame_id(fields[0], path, line_no)
             try:
                 label = TouchLabel(fields[1])
             except ValueError:

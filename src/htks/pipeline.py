@@ -5,12 +5,14 @@ so any stage can be re-run in isolation from the artifacts of the previous
 one. ``run_pipeline`` classifies once and evaluates and scores from the
 labels it kept in memory, never reading ``decisions.csv`` back.
 
-``classify_sequence`` is the package's one calibrate-and-classify path,
-used by ``run_pipeline``, ``htks classify`` and library callers alike. It
-streams: apart from the fixed calibration window it holds one frame at a
-time. It stays in this module, not in ``classifier``, because it looks up
+A pose file is classified in fixed-size chunks of arrays, from the reader
+through the classifier core to the decisions writer (``_classify_file``,
+shared by ``run_pipeline`` and ``htks classify``); only the calibration
+window is read as ``BodyPose`` objects. ``classify_sequence`` is the
+per-pose view of the same core for library callers. Both stay in this
+module, not in ``classifier``, because they look up ``iter_poses``,
 ``calibration_scale`` and ``classify`` here, where the benchmark's tracer
-(``bench/spans.py``) wraps them to time the classifier layer.
+(``bench/spans.py``) wraps them.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .classifier import (
     ClassifierConfig,
     FrameDecision,
     Normalization,
+    _decide,
     calibration_scale,
     classify,
 )
@@ -40,11 +43,13 @@ from .formats import (
     write_report_text,
     write_session_json,
     classifier_config_from_dict,
+    _all_or_none,
     _load_yaml,
     _make_output_dir,
+    _pose_chunks,
 )
 from .game import SessionResult, score_session
-from .pose import BodyPose, TouchLabel
+from .pose import LABEL_ORDER, BodyPose, TouchLabel
 
 __all__ = [
     "RunConfig",
@@ -115,6 +120,30 @@ def classify_sequence(
         yield pose.frame_id, classify(pose, config, scale)
 
 
+def _classify_file(poses_path, config: ClassifierConfig) -> Iterator[tuple]:
+    """Classify a pose file chunk by chunk, yielding ``(frame_ids,
+    decisions)`` as ``write_decisions`` takes them.
+
+    The calibration window is read through ``iter_poses``; errors come in
+    file order, as ``classify_sequence`` raises them. A file with no frames
+    raises EmptyInput under either normalization.
+    """
+    if config.normalization is Normalization.FIXED_PIXELS:
+        scale = 1.0
+    else:
+        opening = list(islice(iter_poses(poses_path), CALIBRATION_WINDOW))
+        if not opening:
+            raise EmptyInput("pose sequence contains no frames")
+        scale = calibration_scale(opening)
+        log.info("calibration scale: %.3f px over first %d frames", scale, len(opening))
+    frames = 0
+    for frame_ids, coords in _pose_chunks(poses_path):
+        frames += len(frame_ids)
+        yield frame_ids, _decide(frame_ids, coords, config, scale)
+    if not frames:
+        raise EmptyInput("pose sequence contains no frames")
+
+
 def evaluate_decisions(
     decided: Sequence[tuple[int, TouchLabel]], truth: Mapping[int, TouchLabel]
 ) -> tuple[EvalReport, int]:
@@ -171,13 +200,12 @@ def load_run_settings(path) -> dict:
     return settings
 
 
-def _keep_labels(
-    rows: Iterable[tuple[int, FrameDecision]], kept: list[tuple[int, TouchLabel]]
-) -> Iterator[tuple[int, FrameDecision]]:
-    """Pass ``rows`` through, appending each row's (frame_id, label) to ``kept``."""
-    for frame_id, decision in rows:
-        kept.append((frame_id, decision.label))
-        yield frame_id, decision
+def _keep_labels(chunks: Iterable[tuple], kept: list[tuple[int, TouchLabel]]) -> Iterator[tuple]:
+    """Pass decision ``chunks`` through, appending each frame's
+    (frame_id, label) to ``kept``."""
+    for frame_ids, decisions in chunks:
+        kept.extend(zip(frame_ids.tolist(), map(LABEL_ORDER.__getitem__, decisions[0].tolist())))
+        yield frame_ids, decisions
 
 
 def run_pipeline(config: RunConfig) -> PipelineResult:
@@ -186,7 +214,8 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     Writes decisions.csv always, report.json/report.txt when labels are
     supplied, session.json when a script is supplied. Reruns with the same
     config overwrite the outputs with identical bytes. Labels and script
-    are loaded first, so a bad one leaves no output behind.
+    are loaded first, so a bad one leaves no output behind; a step that
+    fails later removes the outputs already written.
     """
     for description, candidate in (
         ("pose file", config.poses_path),
@@ -203,33 +232,34 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     _make_output_dir(out_dir)
     decisions_path = out_dir / "decisions.csv"
     decided: list[tuple[int, TouchLabel]] = []
-    rows = classify_sequence(iter_poses(config.poses_path), config.classifier)
+    rows = _classify_file(config.poses_path, config.classifier)
     if truth is not None or script is not None:
         rows = _keep_labels(rows, decided)
-    frames = write_decisions(decisions_path, rows)
-    log.info("classified %d frames -> %s", frames, decisions_path)
-    result = PipelineResult(decisions_path=decisions_path, frames=frames)
+    with _all_or_none() as output:
+        frames = output(write_decisions, decisions_path, rows)
+        log.info("classified %d frames -> %s", frames, decisions_path)
+        result = PipelineResult(decisions_path=decisions_path, frames=frames)
 
-    if truth is not None:
-        rep, skipped = evaluate_decisions(decided, truth)
-        result.report = rep
-        result.skipped_unlabeled = skipped
-        result.report_path = out_dir / "report.json"
-        result.report_text_path = out_dir / "report.txt"
-        write_report_json(result.report_path, rep)
-        write_report_text(result.report_text_path, rep, style=config.report_format)
-        log.info("overall accuracy %.2f -> %s", rep.overall_accuracy, result.report_path)
+        if truth is not None:
+            rep, skipped = evaluate_decisions(decided, truth)
+            result.report = rep
+            result.skipped_unlabeled = skipped
+            result.report_path = out_dir / "report.json"
+            result.report_text_path = out_dir / "report.txt"
+            output(write_report_json, result.report_path, rep)
+            output(write_report_text, result.report_text_path, rep, style=config.report_format)
+            log.info("overall accuracy %.2f -> %s", rep.overall_accuracy, result.report_path)
 
-    if script is not None:
-        session = score_session(script, decided, config.classifier.tie_break_order)
-        result.session = session
-        result.session_path = out_dir / "session.json"
-        write_session_json(result.session_path, session)
-        log.info(
-            "session score %d/%d -> %s",
-            session.num_correct,
-            session.num_trials,
-            result.session_path,
-        )
+        if script is not None:
+            session = score_session(script, decided, config.classifier.tie_break_order)
+            result.session = session
+            result.session_path = out_dir / "session.json"
+            output(write_session_json, result.session_path, session)
+            log.info(
+                "session score %d/%d -> %s",
+                session.num_correct,
+                session.num_trials,
+                result.session_path,
+            )
 
     return result

@@ -16,7 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
+
+import numpy as np
 
 __all__ = [
     "JointId",
@@ -111,3 +113,11 @@ class BodyPose:
 
     def __getitem__(self, joint: JointId) -> Point2:
         return self.joints[joint]
+
+
+def _joint_array(poses: Iterable[BodyPose]) -> np.ndarray:
+    """The ``(n, 12, 2)`` coordinates of ``poses``, joints in JointId order."""
+    return np.array(
+        [[(pose.joints[joint].x, pose.joints[joint].y) for joint in JointId] for pose in poses],
+        dtype=np.float64,
+    ).reshape(-1, len(JointId), 2)

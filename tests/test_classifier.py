@@ -249,6 +249,14 @@ class TestClassify:
         assert base.tie_broken
 
 
+    def test_rule1_frame_is_never_tie_broken(self):
+        # Every distance is 0, a four-way tie, but rule 1 decides first.
+        pose = make_pose(**{j.value: (5.0, 5.0) for j in JointId})
+        decision = classify(pose, ClassifierConfig(), scale=100.0)
+        assert decision.rule1_fired and not decision.tie_broken
+        assert not decision.rule2_applied
+
+
 def _classify_profile(profile, config, scale):
     """Run classify on a pose constructed to have exactly this profile:
     both wrists at the origin, every target joint at its profile distance."""

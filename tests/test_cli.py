@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import os
@@ -6,11 +7,13 @@ import stat
 from itertools import islice
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 
 from htks import (
     ClassifierConfig,
+    JointId,
     Normalization,
     SessionScript,
     SynthConfig,
@@ -29,7 +32,7 @@ from htks.formats import (
 )
 from htks.pipeline import RunConfig, classify_sequence, run_pipeline
 
-from conftest import make_pose
+from conftest import DEFAULT_COORDS, make_pose
 from test_formats import LABEL_FILE_BYTES
 
 H, S, K, T = TouchLabel.HEAD, TouchLabel.SHOULDERS, TouchLabel.KNEES, TouchLabel.TOES
@@ -407,6 +410,110 @@ def test_output_to_full_device(corpus, tmp_path, capsys, case, expected):
         assert "config error: cannot write /dev/full: " in err
     else:
         assert f"parse error: {poses_path}:42: " in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["generate", "evaluate"])
+def test_first_output_removed_when_the_second_fails(corpus, tmp_path, capsys, command):
+    first = tmp_path / "x.txt"
+    if command == "generate":
+        argv = ["generate", "--out-poses", str(first), "--out-labels", "/dev/full"]
+    else:
+        poses_path, labels_path = corpus
+        decisions = tmp_path / "decisions.csv"
+        assert main(["classify", "--poses", str(poses_path), "--out", str(decisions)]) == 0
+        argv = ["evaluate", "--decisions", str(decisions), "--labels", str(labels_path),
+                "--out-json", str(first), "--out-text", "/dev/full"]
+    assert main(argv) == 3
+    assert "config error: cannot write /dev/full: " in capsys.readouterr().err
+    assert not first.exists()
+
+
+def test_run_keeps_no_decisions_when_a_report_fails(corpus, tmp_path, capsys):
+    poses_path, labels_path = corpus
+    out_dir = tmp_path / "o"
+    (out_dir / "report.json").mkdir(parents=True)
+    argv = ["run", "--poses", str(poses_path), "--labels", str(labels_path),
+            "--out-dir", str(out_dir)]
+    assert main(argv) == 3
+    assert f"cannot write {out_dir / 'report.json'}" in capsys.readouterr().err
+    assert sorted(path.name for path in out_dir.iterdir()) == ["report.json"]
+
+
+def test_score_uses_the_configured_tie_break_order(tmp_path, capsys):
+    # Frames alternate head and toes touches, so the trial's majority and
+    # longest run both tie; only the tie-break order decides it.
+    frames = generate(SynthConfig(seed=1, frames_per_class=1))
+    head, toes = (pose for pose, label in frames if label in (H, T))
+    poses = [dataclasses.replace(pose, frame_id=i) for i, pose in enumerate([head, toes] * 2)]
+    poses_path, script_path = tmp_path / "poses.txt", tmp_path / "script.txt"
+    write_poses(poses_path, poses)
+    write_script(script_path, SessionScript(trials=(Trial(T, 0, 3),)))  # requires head
+    config = tmp_path / "classifier.yaml"
+    config.write_text("classifier:\n  tie_break_order: [head, shoulders, knees, toes]\n",
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--poses", str(poses_path), "--script", str(script_path),
+                 "--config", str(config), "--out-dir", str(out)]) == 0
+    decisions = out / "decisions.csv"
+    scored = {}
+    for name, extra in (("configured", ["--config", str(config)]), ("default", [])):
+        scored[name] = tmp_path / f"{name}.json"
+        assert main(["score", "--decisions", str(decisions), "--script", str(script_path),
+                     "--out-json", str(scored[name]), *extra]) == 0
+    capsys.readouterr()
+    assert scored["configured"].read_bytes() == (out / "session.json").read_bytes()
+    observed = [json.loads(scored[name].read_text(encoding="utf-8"))["per_trial"][0]
+                ["observed_part"] for name in ("configured", "default")]
+    assert observed == ["head", "toes"]
+
+
+def _standing_coords(frames: int) -> np.ndarray:
+    """``(frames, 12, 2)`` coordinates of the default standing pose."""
+    pose = np.array([DEFAULT_COORDS[joint] for joint in JointId], dtype=np.float64)
+    return np.tile(pose, (frames, 1, 1))
+
+
+def _break_line(poses_path, frame: int, bad: bytes) -> None:
+    """Replace frame ``frame`` of an array-written pose file with ``bad``."""
+    lines = poses_path.read_bytes().splitlines(keepends=True)
+    lines[1 + frame] = bad + b"\n"
+    poses_path.write_bytes(b"".join(lines))
+
+
+# A pose file is read in chunks, but its errors still come in file order:
+# a ParseError from a later line never replaces an earlier frame's error,
+# whether the two lie in one chunk or in two.
+@pytest.mark.parametrize("command", ["classify", "run"])
+@pytest.mark.parametrize("case, expected", [
+    ("degenerate-calibration-then-bad-line-100", 4),
+    ("overflow-at-10-then-bad-line-100", 4),
+    ("overflow-at-10-then-bad-line-300", 4),
+    ("overflow-at-10-then-bad-byte-200", 4),
+    ("bad-line-5000", 2),
+])
+def test_errors_come_in_file_order(tmp_path, capsys, command, case, expected):
+    poses_path = tmp_path / "poses.txt"
+    coords = _standing_coords(6000)
+    if case.startswith("degenerate"):
+        coords[:30, list(JointId).index(JointId.HIP)] = coords[:30, 0]
+    elif case.startswith("overflow"):
+        coords[10, list(JointId).index(JointId.HEAD)] = (1e308, -300.0)
+        coords[10, list(JointId).index(JointId.LEFT_WRIST)] = (-1e308, -40.0)
+    write_poses(poses_path, coords)
+    frame = int(case.rsplit("-", 1)[1])
+    _break_line(poses_path, frame, b"\xff" if "byte" in case else b"%d head=1,2" % frame)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    decisions = out_dir / "decisions.csv"
+    out = ["--out", str(decisions)] if command == "classify" else ["--out-dir", str(out_dir)]
+    assert main([command, "--poses", str(poses_path), *out]) == expected
+    err = capsys.readouterr().err
+    if case.startswith("overflow"):
+        assert "evaluation error: frame 10: " in err
+    elif case.startswith("bad-line"):
+        assert f"parse error: {poses_path}:5002: " in err
+    assert not decisions.exists()
 
 
 @pytest.fixture(scope="module")

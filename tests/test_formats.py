@@ -1,9 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import htks.formats
+
 from htks import (
+    LABEL_ORDER,
     BodyPose,
     ClassifierConfig,
     ConfigError,
@@ -22,6 +27,7 @@ from htks import (
 )
 from htks.formats import (
     DECISIONS_HEADER,
+    _pose_chunks,
     classifier_config_from_dict,
     classifier_config_to_dict,
     iter_decisions,
@@ -156,6 +162,143 @@ class TestPoseFile:
         stream = iter_poses(path)
         first = next(stream)
         assert first.frame_id == 0
+
+
+def read_strict(path):
+    """``(ids, coords, error)`` of ``iter_poses``: the frames it yields,
+    as arrays, and the ParseError that ends them, if any."""
+    poses, error = [], None
+    try:
+        for pose in iter_poses(path):
+            poses.append(pose)
+    except ParseError as exc:
+        error = exc
+    coords = [[(pose.joints[j].x, pose.joints[j].y) for j in JointId] for pose in poses]
+    return ([pose.frame_id for pose in poses],
+            np.array(coords, dtype=np.float64).reshape(-1, 12, 2), error)
+
+
+def read_chunks(path):
+    """``(ids, coords, error)`` of the chunk reader, chunks concatenated."""
+    chunks, error = [], None
+    try:
+        for chunk in _pose_chunks(path):
+            chunks.append(chunk)
+    except ParseError as exc:
+        error = exc
+    ids = [frame_id for frame_ids, _ in chunks for frame_id in frame_ids.tolist()]
+    coords = np.concatenate([c for _, c in chunks]) if chunks else np.empty((0, 12, 2))
+    assert all(frame_ids.dtype == np.int64 for frame_ids, _ in chunks)
+    return ids, coords, error
+
+
+def assert_same_reading(path):
+    strict_ids, strict_coords, strict_error = read_strict(path)
+    ids, coords, error = read_chunks(path)
+    assert ids == strict_ids
+    assert coords.tobytes() == strict_coords.tobytes()  # bit-identical, -0.0 included
+    if strict_error is None:
+        assert error is None
+    else:
+        assert (str(error), error.line_no) == (str(strict_error), strict_error.line_no)
+    return ids, error
+
+
+# Pose-file lines for the chunk reader property. Each is built from a kind,
+# a frame-id step and twelve coordinates: canonical lines, lines off the
+# canonical layout that still parse, and lines that break a rule.
+_COORDINATE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1.5, -300.25, 1e-310]),
+)
+# Each is a float() spelling the strict parser rejects or must agree on;
+# "1\x1c" and "2\xa0" end in characters str.split() splits on.
+_BAD_COORDINATE = st.sampled_from(["1_0", "inf", "nan", "1e400", "-Infinity", "+5",
+                                   "\u0663", "1,5", "0x1", "", "1\x1c", "2\xa0"])
+_BAD_ID = st.sampled_from(["+4", "1_0", "\u0663", "-1", "9223372036854775808", "x"])
+_POSE_KIND = st.sampled_from([
+    "canonical", "canonical", "canonical", "confidence", "shuffled", "spaces",
+    "coordinate", "id", "decreasing", "comment", "missing-joint",
+])
+
+
+@st.composite
+def pose_file_lines(draw):
+    lines, frame_id = [], 0
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(_POSE_KIND)
+        frame_id += draw(st.integers(1, 3))
+        values = [draw(_COORDINATE) for _ in range(24)]
+        entries = [f"{joint.value}={values[2 * i]!r},{values[2 * i + 1]!r}"
+                   for i, joint in enumerate(JointId)]
+        token = str(frame_id)
+        if kind == "confidence":
+            entries[draw(st.integers(0, 11))] += ",0.5"
+        elif kind == "shuffled":
+            entries = draw(st.permutations(entries))
+        elif kind == "coordinate":
+            index = draw(st.integers(0, 11))
+            joint = entries[index].partition("=")[0]
+            entries[index] = f"{joint}={draw(_BAD_COORDINATE)},2.0"
+        elif kind == "id":
+            token = draw(_BAD_ID)
+        elif kind == "decreasing":
+            token = str(max(frame_id - draw(st.integers(1, 4)), 0))
+        elif kind == "missing-joint":
+            entries.pop(draw(st.integers(0, 11)))
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["# comment", "", "   "])))
+        elif kind == "spaces":
+            lines.append("  " + "\t".join([token, *entries]) + " ")
+        else:
+            lines.append(" ".join([token, *entries]))
+    return lines
+
+
+class TestPoseChunks:
+    @given(lines=pose_file_lines(), chunk_frames=st.sampled_from([1, 2, 3, 5, 256]))
+    def test_same_frames_and_errors_as_iter_poses(self, scratch_dir, lines, chunk_frames):
+        path = scratch_dir / "poses.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with mock.patch.object(htks.formats, "_CHUNK_FRAMES", chunk_frames):
+            assert_same_reading(path)
+
+    @pytest.mark.parametrize("bad_frame", [254, 255, 256, 257])
+    def test_bad_line_either_side_of_a_chunk_boundary(self, tmp_path, bad_frame):
+        # Frames 0-255 make the first 256-frame chunk; the bad line ends the
+        # stream, and every frame before it is still yielded.
+        assert htks.formats._CHUNK_FRAMES == 256
+        path = tmp_path / "poses.txt"
+        frames = generate_frames(SynthConfig(seed=2, jitter_stddev_ratio=0.05,
+                                             frames_per_class=150))
+        write_poses(path, frames.coords)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1 + bad_frame] = lines[1 + bad_frame].replace(" hip=", " hip=1_0,nan ", 1)
+        write_lines(path, lines)
+        ids, error = assert_same_reading(path)
+        assert ids == list(range(bad_frame))
+        assert error.line_no == bad_frame + 2
+
+    @pytest.mark.parametrize("space", ["\xa0", "\x85", "\u2003", "\t"])
+    def test_whitespace_inside_a_coordinate(self, tmp_path, space):
+        # float() strips these, str.split() splits on them: the line is not
+        # canonical, and the strict parser's error stands.
+        path = tmp_path / "poses.txt"
+        lines = [POSE_LINE.format(fid=i) for i in range(3)]
+        lines[1] = lines[1].replace("hip=320.0,", f"hip=320.0{space},")
+        write_lines(path, lines)
+        ids, error = assert_same_reading(path)
+        assert ids == [0] and error.line_no == 2
+
+    def test_canonical_file_read_as_arrays(self, tmp_path):
+        path = tmp_path / "poses.txt"
+        frames = generate_frames(SynthConfig(seed=2, jitter_stddev_ratio=0.05,
+                                             frames_per_class=150))
+        write_poses(path, frames.coords)
+        chunks = list(_pose_chunks(path))
+        assert [len(ids) for ids, _ in chunks] == [256, 256, 88]
+        assert np.concatenate([c for _, c in chunks]).tobytes() == frames.coords.tobytes()
+        assert_same_reading(path)
 
 
 @pytest.fixture(scope="module")
@@ -344,6 +487,19 @@ class TestClassifierConfigFile:
             load_classifier_config(tmp_path / "nope.yaml")
 
 
+def decision_chunk(rows):
+    """``(frame_id, FrameDecision)`` rows as the one chunk of arrays
+    ``write_decisions`` takes."""
+    decisions = [decision for _, decision in rows]
+    return np.array([frame_id for frame_id, _ in rows]), (
+        np.array([LABEL_ORDER.index(d.label) for d in decisions]),
+        np.array([d.rule1_fired for d in decisions]),
+        np.array([d.rule2_applied for d in decisions]),
+        np.array([d.tie_broken for d in decisions]),
+        np.array([d.profile.as_tuple() for d in decisions]),
+    )
+
+
 class TestDecisionsFile:
     def test_round_trip(self, tmp_path):
         rows = [
@@ -355,7 +511,7 @@ class TestDecisionsFile:
                               tie_broken=True)),
         ]
         path = tmp_path / "decisions.csv"
-        write_decisions(path, rows)
+        write_decisions(path, [decision_chunk(rows)])
         assert list(iter_decisions(path)) == rows
 
     def test_bad_header_rejected(self, tmp_path):
@@ -366,7 +522,9 @@ class TestDecisionsFile:
 
     def test_bad_label_rejected(self, tmp_path):
         path = tmp_path / "decisions.csv"
-        write_decisions(path, [(0, FrameDecision(label=H, profile=DistanceProfile(1, 2, 3, 4)))])
+        write_decisions(
+            path, [decision_chunk([(0, FrameDecision(label=H, profile=DistanceProfile(1, 2, 3, 4)))])]
+        )
         text = path.read_text(encoding="utf-8").replace(",head,", ",hihat,")
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError, match="hihat"):
@@ -395,6 +553,32 @@ class TestReportJson:
         path.write_text("{\"labels\": []}", encoding="utf-8")
         with pytest.raises(ParseError, match="counts"):
             load_report_json(path)
+
+
+class TestFrameIdGrammar:
+    # Only ASCII digits name a frame, and the id must fit in an int64:
+    # int() alone would take a sign, an underscore or any Unicode digit.
+    @pytest.mark.parametrize("token", ["+4", "1_0", "\u0663", "9223372036854775808"])
+    @pytest.mark.parametrize("reader", ["poses", "labels", "decisions"])
+    def test_non_ascii_digit_ids_rejected(self, tmp_path, reader, token):
+        path = tmp_path / "input.txt"
+        if reader == "poses":
+            write_lines(path, ["# poses", POSE_LINE.format(fid=token)])
+            load = lambda p: list(iter_poses(p))  # noqa: E731
+        elif reader == "labels":
+            write_lines(path, ["0 head", f"{token} toes"])
+            load = load_labels
+        else:
+            write_lines(path, [DECISIONS_HEADER, f"{token},head,false,true,false,1.0,2.0,3.0,4.0"])
+            load = lambda p: list(iter_decisions(p))  # noqa: E731
+        with pytest.raises(ParseError, match="frame id") as exc_info:
+            load(path)
+        assert (exc_info.value.path, exc_info.value.line_no) == (path, 2)
+
+    def test_largest_id_accepted(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        write_lines(path, ["9223372036854775807 head", "007 toes"])
+        assert load_labels(path) == {2**63 - 1: H, 7: T}
 
 
 class TestNonUtf8Input:

@@ -189,7 +189,7 @@ def _argmin(values: np.ndarray, order: Sequence[TouchLabel]) -> tuple[np.ndarray
     """Per row of ``values`` (columns in LABEL_ORDER): the LABEL_ORDER
     index of the smallest entry, exact ties going to the label first in
     ``order``, and whether the minimum was tied."""
-    columns = np.array([LABEL_ORDER.index(label) for label in order])
+    columns = np.array([LABEL_ORDER.index(label) for label in order], np.int8)
     ordered = values[:, columns]
     best = ordered.min(axis=1, keepdims=True)
     tied = np.count_nonzero(ordered == best, axis=1) > 1

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import click
+import numpy as np
 
 from .classifier import ClassifierConfig, Normalization
 from .errors import ConfigError, EvaluationError, HtksError, ParseError
@@ -142,8 +143,9 @@ def evaluate(decisions_path, labels_path, out_json, out_text, style):
     for description, candidate in (("decisions", decisions_path), ("labels", labels_path)):
         if not candidate.is_file():
             raise ConfigError(f"{description} file does not exist: {candidate}")
-    decided = [(frame_id, d.label) for frame_id, d in iter_decisions(decisions_path)]
-    rep, skipped = evaluate_decisions(decided, load_labels(labels_path))
+    rows = [(fid, LABEL_ORDER.index(d.label)) for fid, d in iter_decisions(decisions_path)]
+    decided = np.array(rows, np.int64).reshape(-1, 2).T
+    rep, skipped = evaluate_decisions(tuple(decided), load_labels(labels_path))
     if skipped:
         click.echo(f"note: {skipped} frames had no ground truth and were skipped", err=True)
     click.echo(format_report(rep, style=style), nl=False)

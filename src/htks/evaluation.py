@@ -46,9 +46,11 @@ class ConfusionMatrix:
             if not np.array_equal(rounded, counts):
                 raise ValueError("counts must be integers")
             counts = rounded
-        counts = counts.astype(np.int64)
         if (counts < 0).any():
             raise ValueError("counts must be non-negative")
+        if sum(counts.ravel().tolist()) >= 2**63:
+            raise ValueError("counts and their total must be below 2**63, the int64 limit")
+        counts = counts.astype(np.int64)
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
 
@@ -74,16 +76,19 @@ class ConfusionMatrix:
         return int(self.counts[_INDEX[truth], _INDEX[predicted]])
 
 
+def _tally(truth: np.ndarray, predicted: np.ndarray) -> ConfusionMatrix:
+    """Tally LABEL_ORDER index arrays, truth against predicted, into a confusion matrix."""
+    if not len(truth):
+        raise EmptyInput("cannot build a confusion matrix from zero pairs")
+    n = len(LABEL_ORDER)
+    cells = np.bincount(truth.astype(np.intp) * n + predicted, minlength=n * n)
+    return ConfusionMatrix(cells.reshape(n, n))
+
+
 def build_confusion(pairs: Iterable[tuple[TouchLabel, TouchLabel]]) -> ConfusionMatrix:
     """Tally (truth, predicted) pairs into a confusion matrix."""
-    counts = np.zeros((len(LABEL_ORDER), len(LABEL_ORDER)), dtype=np.int64)
-    n = 0
-    for truth, predicted in pairs:
-        counts[_INDEX[truth], _INDEX[predicted]] += 1
-        n += 1
-    if n == 0:
-        raise EmptyInput("cannot build a confusion matrix from zero pairs")
-    return ConfusionMatrix(counts)
+    indices = np.array([(_INDEX[t], _INDEX[p]) for t, p in pairs], np.intp).reshape(-1, 2)
+    return _tally(indices[:, 0], indices[:, 1])
 
 
 @dataclass(frozen=True)

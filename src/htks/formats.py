@@ -36,7 +36,7 @@ import re
 import stat
 from contextlib import contextmanager, suppress
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -379,22 +379,45 @@ def write_labels(path, pairs: Iterable[tuple[int, TouchLabel]]) -> None:
             write(f"{frame_id} {truth.value}\n")
 
 
-def load_labels(path) -> dict[int, TouchLabel]:
-    """Ground truth as ``{frame_id: label}``, in file order."""
-    labels: dict[int, TouchLabel] = {}
+_LABEL_INDEX = {label.value: index for index, label in enumerate(LABEL_ORDER)}
+# Lines as ``write_labels`` writes them, ids of up to 18 digits (no overflow).
+_CANONICAL_LABELS = re.compile(f"(?:[0-9]{{1,18}} (?:{'|'.join(_LABEL_INDEX)})\n)*", re.ASCII)
+
+
+def load_labels(path) -> tuple[np.ndarray, np.ndarray]:
+    """Ground truth as ``(frame_ids int64, labels int8)`` arrays in file
+    order, each label a LABEL_ORDER index. A file as ``write_labels`` writes
+    it is parsed ``_CHUNK_FRAMES`` lines at a time and its ids sorted once."""
+    ids, labels = [np.empty(0, np.int64)], [np.empty(0, np.int8)]
+    with open(path, "r", encoding="utf-8") as fh, suppress(UnicodeDecodeError):
+        while lines := list(islice(fh, _CHUNK_FRAMES)):
+            text = "".join([line for line in lines if not line.startswith("#")])
+            if not _CANONICAL_LABELS.fullmatch(text):
+                break
+            for name, index in _LABEL_INDEX.items():
+                text = text.replace(name, str(index))
+            rows = np.fromstring(text, np.int64, sep=" ").reshape(-1, 2)
+            ids.append(rows[:, 0].copy())
+            labels.append(rows[:, 1].astype(np.int8))
+        else:  # every block was canonical
+            ids = np.concatenate(ids)
+            if (np.diff(np.sort(ids)) > 0).all():
+                return ids, np.concatenate(labels)
+    # Any other file, or one with a repeated id or a byte that is not UTF-8,
+    # is checked line by line, so that the first error in file order is raised.
+    by_id: dict[int, int] = {}
     for line_no, line in _content_lines(path):
         tokens = line.split()
         if len(tokens) != 2:
             raise ParseError(f"expected 'frame_id class', got {line!r}", path, line_no)
         frame_id = _frame_id(tokens[0], path, line_no)
-        try:
-            truth = TouchLabel(tokens[1])
-        except ValueError:
-            raise ParseError(f"unknown class name: {tokens[1]!r}", path, line_no) from None
-        if frame_id in labels:
+        if tokens[1] not in _LABEL_INDEX:
+            raise ParseError(f"unknown class name: {tokens[1]!r}", path, line_no)
+        if frame_id in by_id:
             raise ParseError(f"duplicate frame id: {frame_id}", path, line_no)
-        labels[frame_id] = truth
-    return labels
+        by_id[frame_id] = _LABEL_INDEX[tokens[1]]
+    ids = np.fromiter(by_id, np.int64, len(by_id))
+    return ids, np.fromiter(by_id.values(), np.int8, len(by_id))
 
 
 # ---------------------------------------------------------------------------

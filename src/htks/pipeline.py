@@ -3,7 +3,8 @@
 The stage commands communicate only through the documented file formats,
 so any stage can be re-run in isolation from the artifacts of the previous
 one. ``run_pipeline`` classifies once and evaluates and scores from the
-labels it kept in memory, never reading ``decisions.csv`` back.
+labels it kept in memory, never reading ``decisions.csv`` back: arrays of
+int64 frame ids and int8 LABEL_ORDER indices, like its ground truth.
 
 A pose file is classified in fixed-size chunks of arrays, from the reader
 through the classifier core to the decisions writer (``_classify_file``,
@@ -12,7 +13,7 @@ window is read as ``BodyPose`` objects. ``classify_sequence`` is the
 per-pose view of the same core for library callers. Both stay in this
 module, not in ``classifier``, because they look up ``iter_poses``,
 ``calibration_scale`` and ``classify`` here, where the benchmark's tracer
-(``bench/spans.py``) wraps them.
+(``bench/spans.py``) wraps them, as it wraps ``load_labels`` and ``report``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ import logging
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 from .classifier import (
     CALIBRATION_WINDOW,
@@ -33,7 +36,7 @@ from .classifier import (
     classify,
 )
 from .errors import ConfigError, EmptyInput
-from .evaluation import EvalReport, build_confusion, report
+from .evaluation import EvalReport, _tally, report
 from .formats import (
     iter_poses,
     load_labels,
@@ -49,7 +52,7 @@ from .formats import (
     _pose_chunks,
 )
 from .game import SessionResult, score_session
-from .pose import LABEL_ORDER, BodyPose, TouchLabel
+from .pose import LABEL_ORDER, BodyPose
 
 __all__ = [
     "RunConfig",
@@ -63,6 +66,8 @@ __all__ = [
 log = logging.getLogger("htks")
 
 REPORT_FORMATS = ("table", "delimited")
+# Decided frames joined per step, so the join's only per-frame index is the truth's sort order.
+_JOIN_FRAMES = 4096
 
 
 @dataclass(frozen=True)
@@ -120,9 +125,9 @@ def classify_sequence(
         yield pose.frame_id, classify(pose, config, scale)
 
 
-def _classify_file(poses_path, config: ClassifierConfig) -> Iterator[tuple]:
-    """Classify a pose file chunk by chunk, yielding ``(frame_ids,
-    decisions)`` as ``write_decisions`` takes them.
+def _classify_file(poses_path, config: ClassifierConfig, kept: Optional[list] = None) -> Iterator:
+    """Classify a pose file chunk by chunk, yielding ``(frame_ids, decisions)``
+    as ``write_decisions`` takes them; ``kept`` gets each ``(frame_ids, labels)``.
 
     The calibration window is read through ``iter_poses``; errors come in
     file order, as ``classify_sequence`` raises them. A file with no frames
@@ -139,23 +144,34 @@ def _classify_file(poses_path, config: ClassifierConfig) -> Iterator[tuple]:
     frames = 0
     for frame_ids, coords in _pose_chunks(poses_path):
         frames += len(frame_ids)
-        yield frame_ids, _decide(frame_ids, coords, config, scale)
+        decisions = _decide(frame_ids, coords, config, scale)
+        if kept is not None:
+            kept.append((frame_ids, decisions[0]))
+        yield frame_ids, decisions
     if not frames:
         raise EmptyInput("pose sequence contains no frames")
 
 
 def evaluate_decisions(
-    decided: Sequence[tuple[int, TouchLabel]], truth: Mapping[int, TouchLabel]
+    decided: tuple[np.ndarray, np.ndarray], truth: tuple[np.ndarray, np.ndarray]
 ) -> tuple[EvalReport, int]:
-    """Join (frame_id, label) pairs with ground truth and report accuracies.
+    """Join decided ``(frame_ids, labels)`` arrays, labels as LABEL_ORDER
+    indices, with ground truth of that shape and report accuracies.
 
-    Frames without a ground-truth label are skipped; the count of skips is
-    returned alongside the report.
+    Either side may come in any order. Frames without a ground-truth label
+    are skipped; the count of skips is returned alongside the report.
     """
-    rep = report(build_confusion(
-        (truth[frame_id], label) for frame_id, label in decided if frame_id in truth
-    ))
-    skipped = len(decided) - rep.matrix.total
+    frame_ids, predicted = decided
+    truth_ids, truth_labels = truth
+    order = np.argsort(truth_ids)
+    joined = [(truth_labels[:0], predicted[:0])]
+    for start in range(0, len(frame_ids), _JOIN_FRAMES):
+        step = slice(start, start + _JOIN_FRAMES)
+        first = np.searchsorted(truth_ids, frame_ids[step], "left", sorter=order)
+        found = np.searchsorted(truth_ids, frame_ids[step], "right", sorter=order) > first
+        joined.append((truth_labels[order[first[found]]], predicted[step][found]))
+    rep = report(_tally(*map(np.concatenate, zip(*joined))))
+    skipped = len(frame_ids) - rep.matrix.total
     if skipped:
         log.warning("skipped %d frames with no ground truth", skipped)
     return rep, skipped
@@ -200,14 +216,6 @@ def load_run_settings(path) -> dict:
     return settings
 
 
-def _keep_labels(chunks: Iterable[tuple], kept: list[tuple[int, TouchLabel]]) -> Iterator[tuple]:
-    """Pass decision ``chunks`` through, appending each frame's
-    (frame_id, label) to ``kept``."""
-    for frame_ids, decisions in chunks:
-        kept.extend(zip(frame_ids.tolist(), map(LABEL_ORDER.__getitem__, decisions[0].tolist())))
-        yield frame_ids, decisions
-
-
 def run_pipeline(config: RunConfig) -> PipelineResult:
     """Classify a pose file and write every requested artifact.
 
@@ -231,12 +239,13 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     out_dir = Path(config.out_dir)
     _make_output_dir(out_dir)
     decisions_path = out_dir / "decisions.csv"
-    decided: list[tuple[int, TouchLabel]] = []
-    rows = _classify_file(config.poses_path, config.classifier)
-    if truth is not None or script is not None:
-        rows = _keep_labels(rows, decided)
+    kept = None if truth is None and script is None else []
+    rows = _classify_file(config.poses_path, config.classifier, kept)
     with _all_or_none() as output:
         frames = output(write_decisions, decisions_path, rows)
+        if kept is not None:
+            decided = tuple(map(np.concatenate, zip(*kept)))
+            kept.clear()
         log.info("classified %d frames -> %s", frames, decisions_path)
         result = PipelineResult(decisions_path=decisions_path, frames=frames)
 
@@ -251,7 +260,8 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             log.info("overall accuracy %.2f -> %s", rep.overall_accuracy, result.report_path)
 
         if script is not None:
-            session = score_session(script, decided, config.classifier.tie_break_order)
+            pairs = zip(decided[0].tolist(), map(LABEL_ORDER.__getitem__, decided[1].tolist()))
+            session = score_session(script, pairs, config.classifier.tie_break_order)
             result.session = session
             result.session_path = out_dir / "session.json"
             output(write_session_json, result.session_path, session)

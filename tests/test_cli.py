@@ -4,6 +4,8 @@ import json
 import os
 import pkgutil
 import stat
+import tracemalloc
+import warnings
 from itertools import islice
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given
 
 from htks import (
+    LABEL_ORDER,
     ClassifierConfig,
     JointId,
     Normalization,
@@ -33,7 +36,7 @@ from htks.formats import (
 from htks.pipeline import RunConfig, classify_sequence, run_pipeline
 
 from conftest import DEFAULT_COORDS, make_pose
-from test_formats import LABEL_FILE_BYTES
+from test_formats import LABEL_FILE_BYTES, label_pairs
 
 H, S, K, T = TouchLabel.HEAD, TouchLabel.SHOULDERS, TouchLabel.KNEES, TouchLabel.TOES
 
@@ -58,15 +61,16 @@ class TestGenerateCommand:
                      "--seed", "5", "--frames-per-class", "3", "--jitter", "0.02"])
         assert code == 0
         assert len(list(iter_poses(poses_path))) == 12
-        assert len(load_labels(labels_path)) == 12
+        ids, _ = load_labels(labels_path)
+        assert len(ids) == 12
 
     def test_confusable_flag(self, tmp_path):
         code = main(["generate", "--out-poses", str(tmp_path / "p.txt"),
                      "--out-labels", str(tmp_path / "l.txt"),
                      "--frames-per-class", "2", "--confusable"])
         assert code == 0
-        labels = load_labels(tmp_path / "l.txt")
-        assert all(label is T for label in labels.values())
+        _, labels = load_labels(tmp_path / "l.txt")
+        assert (labels == LABEL_ORDER.index(T)).all()
 
     def test_bad_seed_is_config_error(self, tmp_path):
         code = main(["generate", "--out-poses", str(tmp_path / "p.txt"),
@@ -156,6 +160,23 @@ class TestEvaluateCommand:
         code = main(["evaluate", "--decisions", str(decisions), "--labels", str(other)])
         assert code == 4
 
+    @pytest.mark.parametrize("command", ["evaluate", "run"])
+    @pytest.mark.parametrize("labels", [[], [(999, H)]], ids=["empty", "disjoint"])
+    def test_no_labelled_frame_is_empty_input(self, corpus, tmp_path, capsys, command, labels):
+        poses_path, _ = corpus
+        other = tmp_path / "other_labels.txt"
+        write_labels(other, labels)
+        if command == "evaluate":
+            decisions = tmp_path / "decisions.csv"
+            assert main(["classify", "--poses", str(poses_path), "--out", str(decisions)]) == 0
+            argv = ["evaluate", "--decisions", str(decisions), "--labels", str(other)]
+        else:
+            argv = ["run", "--poses", str(poses_path), "--labels", str(other),
+                    "--out-dir", str(tmp_path / "out")]
+        capsys.readouterr()
+        assert main(argv) == 4
+        assert "zero pairs" in capsys.readouterr().err
+
 
 class TestScoreCommand:
     def test_scores_against_script(self, corpus, tmp_path, capsys):
@@ -208,6 +229,25 @@ class TestReportCommand:
         path.write_text(json.dumps({"counts": [row] * 4}), encoding="utf-8")
         assert main(["report", "--report", str(path)]) == 2
         assert "counts must be numbers" in capsys.readouterr().err
+
+    # A head row whose total wraps past int64, and counts at or past 2**63 as
+    # integers and as floats (JSON reads 1e400 as inf).
+    @pytest.mark.parametrize("head_row", [
+        "[4611686018427387904, 4611686018427387904, 0, 0]",
+        "[9223372036854775808, 0, 0, 0]",
+        "[1e300, 0, 0, 0]",
+        "[1e400, 0, 0, 0]",
+    ], ids=["total", "int", "1e300", "1e400"])
+    def test_counts_past_int64_are_parse_error(self, tmp_path, capsys, head_row):
+        path = tmp_path / "report.json"
+        path.write_text('{"counts": [%s, [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}' % head_row,
+                        encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["report", "--report", str(path)]) == 2
+        assert caught == []
+        captured = capsys.readouterr()
+        assert "must be below 2**63" in captured.err and captured.out == ""
 
 
 class TestRunCommand:
@@ -293,7 +333,7 @@ class TestRunCommand:
         assert main(["generate", "--out-poses", str(poses), "--out-labels", str(labels),
                      "--seed", "3", "--frames-per-class", "60", "--jitter", "0.2"]) == 0
         # Unlabelled frames are skipped by both paths.
-        write_labels(labels, [(f, lab) for f, lab in load_labels(labels).items() if f % 7])
+        write_labels(labels, [(f, lab) for f, lab in label_pairs(labels) if f % 7])
         script = tmp_path / "script.txt"
         write_script(script, SessionScript(trials=(
             Trial(T, 0, 9), Trial(H, 50, 70), Trial(K, 119, 125),
@@ -534,6 +574,27 @@ def test_evaluate_exit_code_for_any_labels_bytes(decisions_csv, data):
     assert code in {0, 2, 3, 4}
 
 
+def test_run_memory_grows_by_at_most_48_bytes_per_frame(tmp_path):
+    """Ground truth and decisions stay arrays through ``run --labels``: the
+    tracemalloc peak grows by at most 48 B per frame from 10k to 20k frames.
+    A labels dict and one (frame_id, label) tuple per frame took ~140 B."""
+    peaks = []
+    for frames_per_class in (2_500, 5_000):
+        poses, labels = tmp_path / "poses.txt", tmp_path / "labels.txt"
+        assert main(["generate", "--out-poses", str(poses), "--out-labels", str(labels),
+                     "--seed", "8", "--frames-per-class", str(frames_per_class),
+                     "--jitter", "0.05"]) == 0
+        tracemalloc.start()
+        try:
+            code = main(["run", "--poses", str(poses), "--labels", str(labels),
+                         "--out-dir", str(tmp_path / "out")])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert (peaks[1] - peaks[0]) / 10_000 <= 48
+
+
 class TestPipelineApi:
     def test_decision_stream_is_lazy(self):
         def endless():
@@ -597,5 +658,7 @@ def test_benchmark_traced_names_exist():
     assert spans.TRACED_NAMES
     # run_pipeline evaluates and scores from the labels it kept while
     # classifying, so it no longer reads decisions.csv back; the decisions
-    # re-parse layer is meant to read zero.
-    assert missing == {("htks.pipeline", "iter_decisions")}
+    # re-parse layer is meant to read zero. evaluate_decisions tallies index
+    # arrays with evaluation._tally, not build_confusion, so the tracer's
+    # evaluation.pairs count reads zero until the tracer wraps the tally.
+    assert missing == {("htks.pipeline", "iter_decisions"), ("htks.pipeline", "build_confusion")}

@@ -1,12 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import htks.pipeline
 from htks import (
     ConfusionMatrix,
     EmptyClassRow,
     EmptyInput,
+    EvaluationError,
     LABEL_ORDER,
     TouchLabel,
     build_confusion,
@@ -251,3 +255,50 @@ class TestFormatReport:
                 min_size=1, max_size=60))
 def test_total_equals_pair_count(pairs):
     assert build_confusion(pairs).total == len(pairs)
+
+
+# Frame ids near 0 collide often; ids near 2**63 - 1 sit at the int64 edge.
+_JOIN_PAIR = st.tuples(
+    st.one_of(st.integers(0, 12), st.integers(2**63 - 4, 2**63 - 1)),
+    st.sampled_from(LABEL_ORDER),
+)
+
+
+def label_arrays(pairs):
+    """(frame_id, TouchLabel) pairs as the (ids, labels) arrays of the pipeline."""
+    return (np.array([frame_id for frame_id, _ in pairs], np.int64),
+            np.array([LABEL_ORDER.index(label) for _, label in pairs], np.int8))
+
+
+class TestEvaluateDecisions:
+    @given(truth=st.lists(_JOIN_PAIR, unique_by=lambda pair: pair[0]),
+           decided=st.lists(_JOIN_PAIR),
+           every_class=st.booleans(),
+           join_frames=st.sampled_from([1, 3, 4096]))
+    def test_matches_a_dict_join(self, truth, decided, every_class, join_frames):
+        # Both lists come in any order; truth ids may be missing from the
+        # decisions and decided ids from the truth.
+        if every_class:
+            labelled = [(100 + i, label) for i, label in enumerate(LABEL_ORDER)]
+            truth, decided = truth + labelled, labelled + decided
+        by_id = dict(truth)
+        try:
+            expected = report(build_confusion(
+                [(by_id[frame_id], label) for frame_id, label in decided if frame_id in by_id]
+            ))
+        except EvaluationError as exc:
+            expected = exc
+        with mock.patch.object(htks.pipeline, "_JOIN_FRAMES", join_frames):
+            try:
+                rep, skipped = htks.pipeline.evaluate_decisions(
+                    label_arrays(decided), label_arrays(truth))
+            except EvaluationError as exc:
+                assert (type(exc), str(exc)) == (type(expected), str(expected))
+                return
+        assert rep.matrix == expected.matrix
+        assert skipped == sum(frame_id not in by_id for frame_id, _ in decided)
+
+    @pytest.mark.parametrize("truth", [[], [(7, H)]], ids=["empty", "disjoint"])
+    def test_no_labelled_frame_is_empty_input(self, truth):
+        with pytest.raises(EmptyInput, match="zero pairs"):
+            htks.pipeline.evaluate_decisions(label_arrays([(1, H), (2, T)]), label_arrays(truth))

@@ -27,6 +27,8 @@ from htks import (
 )
 from htks.formats import (
     DECISIONS_HEADER,
+    _content_lines,
+    _frame_id,
     _pose_chunks,
     classifier_config_from_dict,
     classifier_config_to_dict,
@@ -320,6 +322,92 @@ LABEL_FILE_BYTES = st.one_of(
 )
 
 
+def label_pairs(path):
+    """The labels file at ``path`` as (frame_id, TouchLabel) pairs in file order."""
+    ids, labels = load_labels(path)
+    assert (ids.dtype, labels.dtype) == (np.int64, np.int8)
+    return list(zip(ids.tolist(), [LABEL_ORDER[index] for index in labels.tolist()]))
+
+
+def load_labels_by_line(path) -> dict:
+    """The per-line labels reader ``load_labels`` replaced, kept as the
+    reference its block reader is checked against."""
+    labels = {}
+    for line_no, line in _content_lines(path):
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise ParseError(f"expected 'frame_id class', got {line!r}", path, line_no)
+        frame_id = _frame_id(tokens[0], path, line_no)
+        try:
+            truth = TouchLabel(tokens[1])
+        except ValueError:
+            raise ParseError(f"unknown class name: {tokens[1]!r}", path, line_no) from None
+        if frame_id in labels:
+            raise ParseError(f"duplicate frame id: {frame_id}", path, line_no)
+        labels[frame_id] = truth
+    return labels
+
+
+def assert_same_labels(path):
+    """``load_labels`` returns the reference reader's pairs or raises its
+    ParseError: same message, path and line."""
+    try:
+        expected, expected_error = list(load_labels_by_line(path).items()), None
+    except ParseError as exc:
+        expected, expected_error = None, exc
+    try:
+        pairs, error = label_pairs(path), None
+    except ParseError as exc:
+        pairs, error = None, exc
+    assert pairs == expected
+    if expected_error is None:
+        assert error is None
+    else:
+        assert (str(error), error.path, error.line_no) == (
+            str(expected_error), expected_error.path, expected_error.line_no)
+    return pairs, error
+
+
+# Labels-file lines for the block reader property: canonical lines, repeats
+# of an earlier id (possibly in an earlier block), comments and blank lines,
+# lines off the canonical layout that still parse, and lines that break a rule.
+_LABEL_KIND = st.sampled_from([
+    "canonical", "canonical", "canonical", "canonical", "repeat", "comment",
+    "spaces", "big-id", "id", "class", "extra",
+])
+_CLASS_NAME = st.sampled_from([label.value for label in LABEL_ORDER])
+
+
+@st.composite
+def label_file_lines(draw):
+    lines, ids = [], []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(_LABEL_KIND)
+        token = str(draw(st.integers(0, 10**6)))
+        name = draw(_CLASS_NAME)
+        if kind == "repeat" and ids:
+            token = draw(st.sampled_from(ids))
+        elif kind == "big-id":
+            token = draw(st.sampled_from(
+                [str(10**18 - 1), "0" * 17 + "5", str(2**63 - 1), str(2**63), str(10**19),
+                 "0" * 19 + "7"]))
+        elif kind == "id":
+            token = draw(st.sampled_from(["+4", "1_0", "\u0663", "\uff11", "-1", "x", "007"]))
+        elif kind == "class":
+            name = draw(st.sampled_from(["Toes", "elbows", "head,", "\u0127ead"]))
+        ids.append(token)
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["# comment", "", "   ", "#1 head"])))
+        elif kind == "spaces":
+            spacing = draw(st.sampled_from(["  {} {} ", "{}\t{}", "{}  {}", "{}\xa0{}"]))
+            lines.append(spacing.format(token, name))
+        elif kind == "extra":
+            lines.append(f"{token} {name} x")
+        else:
+            lines.append(f"{token} {name}")
+    return lines
+
+
 def load_poses_from_line(tmp_path, line):
     path = tmp_path / "one.txt"
     write_lines(path, [line])
@@ -331,7 +419,7 @@ class TestLabelsFile:
         labels = [(7, K), (0, H), (3, T)]
         path = tmp_path / "labels.txt"
         write_labels(path, labels)
-        assert list(load_labels(path).items()) == labels
+        assert label_pairs(path) == labels
 
     def test_unknown_class_is_hard_error(self, tmp_path):
         path = tmp_path / "labels.txt"
@@ -365,18 +453,56 @@ class TestLabelsFile:
     def test_round_trip_any_ids(self, scratch_dir, pairs):
         path = scratch_dir / "labels.txt"
         write_labels(path, pairs)
-        assert list(load_labels(path).items()) == pairs
+        assert label_pairs(path) == pairs
+
+    @given(lines=label_file_lines(), chunk_frames=st.sampled_from([1, 2, 3, 5, 256]))
+    def test_same_labels_and_errors_as_the_line_reader(self, scratch_dir, lines, chunk_frames):
+        path = scratch_dir / "labels.txt"
+        write_lines(path, lines)
+        with mock.patch.object(htks.formats, "_CHUNK_FRAMES", chunk_frames):
+            assert_same_labels(path)
+
+    @pytest.mark.parametrize("bad_line, expected_line", [(600, 501), (400, 400)])
+    def test_earlier_error_wins_across_blocks(self, tmp_path, bad_line, expected_line):
+        # Line 501 repeats frame 3 of the first 256-frame block; a bad line
+        # after it loses to the duplicate, one before it wins.
+        assert htks.formats._CHUNK_FRAMES == 256
+        path = tmp_path / "labels.txt"
+        lines = [f"{i} {LABEL_ORDER[i % 4].value}" for i in range(700)]
+        lines[500] = "3 toes"
+        lines[bad_line - 1] = f"{bad_line} elbows"
+        write_lines(path, lines)
+        _, error = assert_same_labels(path)
+        assert error.line_no == expected_line
+
+    @pytest.mark.parametrize("bad", ["5 elbows", "5 toes"], ids=["bad-class", "duplicate"])
+    def test_earlier_error_wins_over_a_later_non_utf8_byte(self, tmp_path, bad):
+        # Line 260 is bad; 12 KB of comments on, past the text decoder's
+        # first read of that part of the file, line 301 is not UTF-8. Both
+        # sit in the second 256-line block.
+        path = tmp_path / "labels.txt"
+        lines = [f"{i} head".encode() for i in range(259)]
+        lines += [bad.encode()] + [b"# " + b"x" * 300] * 40 + [b"\xff head"]
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        _, error = assert_same_labels(path)
+        assert error.line_no == 260
+
+    def test_canonical_file_read_as_arrays(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        pairs = [(i * 7 % 600, LABEL_ORDER[i % 4]) for i in range(600)]
+        write_labels(path, pairs)
+        assert label_pairs(path) == pairs
 
     @given(data=LABEL_FILE_BYTES)
     def test_any_bytes_parse_or_raise_parse_error(self, scratch_dir, data):
         path = scratch_dir / "labels.txt"
         path.write_bytes(data)
         try:
-            labels = load_labels(path)
+            ids, _ = load_labels(path)
         except ParseError as exc:
             assert exc.path == path and exc.line_no >= 1
         else:
-            assert all(frame_id >= 0 for frame_id in labels)
+            assert (ids >= 0).all()
 
 
 class TestScriptFile:
@@ -578,7 +704,7 @@ class TestFrameIdGrammar:
     def test_largest_id_accepted(self, tmp_path):
         path = tmp_path / "labels.txt"
         write_lines(path, ["9223372036854775807 head", "007 toes"])
-        assert load_labels(path) == {2**63 - 1: H, 7: T}
+        assert label_pairs(path) == [(2**63 - 1, H), (7, T)]
 
 
 class TestNonUtf8Input:

@@ -36,7 +36,7 @@ import re
 import stat
 from contextlib import contextmanager, suppress
 from functools import partial
-from itertools import chain, islice
+from itertools import dropwhile, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -159,19 +159,23 @@ def _text_lines(fh, path) -> Iterator[str]:
         raise _not_utf8(path) from None
 
 
-def _content_lines(path) -> Iterator[tuple[int, str]]:
-    """Yield (line_no, stripped_line) skipping blanks and # comments."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(_text_lines(fh, path), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+def _content(numbered: Iterable[tuple[int, str]]) -> Iterator[tuple[int, str]]:
+    """Yield (line_no, stripped_line) of ``(line_no, line)`` pairs, skipping
+    blanks and # comments."""
+    for line_no, raw in numbered:
+        line = raw.strip()
+        if line and not line.startswith("#"):
             yield line_no, line
 
 
+def _content_lines(path) -> Iterator[tuple[int, str]]:
+    """Yield (line_no, stripped_line) of ``path`` skipping blanks and # comments."""
+    with open(path, "r", encoding="utf-8") as fh:
+        yield from _content(enumerate(_text_lines(fh, path), 1))
+
+
 # A frame id in every file: ASCII decimal digits that fit in an int64.
-_FRAME_ID_RE = "[0-9]{1,19}"
-_FRAME_ID = re.compile(_FRAME_ID_RE)
+_FRAME_ID = re.compile("[0-9]{1,19}")
 _MAX_FRAME_ID = int(np.iinfo(np.int64).max)
 
 
@@ -282,59 +286,96 @@ def iter_poses(path) -> Iterator[BodyPose]:
         yield pose
 
 
-# Frames per chunk of the array reader. Peak memory grows with it: on a
-# 100k-frame ``htks classify`` run, 256-frame chunks peak about 1.3 MB above
-# the per-frame reader, 512-frame chunks about 3 MB.
+# Frames per chunk of the array reader. Peak memory grows with it, mostly a
+# chunk's text and its byte-wide masks: the tracemalloc peak of a 100k-frame
+# ``htks classify`` run is about 2.2 MB with 256-frame chunks, 4.0 MB with 512.
 _CHUNK_FRAMES = 256
-# A line exactly as ``write_poses`` writes it from an array: ASCII digits,
-# then x,y of every joint in JointId order, one space apart, no
-# confidences. Its number tokens hold nothing ``str.split`` splits on.
-_NUMBER = "([0-9A-Za-z.+_-]+)"
-_CANONICAL_POSE = re.compile(
-    " ".join([f"({_FRAME_ID_RE})", *(f"{joint.value}={_NUMBER},{_NUMBER}" for joint in JointId)]),
-    re.ASCII,
-)
-_COORDINATE_GROUPS = range(2, 2 + 2 * len(JointId))
 
 
-def _line_blocks(path) -> Iterator[list[tuple[int, str]]]:
-    """The content lines of ``path`` in lists of up to ``_CHUNK_FRAMES``.
-    A line that cannot be read (not UTF-8) ends the last list early; its
-    ParseError follows that list, so no earlier line's error is skipped."""
-    block: list[tuple[int, str]] = []
-    try:
-        for item in _content_lines(path):
-            block.append(item)
-            if len(block) == _CHUNK_FRAMES:
-                yield block
-                block = []
-    except ParseError:
-        if block:
-            yield block
-        raise
-    if block:
-        yield block
+def _line_blocks(path) -> Iterator[tuple[list[tuple[int, str]], list[str], ParseError | None]]:
+    """``(block, lines, error)``: ``(line_no, line)`` pairs of ``path`` after
+    its leading ``#`` lines (a header) in lists of up to ``_CHUNK_FRAMES``,
+    their lines that do not start with ``#``, and a byte that is not UTF-8
+    that ends the last list early, so no earlier line's error is skipped."""
+    with open(path, "r", encoding="utf-8") as fh:
+        numbered = dropwhile(lambda pair: pair[1].startswith("#"), enumerate(fh, 1))
+        while True:
+            block, error = [], None
+            try:
+                # ``extend`` keeps the lines read before a decode error.
+                block.extend(islice(numbered, _CHUNK_FRAMES))
+            except UnicodeDecodeError:
+                error = _not_utf8(path)
+            yield block, [line for _, line in block if not line.startswith("#")], error
+            if error or len(block) < _CHUNK_FRAMES:
+                return
 
 
-def _canonical_arrays(block, prev_frame_id: int | None):
-    """``(ids, coords)`` of a block of canonical lines whose ids increase
-    after ``prev_frame_id`` and whose coordinates are finite, else None."""
-    matches = [_CANONICAL_POSE.fullmatch(line) for _, line in block]
-    if not all(matches):
+# A line exactly as ``write_poses`` writes it from an array is its numbers,
+# runs of ``_NUMERIC`` bytes, in the slots of ``_POSE_TEMPLATE``: the frame
+# id, then x,y of every joint in JointId order. ``_POSE_GAPS`` are the
+# lengths of the slots' separators, the last one the newline.
+_NUMERIC = b"0123456789.-"
+_NUMERIC_FLAGS = bytes(byte in _NUMERIC for byte in range(256))
+_DIGITS_ONLY = bytes(byte if byte in b"0123456789" else 32 for byte in range(256))
+_POSE_TEMPLATE = "".join(f" {joint.value}=," for joint in JointId).encode() + b"\n"
+_POSE_GAPS = np.array([gap for joint in JointId for gap in (len(joint.value) + 2, 1)] + [1])
+# Every ``10**places`` up to 10**27 is exact in a 64-bit significand, as is
+# a mantissa below 10**18 and every float64 midpoint. So a quotient rounded
+# once to 64 bits rounds on to the float64 ``float()`` reads, unless it
+# lands on a midpoint. ``_EXTENDED`` checks by arithmetic that
+# ``np.longdouble`` has such a significand (an x87 precision-control
+# setting can narrow it below its type) and is not a pair of doubles.
+_POWERS = np.cumprod([1] + [10] * 27, dtype=np.longdouble)
+_EXTENDED = bool(np.longdouble(1) + 2.0**-63 != 1 and np.longdouble(1) + 2.0**-120 == 1)
+
+
+def _canonical_arrays(lines: list[str], prev_frame_id: int | None):
+    """``(ids, coords)`` of lines exactly as ``write_poses`` writes them from
+    an array, ids of up to 18 digits increasing after ``prev_frame_id`` and
+    numbers ``[-]digits.digits``, else None. Coordinates equal ``float()``."""
+    data, n = "".join(lines).encode(), len(lines)
+    if n == 0 or data.translate(None, _NUMERIC) != _POSE_TEMPLATE * n:
         return None
-    try:
-        ids = np.fromiter(map(int, [match[1] for match in matches]), np.int64, len(matches))
-        coords = np.fromiter(
-            map(float, chain.from_iterable(match.group(*_COORDINATE_GROUPS) for match in matches)),
-            np.float64,
-            len(_COORDINATE_GROUPS) * len(matches),
-        ).reshape(len(matches), len(JointId), 2)
-    except (ValueError, OverflowError):
+    # The numbers must fill the slots exactly, so no digit hides in a name.
+    byte = np.frombuffer(data, np.uint8)
+    numeric = np.frombuffer(data.translate(_NUMERIC_FLAGS), np.bool_)
+    starts, ends = np.flatnonzero(np.diff(numeric, prepend=False, append=False)).reshape(-1, 2).T
+    del numeric
+    if (len(starts) != len(_POSE_GAPS) * n
+            or (np.append(starts[1:], len(data)) - ends != np.tile(_POSE_GAPS, n)).any()):
         return None
-    first_ok = prev_frame_id is None or ids[0] > prev_frame_id
-    if first_ok and (np.diff(ids) > 0).all() and np.isfinite(coords).all():
-        return ids, coords
-    return None
+    id_lengths = (ends - starts).reshape(n, -1)[:, 0]
+    starts, ends = (a.reshape(n, -1)[:, 1:].ravel() for a in (starts, ends))
+    # One ``.`` in each coordinate, a ``-`` only first, and a digit.
+    dots = np.flatnonzero(byte == ord("."))
+    negative = byte[starts] == ord("-")
+    digits = data.translate(_DIGITS_ONLY, b".-")
+    if (len(dots) != len(starts) or (id_lengths > 18).any() or (ends - starts - negative < 2).any()
+            or not ((starts <= dots) & (dots < ends)).all()
+            or len(data) - len(digits) - len(dots) != negative.sum()):
+        return None
+    numbers = np.fromstring(digits, np.int64, sep=" ").reshape(n, -1)
+    ids, mantissas = numbers[:, 0].copy(), numbers[:, 1:].ravel()
+    if not (prev_frame_id is None or ids[0] > prev_frame_id) or (np.diff(ids) <= 0).any():
+        return None
+    places = ends - dots - 1
+    # ``np.fromstring`` reads more digits than an int64 holds as 2**63 - 1.
+    long = np.flatnonzero((mantissas >= 10**18) | (places > 27))
+    mantissas[long] = places[long] = 0
+    quotients = mantissas.astype(np.longdouble) / _POWERS[places]
+    values = quotients.astype(np.float64)
+    # A midpoint q between values r and r' has 2q - r = r', a float64. Those
+    # are divided again as Python ints, which round correctly.
+    mirrored = 2 * quotients - values
+    ties = (quotients != values) & (mirrored.astype(np.float64) == mirrored)
+    for i in np.flatnonzero(ties) if _EXTENDED else range(len(values)):
+        values[i] = int(mantissas[i]) / 10 ** int(places[i])
+    np.negative(values, out=values, where=negative)
+    values[long] = [float(data[starts[i]:ends[i]]) for i in long]
+    if not np.isfinite(values).all():
+        return None
+    return ids, values.reshape(n, len(JointId), 2)
 
 
 def _pose_chunks(path) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -347,22 +388,22 @@ def _pose_chunks(path) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     are yielded first, then its ParseError is raised.
     """
     prev_frame_id = None
-    for block in _line_blocks(path):
-        arrays = _canonical_arrays(block, prev_frame_id)
-        if arrays is not None:
-            prev_frame_id = int(arrays[0][-1])
-            yield arrays
-            continue
-        poses, error = [], None
-        for line_no, line in block:
+    for block, lines, error in _line_blocks(path):
+        arrays = _canonical_arrays(lines, prev_frame_id)
+        if arrays is None:
+            poses = []
             try:
-                poses.append(_parse_pose_line(line, path, line_no, prev_frame_id))
+                for line_no, line in _content(block):
+                    poses.append(_parse_pose_line(line, path, line_no, prev_frame_id))
+                    prev_frame_id = poses[-1].frame_id
             except ParseError as exc:
                 error = exc
-                break
-            prev_frame_id = poses[-1].frame_id
-        if poses:
-            yield np.array([pose.frame_id for pose in poses], np.int64), _joint_array(poses)
+            if poses:
+                arrays = np.array([pose.frame_id for pose in poses], np.int64), _joint_array(poses)
+        else:
+            prev_frame_id = int(arrays[0][-1])
+        if arrays is not None:
+            yield arrays
         if error is not None:
             raise error
 
@@ -386,38 +427,47 @@ _CANONICAL_LABELS = re.compile(f"(?:[0-9]{{1,18}} (?:{'|'.join(_LABEL_INDEX)})\n
 
 def load_labels(path) -> tuple[np.ndarray, np.ndarray]:
     """Ground truth as ``(frame_ids int64, labels int8)`` arrays in file
-    order, each label a LABEL_ORDER index. A file as ``write_labels`` writes
-    it is parsed ``_CHUNK_FRAMES`` lines at a time and its ids sorted once."""
-    ids, labels = [np.empty(0, np.int64)], [np.empty(0, np.int8)]
-    with open(path, "r", encoding="utf-8") as fh, suppress(UnicodeDecodeError):
-        while lines := list(islice(fh, _CHUNK_FRAMES)):
-            text = "".join([line for line in lines if not line.startswith("#")])
-            if not _CANONICAL_LABELS.fullmatch(text):
-                break
+    order, each label a LABEL_ORDER index. The file is read in blocks of
+    ``_CHUNK_FRAMES`` lines: a block as ``write_labels`` writes it is parsed
+    as a whole, any other line by line. Ids are sorted once at the end."""
+    ids, labels, error = [np.empty(0, np.int64)], [np.empty(0, np.int8)], None
+    for block, lines, error in _line_blocks(path):
+        text = "".join(lines)
+        if _CANONICAL_LABELS.fullmatch(text):
             for name, index in _LABEL_INDEX.items():
                 text = text.replace(name, str(index))
             rows = np.fromstring(text, np.int64, sep=" ").reshape(-1, 2)
-            ids.append(rows[:, 0].copy())
-            labels.append(rows[:, 1].astype(np.int8))
-        else:  # every block was canonical
-            ids = np.concatenate(ids)
-            if (np.diff(np.sort(ids)) > 0).all():
-                return ids, np.concatenate(labels)
-    # Any other file, or one with a repeated id or a byte that is not UTF-8,
-    # is checked line by line, so that the first error in file order is raised.
-    by_id: dict[int, int] = {}
-    for line_no, line in _content_lines(path):
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise ParseError(f"expected 'frame_id class', got {line!r}", path, line_no)
-        frame_id = _frame_id(tokens[0], path, line_no)
-        if tokens[1] not in _LABEL_INDEX:
-            raise ParseError(f"unknown class name: {tokens[1]!r}", path, line_no)
-        if frame_id in by_id:
-            raise ParseError(f"duplicate frame id: {frame_id}", path, line_no)
-        by_id[frame_id] = _LABEL_INDEX[tokens[1]]
-    ids = np.fromiter(by_id, np.int64, len(by_id))
-    return ids, np.fromiter(by_id.values(), np.int8, len(by_id))
+        else:
+            pairs = []
+            try:
+                for line_no, line in _content(block):
+                    tokens = line.split()
+                    if len(tokens) != 2:
+                        raise ParseError(f"expected 'frame_id class', got {line!r}", path, line_no)
+                    frame_id = _frame_id(tokens[0], path, line_no)
+                    if tokens[1] not in _LABEL_INDEX:
+                        raise ParseError(f"unknown class name: {tokens[1]!r}", path, line_no)
+                    pairs.append((frame_id, _LABEL_INDEX[tokens[1]]))
+            except ParseError as exc:
+                error = exc
+            rows = np.array(pairs, np.int64).reshape(-1, 2)
+        ids.append(rows[:, 0].copy())
+        labels.append(rows[:, 1].astype(np.int8))
+        if error is not None:
+            break
+    ids = np.concatenate(ids)
+    if (np.diff(np.sort(ids)) == 0).any():
+        # An id repeats before any ``error``, so every line up to the first
+        # repeat is valid: find that line.
+        seen: set[int] = set()
+        for line_no, line in _content_lines(path):
+            frame_id = int(line.split()[0])
+            if frame_id in seen:
+                raise ParseError(f"duplicate frame id: {frame_id}", path, line_no)
+            seen.add(frame_id)
+    if error is not None:
+        raise error
+    return ids, np.concatenate(labels)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from unittest import mock
 
 import numpy as np
@@ -27,6 +28,7 @@ from htks import (
 )
 from htks.formats import (
     DECISIONS_HEADER,
+    _canonical_arrays,
     _content_lines,
     _frame_id,
     _pose_chunks,
@@ -214,13 +216,24 @@ _COORDINATE = st.one_of(
     st.sampled_from([0.0, -0.0, 1.5, -300.25, 1e-310]),
 )
 # Each is a float() spelling the strict parser rejects or must agree on;
-# "1\x1c" and "2\xa0" end in characters str.split() splits on.
-_BAD_COORDINATE = st.sampled_from(["1_0", "inf", "nan", "1e400", "-Infinity", "+5",
-                                   "\u0663", "1,5", "0x1", "", "1\x1c", "2\xa0"])
-_BAD_ID = st.sampled_from(["+4", "1_0", "\u0663", "-1", "9223372036854775808", "x"])
+# "1\x1c" and "2\xa0" end in characters str.split() splits on. Then signs,
+# dots and exponents where the array path reads only "[-]digits.digits",
+# and mantissas past 18 digits or 2**63, or places past 27.
+_BAD_COORDINATE = st.sampled_from([
+    "1_0", "inf", "nan", "1e400", "-Infinity", "+5", "\u0663", "1,5", "0x1", "", "1\x1c",
+    "2\xa0", "1-2.0", "1.2-", "--1.0", "1.2.3", "1..2", "-", ".", "-.", "5", "+1.5",
+    "1e-05", "1E5", "-1.5e3", "1234567890123456789.5", "99999999999999999999.0",
+    "-9223372036854775808.0", "0." + "0" * 27 + "1", "0" * 30 + "1.25", "1" * 400 + ".0",
+])
+_BAD_ID = st.sampled_from([
+    "+4", "1_0", "\u0663", "-1", "9223372036854775808", "x", "1.0", "1" * 18, "1" * 19,
+    "1" * 20, "0" * 18 + "7", "0" * 19 + "7", str(2**63 - 1), str(2**64 + 5),
+])
+# Where a name holding a digit, "-" or "." is cut, and what it holds.
+_NAME_HAZARD = st.tuples(st.integers(0, 20), st.sampled_from(["1", "-", ".", "9."]))
 _POSE_KIND = st.sampled_from([
     "canonical", "canonical", "canonical", "confidence", "shuffled", "spaces",
-    "coordinate", "id", "decreasing", "comment", "missing-joint",
+    "coordinate", "id", "decreasing", "comment", "missing-joint", "name", "name-empty",
 ])
 
 
@@ -248,6 +261,16 @@ def pose_file_lines(draw):
             token = str(max(frame_id - draw(st.integers(1, 4)), 0))
         elif kind == "missing-joint":
             entries.pop(draw(st.integers(0, 11)))
+        elif kind in ("name", "name-empty"):
+            # "he1ad=" reads as "head=" once digits are taken out; with
+            # one slot emptied, the line still holds 25 numbers.
+            index = draw(st.integers(0, 11))
+            (cut, inserted), entry = draw(_NAME_HAZARD), entries[index]
+            cut = min(cut, entry.index("="))
+            entries[index] = entry[:cut] + inserted + entry[cut:]
+            if kind == "name-empty":
+                other = draw(st.integers(0, 11))
+                entries[other] = entries[other].partition("=")[0] + "=," + entries[other].split(",")[1]
         if kind == "comment":
             lines.append(draw(st.sampled_from(["# comment", "", "   "])))
         elif kind == "spaces":
@@ -258,10 +281,12 @@ def pose_file_lines(draw):
 
 
 class TestPoseChunks:
-    @given(lines=pose_file_lines(), chunk_frames=st.sampled_from([1, 2, 3, 5, 256]))
-    def test_same_frames_and_errors_as_iter_poses(self, scratch_dir, lines, chunk_frames):
+    @given(lines=pose_file_lines(), chunk_frames=st.sampled_from([1, 2, 3, 5, 256]),
+           newline=st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    def test_same_frames_and_errors_as_iter_poses(self, scratch_dir, lines, chunk_frames,
+                                                  newline):
         path = scratch_dir / "poses.txt"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
         with mock.patch.object(htks.formats, "_CHUNK_FRAMES", chunk_frames):
             assert_same_reading(path)
 
@@ -301,6 +326,181 @@ class TestPoseChunks:
         assert [len(ids) for ids, _ in chunks] == [256, 256, 88]
         assert np.concatenate([c for _, c in chunks]).tobytes() == frames.coords.tobytes()
         assert_same_reading(path)
+
+
+    @pytest.mark.parametrize("old, new", [
+        ("head=320.5", "he1ad=320.5"), ("head=320.5,80.25", "he1ad=,80.25"),
+        ("head=320.5,80.25", "he1.0ad=,80.25"), ("head=320.5", "head=\u0663320.5"),
+        ("hip=320.0,300.0", "hip=3.20.0,300"), ("hip=320.0", "hip=."), ("hip=320.0", "hip=-."),
+        ("head=320.5", "head=1.0,2.0 head=320.5"), ("hip=320.0", "hip-=320.0"),
+        ("hip=320.0", "hip=32-0.0"), ("hip=320.0", "hip=320.0-"), ("hip=320.0", "hip=3.20.0"),
+        ("hip=320.0", "hip=320..0"), ("hip=320.0", "hip=+320.0"), ("hip=320.0", "hip=3.2e2"),
+        ("hip=320.0", "hip=320"), ("hip=320.0", "hip=320.0000000000000001"),
+        ("hip=320.0", "hip=99999999999999999999.0"), ("hip=320.0", "hip=" + "0" * 25 + "320.0"),
+        ("hip=320.0", "hip=0." + "0" * 30 + "32"), ("hip=320.0", "hip=" + "9" * 400 + ".0"),
+    ])
+    def test_hazard_inside_a_canonical_block(self, tmp_path, old, new):
+        # Each line would be canonical once its numbers are taken out, or
+        # holds a number the array path must not read or must read exactly.
+        path = tmp_path / "poses.txt"
+        lines = [POSE_LINE.format(fid=i) for i in range(3)]
+        assert old in lines[1]
+        lines[1] = lines[1].replace(old, new, 1)
+        write_lines(path, lines)
+        assert_same_reading(path)
+
+    @pytest.mark.parametrize("token", [
+        "1" * 18, "1" * 19, "1" * 20, "0" * 18 + "7", "0" * 19 + "7",
+        str(2**63 - 1), str(2**63), str(2**64 + 5), "-5", "5.0", "0",
+    ])
+    def test_large_or_odd_frame_id_in_a_canonical_block(self, tmp_path, token):
+        path = tmp_path / "poses.txt"
+        write_lines(path, [POSE_LINE.format(fid=0), POSE_LINE.format(fid=token)])
+        assert_same_reading(path)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_canonical_file_with_other_line_ends(self, tmp_path, newline):
+        path = tmp_path / "poses.txt"
+        frames = generate_frames(SynthConfig(seed=2, jitter_stddev_ratio=0.05,
+                                             frames_per_class=150))
+        write_poses(path, frames.coords)
+        path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+        chunks = list(_pose_chunks(path))
+        assert [len(ids) for ids, _ in chunks] == [256, 256, 88]
+        assert np.concatenate([c for _, c in chunks]).tobytes() == frames.coords.tobytes()
+
+    @pytest.mark.parametrize("bad_line", [3, 300, 601])
+    def test_non_utf8_byte_inside_a_canonical_block(self, tmp_path, bad_line):
+        # The frames decoded before the byte are read, as iter_poses reads
+        # them, and its error follows.
+        path = tmp_path / "poses.txt"
+        frames = generate_frames(SynthConfig(seed=2, jitter_stddev_ratio=0.05,
+                                             frames_per_class=150))
+        write_poses(path, frames.coords)
+        lines = path.read_bytes().split(b"\n")
+        lines[bad_line - 1] = lines[bad_line - 1].replace(b"hip=", b"hip=\xff", 1)
+        path.write_bytes(b"\n".join(lines))
+        ids, error = assert_same_reading(path)
+        assert error.line_no == bad_line
+        assert len(ids) > bad_line - 20
+
+
+def read_numbers(tokens):
+    """The values the canonical-block reader gives number ``tokens`` laid
+    out as canonical pose lines, or None if it does not read them."""
+    padded = iter([*tokens, *["0.0"] * (-len(tokens) % 24)])
+    lines = [
+        " ".join([str(i), *(f"{joint.value}={next(padded)},{next(padded)}" for joint in JointId)])
+        for i in range((len(tokens) + 23) // 24)
+    ]
+    arrays = _canonical_arrays([line + "\n" for line in lines], None)
+    return None if arrays is None else arrays[1].ravel()[:len(tokens)]
+
+
+def assert_reads_as_float(tokens):
+    values = read_numbers(tokens)
+    assert values is not None
+    expected = np.array([float(token) for token in tokens])
+    assert values.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+
+def midpoint_decimals(count=400, seed=5):
+    """Decimals of 16, 17 and 18 significant digits just below and just
+    above the midpoints between random float64 neighbours."""
+    rng = np.random.default_rng(seed)
+    context = Context(prec=1200)
+    tokens = []
+    for _ in range(count):
+        low = float(rng.uniform(1, 2) * 2.0 ** int(rng.integers(-30, 60)))
+        high = float(np.nextafter(low, np.inf))
+        midpoint = context.divide(context.add(Decimal(low), Decimal(high)), 2)
+        for digits in (16, 17, 18):
+            step = Decimal(1).scaleb(midpoint.adjusted() - digits + 1)
+            for rounding in (ROUND_FLOOR, ROUND_CEILING):
+                token = format(midpoint.quantize(step, rounding=rounding), "f")
+                tokens.append(token if "." in token else token + ".")
+    return tokens
+
+
+# Odd integers past 2**53 and halves past 2**52 are float64 midpoints.
+EXACT_MIDPOINTS = [f"{2**53 + 1}.0", f"{2**53 + 3}.00", f"{2**54 + 2}.", f"{2**52 + 1}.5",
+                   f"-{2**53 + 5}.0", f"{2**59 + 2**6}.0", "0.5", "-0.0", "0.0", "5.", ".5",
+                   "-.5", "000.000", "-00001.10"]
+
+
+def fixed_point(draw_digits, lead, places, negative):
+    """``draw_digits`` after ``lead`` zeros as a decimal with ``places``
+    digits after its point, zero-padded on the left as needed."""
+    digits = "0" * lead + draw_digits
+    if places > len(digits):
+        digits = "0" * (places - len(digits)) + digits
+    token = digits[:len(digits) - places] + "." + digits[len(digits) - places:]
+    return "-" + token if negative else token
+
+
+class TestExactDecimals:
+    """The canonical-block reader reads each number as ``float()`` does,
+    bit for bit, through one rounded ``np.longdouble`` division."""
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
+    def test_repr_of_any_double(self, values):
+        tokens = [repr(value) for value in values]
+        plain = [token for token in tokens if "e" not in token]
+        if plain:
+            assert_reads_as_float(plain)
+        for token in set(tokens) - set(plain):
+            assert read_numbers([token]) is None
+
+    @given(st.lists(st.builds(fixed_point, st.text("0123456789", min_size=1, max_size=18),
+                              st.integers(0, 4), st.integers(0, 27), st.booleans()),
+                    min_size=1, max_size=50))
+    def test_fixed_point_strings(self, tokens):
+        assert_reads_as_float(tokens)
+
+    def test_near_and_at_float64_midpoints(self):
+        tokens = midpoint_decimals()
+        assert_reads_as_float(tokens + EXACT_MIDPOINTS)
+        # One longdouble division alone rounds some of them the wrong way.
+        naive = [
+            (np.array([int(whole + fraction)]).astype(np.longdouble)
+             / htks.formats._POWERS[len(fraction)]).astype(np.float64)[0]
+            for whole, _, fraction in (token.partition(".") for token in tokens)
+        ]
+        assert sum(value != float(token) for value, token in zip(naive, tokens)) > 0
+
+    def test_same_arrays_without_extended_precision(self, tmp_path):
+        path = tmp_path / "poses.txt"
+        write_poses(path, generate_frames(SynthConfig(seed=2, jitter_stddev_ratio=0.05,
+                                                      frames_per_class=150)).coords)
+        tokens = midpoint_decimals(count=40) + EXACT_MIDPOINTS
+        with_extended = read_numbers(tokens), read_chunks(path)
+        with mock.patch.object(htks.formats, "_EXTENDED", False):
+            without = read_numbers(tokens), read_chunks(path)
+        assert with_extended[0].tobytes() == without[0].tobytes()
+        assert with_extended[1][0] == without[1][0]
+        assert with_extended[1][1].tobytes() == without[1][1].tobytes()
+        assert_reads_as_float(tokens)
+
+    def test_seed_1_corpus(self, tmp_path):
+        # ``repr`` round-trips through ``float()``, so the written array is
+        # ``float()`` of every token: 100k frames, 2.4M numbers.
+        path = tmp_path / "poses.txt"
+        coords = generate_frames(SynthConfig(seed=1, jitter_stddev_ratio=0.05,
+                                             frames_per_class=25_000)).coords
+        write_poses(path, coords)
+        read, fell_back = htks.formats._canonical_arrays, []
+
+        def counting(lines, prev_frame_id):
+            arrays = read(lines, prev_frame_id)
+            fell_back.append(arrays is None)
+            return arrays
+
+        with mock.patch.object(htks.formats, "_canonical_arrays", counting):
+            chunks = list(_pose_chunks(path))
+        # Two blocks hold exponent tokens such as 1e-05.
+        assert (len(fell_back), sum(fell_back)) == (391, 2)
+        assert np.concatenate([ids for ids, _ in chunks]).tolist() == list(range(len(coords)))
+        assert all(c.tobytes() == coords[ids[0]:ids[-1] + 1].tobytes() for ids, c in chunks)
 
 
 @pytest.fixture(scope="module")

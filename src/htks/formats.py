@@ -78,16 +78,15 @@ DECISIONS_HEADER = (
 def _not_utf8(path) -> ParseError:
     """A ParseError at the line of the first byte in ``path`` that is not
     UTF-8. Text files decode ahead of the line being read, so the
-    decoder's own error does not say which line holds the byte."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    line_no = None
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        prefix = data[: exc.start].decode("utf-8")
-        line_no = prefix.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
-    return ParseError("not valid UTF-8", path, line_no)
+    decoder's own error does not say which line holds the byte. Read again
+    line by line, such a byte decodes to a surrogate that cannot encode."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, 1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                return ParseError("not valid UTF-8", path, line_no)
+    return ParseError("not valid UTF-8", path, None)
 
 
 def _writing(path, call, *args, **kwargs):
@@ -191,16 +190,115 @@ def _frame_id(token: str, path, line_no: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# numbers as text
+
+# The array writers spell up to ``_ROWS_PER_CHUNK`` lines at a time as one
+# uint8 matrix with a column per line. Each field of a line is a block of
+# rows, NUL where its text is shorter; the NULs are dropped on writing.
+_ROWS_PER_CHUNK = 512
+_POW10_INT = 10 ** np.arange(19, dtype=np.int64)
+# ``repr`` of a float64 v is its shortest round-trip decimal (as Ryu finds
+# it; Adams, PLDI 2018). ``_shortest`` finds it for 1e-2 <= |v| < 1e15 by
+# exact float64 arithmetic: y = |v| * 10**s (s <= 18, 10**s exact) is
+# hi + lo (Dekker's product, 1971), and for k = 15, 16, 17 digits the
+# integer M nearest y reads back as v iff |y - M| < h, half an ulp of v
+# times 10**s. At most one 15-digit decimal reads back as v, so the least
+# such k gives the shortest digits; at 17 every M does. |y - M| is exact
+# where y >= 2**52, else within 2**-54, and never within 2**-44 of h, as
+# an end of v's interval has 19 or more digits. Two M tie only where
+# h > 0.5, so y > 2**52, and M then rounds half-even as ``repr`` does.
+# Powers of two (interval narrower below) are short exact decimals here.
+_POW10 = np.array([float(f"1e{s}") for s in range(19)])
+_SPLIT = 2.0**27 + 1  # Veltkamp: x * _SPLIT - (x * _SPLIT - x) is x's top 26 bits.
+_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+# float("1e-1") > 0.1 and float("1e-2") > 0.01: the exponents found are exact.
+_DECADES = np.array([float(f"1e{e}") for e in range(-2, 16)])
+
+
+def _shortest(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(digits, scale, exact)``: where ``exact``, ``repr(v)`` of float64
+    ``v`` spells ``digits / 10**scale`` with the sign of v."""
+    a = np.abs(values)
+    exact = (a >= 1e-2) & (a < 1e15)
+    a = np.where(exact, a, 1.5)
+    e10 = np.searchsorted(_DECADES, a, "right") - 3
+    a_hi = a * _SPLIT - (a * _SPLIT - a)
+    a_lo = a - a_hi
+    half_ulp = np.spacing(a) / 2
+    digits, scale = np.zeros(len(a), np.int64), np.zeros(len(a), np.int64)
+    for k in (17, 16, 15):
+        s = k - 1 - e10
+        p, p_hi, p_lo = _POW10[s], _POW10_HI[s], _POW10_LO[s]
+        hi = a * p
+        lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+        whole = np.rint(hi)
+        t = (hi - whole) + lo
+        nearest = np.rint(t)
+        inside = np.abs(t - nearest) < half_ulp * p
+        np.copyto(digits, whole.astype(np.int64) + nearest.astype(np.int64), where=inside)
+        np.copyto(scale, s, where=inside)
+    return digits, scale, exact
+
+
+def _digit_rows(ints: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` lowest digits of int64 ``ints`` >= 0 as ASCII rows."""
+    text = np.empty((width, len(ints)), np.uint8)
+    for row in text[::-1]:
+        quotient = ints // 10
+        row[...] = ints - quotient * 10 + 48
+        ints = quotient
+    return text
+
+
+def _int_text(ints: np.ndarray) -> np.ndarray:
+    """Non-negative int64 ``ints`` as text columns, leading zeros NUL."""
+    width = len(str(int(ints.max(initial=0))))
+    text = _digit_rows(ints, width)
+    text[:-1] *= ints >= _POW10_INT[width - 1:0:-1, None]
+    return text
+
+
+def _float_text(values: np.ndarray) -> np.ndarray:
+    """float64 ``values`` as text columns, ``repr(v)`` once NULs are dropped."""
+    digits, scale, exact = _shortest(values)
+    whole, fraction = np.divmod(digits, _POW10_INT[scale])
+    places = max(1, int(scale.max(initial=0)))
+    fraction_text = _digit_rows(fraction * _POW10_INT[places - scale], places)
+    nonzero = np.zeros(len(values), bool)
+    for row in fraction_text[:0:-1]:
+        nonzero |= row != ord("0")
+        row *= nonzero
+    text = np.concatenate([np.where(values < 0, np.uint8(ord("-")), np.uint8(0))[None],
+                           _int_text(whole), np.full((1, len(values)), ord("."), np.uint8),
+                           fraction_text])
+    slow = np.flatnonzero(~exact)
+    if len(slow):
+        spelled = np.array([repr(v) for v in values[slow].tolist()], "S")
+        spelled = spelled.view(np.uint8).reshape(len(slow), -1).T
+        text = np.pad(text, ((0, max(0, len(spelled) - len(text))), (0, 0)))
+        text[:, slow] = 0
+        text[:len(spelled), slow] = spelled
+    return text
+
+
+def _rows_text(fields: list) -> str:
+    """The lines whose bytes are ``fields`` in turn, each a text array
+    ``(width, lines)`` or bytes every line has, with NULs dropped."""
+    fields = [np.frombuffer(f, np.uint8)[:, None] if isinstance(f, bytes) else f for f in fields]
+    lines = max(field.shape[1] for field in fields)
+    matrix = np.concatenate([np.broadcast_to(field, (len(field), lines)) for field in fields]).T
+    return matrix[matrix != 0].tobytes().decode()
+
+
+# ---------------------------------------------------------------------------
 # poses
 
 
-# One pose line: the frame id, then x,y of each joint in JointId order.
 # ``%r`` of a Python float is its shortest repr, which the parser reads
-# back to the same float.
+# back to the same float; ``_float_text`` spells the same bytes.
 _JOINT_ENTRIES = tuple(f"{joint.value}=%r,%r" for joint in JointId)
-_POSE_LINE = " ".join(["%d", *_JOINT_ENTRIES]) + "\n"
-# Rows formatted per write; bounds the lists a large array is turned into.
-_ROWS_PER_CHUNK = 4096
+_POSE_SEPARATORS = [text.encode() for joint in JointId for text in (f" {joint.value}=", ",")]
 
 
 def write_poses(path, poses: Iterable[BodyPose] | np.ndarray) -> None:
@@ -209,13 +307,12 @@ def write_poses(path, poses: Iterable[BodyPose] | np.ndarray) -> None:
     with _output(path) as write:
         write("# pose frames: frame_id joint=x,y[,confidence] x12; head = head center\n")
         if isinstance(poses, np.ndarray):
-            rows = poses.reshape(len(poses), -1)
+            rows = np.asarray(poses, np.float64).reshape(len(poses), -1)
             for start in range(0, len(rows), _ROWS_PER_CHUNK):
-                chunk = rows[start:start + _ROWS_PER_CHUNK].tolist()
-                write("".join([
-                    _POSE_LINE % (frame_id, *row)
-                    for frame_id, row in enumerate(chunk, start)
-                ]))
+                chunk = rows[start:start + _ROWS_PER_CHUNK]
+                numbers = np.split(_float_text(chunk.T.ravel()), chunk.shape[1], axis=1)
+                fields = [field for pair in zip(_POSE_SEPARATORS, numbers) for field in pair]
+                write(_rows_text([_int_text(np.arange(start, start + len(chunk))), *fields, b"\n"]))
             return
         for pose in poses:
             write(_pose_line(pose))
@@ -414,10 +511,12 @@ def _pose_chunks(path) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 
 def write_labels(path, pairs: Iterable[tuple[int, TouchLabel]]) -> None:
     """Write a labels file from (frame_id, label) pairs."""
+    pairs = iter(pairs)
     with _output(path) as write:
         write("# ground truth: frame_id class\n")
-        for frame_id, truth in pairs:
-            write(f"{frame_id} {truth.value}\n")
+        while block := list(islice(pairs, _ROWS_PER_CHUNK)):
+            # A TouchLabel is a str, so ``+`` adds its value.
+            write("".join([f"{frame_id} " + truth + "\n" for frame_id, truth in block]))
 
 
 _LABEL_INDEX = {label.value: index for index, label in enumerate(LABEL_ORDER)}
@@ -624,7 +723,8 @@ _DECISION_FIELDS = tuple(
     for rule2 in (False, True)
     for tied in (False, True)
 )
-_DECISION_ROW = "%d,%s,%r,%r,%r,%r\n"
+_DECISION_TEXT = np.array([f",{fields}," for fields in _DECISION_FIELDS], "S")
+_DECISION_TEXT = _DECISION_TEXT.view(np.uint8).reshape(len(_DECISION_FIELDS), -1).T
 
 
 def write_decisions(path, chunks: Iterable[tuple[np.ndarray, tuple]]) -> int:
@@ -639,12 +739,12 @@ def write_decisions(path, chunks: Iterable[tuple[np.ndarray, tuple]]) -> int:
         write(DECISIONS_HEADER + "\n")
         for frame_ids, (labels, rule1, rule2, tied, profiles) in chunks:
             fields = ((labels * 2 + rule1) * 2 + rule2) * 2 + tied
-            write("".join([
-                _DECISION_ROW % (frame_id, _DECISION_FIELDS[field], *profile)
-                for frame_id, field, profile in zip(
-                    frame_ids.tolist(), fields.tolist(), profiles.tolist()
-                )
-            ]))
+            for start in range(0, len(frame_ids), _ROWS_PER_CHUNK):
+                rows = slice(start, start + _ROWS_PER_CHUNK)
+                head, shoulders, knees, ankles = np.split(
+                    _float_text(profiles[rows].T.ravel()), 4, axis=1)
+                write(_rows_text([_int_text(frame_ids[rows]), _DECISION_TEXT[:, fields[rows]],
+                                  head, b",", shoulders, b",", knees, b",", ankles, b"\n"]))
             count += len(frame_ids)
     return count
 

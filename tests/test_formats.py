@@ -1,4 +1,6 @@
+import tracemalloc
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -30,8 +32,11 @@ from htks.formats import (
     DECISIONS_HEADER,
     _canonical_arrays,
     _content_lines,
+    _float_text,
     _frame_id,
     _pose_chunks,
+    _rows_text,
+    _shortest,
     classifier_config_from_dict,
     classifier_config_to_dict,
     iter_decisions,
@@ -47,7 +52,7 @@ from htks.formats import (
     write_report_json,
     write_script,
 )
-from htks.synth import generate_frames
+from htks.synth import SynthFrames, generate_frames
 
 H, S, K, T = TouchLabel.HEAD, TouchLabel.SHOULDERS, TouchLabel.KNEES, TouchLabel.TOES
 
@@ -61,6 +66,15 @@ POSE_LINE = (
 
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+# Coordinates off the array formatter's own range or at its edges, and
+# negative ones inside it.
+ODD_COORDINATES = [
+    0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-7, -0.00012, 0.009999999999999998, 0.01,
+    -0.5, -123.456, 999999999999999.9, 1e15, -1e16, 1.7976931348623157e308, -1e300,
+    12345678901234567.0, 0.1, -2.0**49,
+]
 
 
 class TestPoseFile:
@@ -88,13 +102,19 @@ class TestPoseFile:
         write_poses(path, [pose])
         assert list(iter_poses(path)) == [pose]
 
-    # 4,400 frames span two of the array writer's row chunks.
-    @pytest.mark.parametrize("jitter, confusable", [
-        (0.0, False), (0.05, False), (0.05, True),
-    ], ids=["noiseless", "jittered", "confusable"])
-    def test_pose_objects_and_array_write_same_bytes(self, tmp_path, jitter, confusable):
+    # 4,400 frames span nine of the array writer's row chunks; "odd" puts
+    # zeros, -0.0 and tiny, huge and negative coordinates in every chunk.
+    @pytest.mark.parametrize("jitter, confusable, odd", [
+        (0.0, False, False), (0.05, False, False), (0.05, True, False), (0.05, False, True),
+    ], ids=["noiseless", "jittered", "confusable", "odd"])
+    def test_pose_objects_and_array_write_same_bytes(self, tmp_path, jitter, confusable, odd):
         config = SynthConfig(seed=3, jitter_stddev_ratio=jitter, frames_per_class=1100)
         frames = generate_frames(config, confusable=confusable)
+        if odd:
+            coords = frames.coords.copy()
+            picks = np.random.default_rng(4).choice(coords.size, 3000, replace=False)
+            coords.flat[picks] = np.resize(ODD_COORDINATES, len(picks))
+            frames = SynthFrames(coords=coords, labels=frames.labels)
         write_poses(tmp_path / "objects.txt", (pose for pose, _ in frames.pairs()))
         write_poses(tmp_path / "array.txt", frames.coords)
         assert (tmp_path / "objects.txt").read_bytes() == (tmp_path / "array.txt").read_bytes()
@@ -481,12 +501,11 @@ class TestExactDecimals:
         assert with_extended[1][1].tobytes() == without[1][1].tobytes()
         assert_reads_as_float(tokens)
 
-    def test_seed_1_corpus(self, tmp_path):
+    def test_seed_1_corpus(self, tmp_path, seed_1_coords):
         # ``repr`` round-trips through ``float()``, so the written array is
         # ``float()`` of every token: 100k frames, 2.4M numbers.
         path = tmp_path / "poses.txt"
-        coords = generate_frames(SynthConfig(seed=1, jitter_stddev_ratio=0.05,
-                                             frames_per_class=25_000)).coords
+        coords = seed_1_coords
         write_poses(path, coords)
         read, fell_back = htks.formats._canonical_arrays, []
 
@@ -501,6 +520,97 @@ class TestExactDecimals:
         assert (len(fell_back), sum(fell_back)) == (391, 2)
         assert np.concatenate([ids for ids, _ in chunks]).tolist() == list(range(len(coords)))
         assert all(c.tobytes() == coords[ids[0]:ids[-1] + 1].tobytes() for ids, c in chunks)
+
+
+def spelled(values):
+    """The text ``_float_text`` spells for each float64 in ``values``."""
+    text = _float_text(np.asarray(values, np.float64))
+    return [bytes(column[column != 0]).decode() for column in text.T]
+
+
+def assert_spelled_as_repr(values):
+    values = np.asarray(values, np.float64)
+    assert spelled(values) == [repr(value) for value in values.tolist()]
+
+
+def with_neighbours(values):
+    """``values`` and the float64 on either side of each."""
+    values = np.asarray(values, np.float64)
+    return np.concatenate([np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)])
+
+
+def decimal_midpoints(digits, count=2000, seed=11):
+    """The float64 nearest to ``(M + 1/2) * 10**(e - digits + 1)`` for
+    random ``digits``-digit M and decimal exponents e the formatter's
+    array path covers, and the doubles exactly halfway between two such
+    decimals, ``j / 2**(s + 1)`` for odd j."""
+    rng = np.random.default_rng(seed + digits)
+    nearest = [float(f"{m}5e{e - digits}") for m, e in zip(
+        rng.integers(10 ** (digits - 1), 10 ** digits, count, dtype=np.int64).tolist(),
+        rng.integers(-2, 15, count).tolist())]
+    ties = []
+    for e10 in range(-2, 15):
+        denominator = 2 ** (digits - e10)
+        low = int(Fraction(10) ** e10 * denominator)
+        for j in rng.integers(low, 10 * low, count // 17).tolist():
+            if j < 2**53:
+                ties.append(float(Fraction(j | 1, denominator)))
+    return nearest + ties
+
+
+# The formatter leaves to ``repr`` only what it cannot spell: 174 of the
+# 2.4M coordinates of the seed-1 corpus, all below 1e-2 in magnitude.
+MAX_REPR_FALLBACKS = 200
+
+
+class TestFloatText:
+    """``_float_text`` spells each float64 as ``repr`` does, bit for bit."""
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
+    def test_any_double(self, values):
+        assert_spelled_as_repr(values)
+
+    @given(st.lists(st.floats(1e-2, 1e15, exclude_max=True).flatmap(
+        lambda v: st.sampled_from([v, -v])), min_size=1, max_size=50))
+    def test_any_double_in_the_array_range(self, values):
+        assert_spelled_as_repr(values)
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50))
+    def test_any_bit_pattern(self, bits):
+        assert_spelled_as_repr(np.array(bits, np.uint64).view(np.float64))
+
+    def test_powers_of_two_and_ten(self):
+        powers = np.concatenate([2.0 ** np.arange(-1074, 1024),
+                                 [float(f"1e{e}") for e in range(-323, 309)]])
+        assert_spelled_as_repr(with_neighbours(np.concatenate([powers, -powers])))
+
+    def test_notation_and_range_boundaries(self):
+        edges = [1e-5, 1e-4, 1e-2, 1e15, 1e16, 0.0, np.nan, np.inf, 5e-324, 2.2250738585072014e-308]
+        assert_spelled_as_repr(with_neighbours(edges + [-edge for edge in edges]))
+
+    @pytest.mark.parametrize("digits", [15, 16, 17])
+    def test_decimal_midpoints(self, digits):
+        assert_spelled_as_repr(with_neighbours(decimal_midpoints(digits)))
+
+    def test_rounding_that_carries_into_a_new_digit(self):
+        tokens = [f"0.{'9' * nines}{end}e{e}" for nines in range(1, 20) for end in ("", "5")
+                  for e in range(-4, 17)]
+        assert_spelled_as_repr(with_neighbours([float(token) for token in tokens]))
+
+    def test_seed_1_corpus(self, seed_1_coords):
+        values = seed_1_coords.ravel()
+        assert (~_shortest(values)[2]).sum() <= MAX_REPR_FALLBACKS
+        for start in range(0, len(values), 1 << 16):
+            chunk = values[start:start + (1 << 16)]
+            assert _rows_text([_float_text(chunk), b"\n"]) == "".join(
+                [f"{value!r}\n" for value in chunk.tolist()])
+
+
+@pytest.fixture(scope="module")
+def seed_1_coords():
+    """The 100k frames of the seed-1 benchmark corpus, as coordinates."""
+    return generate_frames(SynthConfig(seed=1, jitter_stddev_ratio=0.05,
+                                       frames_per_class=25_000)).coords
 
 
 @pytest.fixture(scope="module")
@@ -620,6 +730,15 @@ class TestLabelsFile:
         path = tmp_path / "labels.txt"
         write_labels(path, labels)
         assert label_pairs(path) == labels
+
+    def test_blocks_of_pairs_write_one_line_each(self, tmp_path):
+        # 1,300 pairs from a generator span three of the writer's blocks.
+        pairs = [(i * 7, LABEL_ORDER[i % 4]) for i in range(1300)]
+        path = tmp_path / "labels.txt"
+        write_labels(path, iter(pairs))
+        assert path.read_text(encoding="utf-8") == "# ground truth: frame_id class\n" + "".join(
+            f"{frame_id} {label.value}\n" for frame_id, label in pairs)
+        assert label_pairs(path) == pairs
 
     def test_unknown_class_is_hard_error(self, tmp_path):
         path = tmp_path / "labels.txt"
@@ -840,6 +959,27 @@ class TestDecisionsFile:
         write_decisions(path, [decision_chunk(rows)])
         assert list(iter_decisions(path)) == rows
 
+    # Every label and flag combination, ids up to 2**63 - 1, distances of
+    # 0.0, 1e-7 and 1e300 among random ones, in one chunk either side of
+    # the writer's 512 rows.
+    @pytest.mark.parametrize("rows", [1, 511, 512, 513])
+    def test_same_rows_as_the_template_writer(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        frame_ids = np.sort(rng.choice(2**63 - 2, rows, replace=False)) + 1
+        frame_ids[[0, -1]] = [0, 2**63 - 1] if rows > 1 else [0]
+        combinations = np.arange(rows) % 32
+        labels, rule1, rule2, tied = (combinations >> 3, *((combinations >> bit) & 1 == 1
+                                                             for bit in (2, 1, 0)))
+        profiles = rng.exponential(300.0, (rows, 4)) * 10.0 ** rng.integers(-4, 5, (rows, 4))
+        profiles.flat[:9] = [0.0, 1e-7, 1e300, 0.01, 1e15, 5e-324, 123.5, 2.0**-6, 1e16][:rows * 4]
+        path = tmp_path / "decisions.csv"
+        chunk = frame_ids, (labels, rule1, rule2, tied, profiles)
+        assert write_decisions(path, [chunk]) == rows
+        assert path.read_text(encoding="utf-8") == DECISIONS_HEADER + "\n" + "".join(
+            "%d,%s,%r,%r,%r,%r\n" % (frame_id, htks.formats._DECISION_FIELDS[field], *profile)
+            for frame_id, field, profile in zip(
+                frame_ids.tolist(), combinations.tolist(), profiles.tolist()))
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "decisions.csv"
         path.write_text("frame,stuff\n", encoding="utf-8")
@@ -928,6 +1068,43 @@ class TestNonUtf8Input:
         path.write_bytes(b"classifier:\n  enable_rule1: true\n  \xff: 1\n")
         with pytest.raises(ConfigError, match=r"config.yaml:3: not valid UTF-8"):
             load_classifier_config(path)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_late_byte_in_a_large_file(self, tmp_path, newline):
+        # 8 MB of comment lines, then the byte: the file is read again line by
+        # line to find it, never whole.
+        path = tmp_path / "poses.txt"
+        lines = 80_000
+        path.write_bytes(("# " + "x" * 97 + newline).encode() * lines + b"# \xff\n")
+        tracemalloc.start()
+        try:
+            error = htks.formats._not_utf8(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (error.path, error.line_no) == (path, lines + 1)
+        assert peak < 1 << 20
+        with pytest.raises(ParseError) as exc_info:
+            list(iter_poses(path))
+        assert exc_info.value.line_no == lines + 1
+
+    # Text is decoded 8 KiB at a time, and the 65,535-byte line leaves one
+    # byte of the eighth chunk to what follows: a line end or a character
+    # split across two chunks counts once.
+    @pytest.mark.parametrize("tail, line_no", [
+        ("\r\n# y\n", 3), ("\r# y\n", 3), ("\r\r", 3), ("\n", 2), ("\u00e9\n", 2),
+    ], ids=["crlf", "cr", "two-cr", "lf", "character"])
+    def test_line_end_across_a_block_boundary(self, tmp_path, tail, line_no):
+        path = tmp_path / "poses.txt"
+        path.write_bytes(b"#" + b"x" * ((1 << 16) - 2) + tail.encode() + b"\xff\n")
+        with pytest.raises(ParseError) as exc_info:
+            list(iter_poses(path))
+        assert exc_info.value.line_no == line_no
+
+    def test_file_ending_inside_a_character(self, tmp_path):
+        path = tmp_path / "poses.txt"
+        path.write_bytes(b"# a\n# b\r\n# \xc3")
+        assert htks.formats._not_utf8(path).line_no == 3
 
     def test_line_found_past_the_first_decoded_chunk(self, tmp_path):
         path = tmp_path / "poses.txt"

@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import sys
+from itertools import chain, repeat, starmap
 from pathlib import Path
 
 import click
@@ -41,7 +42,7 @@ from .pipeline import (
     run_pipeline,
 )
 from .pose import LABEL_ORDER
-from .synth import SynthConfig, generate_frames as synth_generate
+from .synth import SynthConfig, frame_blocks as synth_generate
 
 _path_arg = click.Path(path_type=Path)
 
@@ -108,11 +109,18 @@ def generate(out_poses, out_labels, seed, frames_per_class, torso_length, jitter
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    frames = synth_generate(config, confusable=confusable)
+    written = []  # (label, frame count) of each block, as write_poses takes it
+
+    def coords():
+        for label, block in synth_generate(config, confusable=confusable):
+            written.append((label, len(block)))
+            yield block
+
     with _all_or_none() as output:
-        output(write_poses, out_poses, frames.coords)
-        output(write_labels, out_labels, enumerate(frames.labels))
-    click.echo(f"wrote {len(frames)} frames to {out_poses} and labels to {out_labels}")
+        output(write_poses, out_poses, coords())
+        output(write_labels, out_labels, enumerate(chain.from_iterable(starmap(repeat, written))))
+    click.echo(f"wrote {sum(n for _, n in written)} frames to {out_poses} "
+               f"and labels to {out_labels}")
 
 
 @cli.command()

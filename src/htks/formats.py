@@ -282,13 +282,31 @@ def _float_text(values: np.ndarray) -> np.ndarray:
     return text
 
 
-def _rows_text(fields: list) -> str:
+_COMMA, _NEWLINE = (np.frombuffer(text, np.uint8)[:, None] for text in (b",", b"\n"))
+
+
+def _rows_text(fields: list[np.ndarray]) -> str:
     """The lines whose bytes are ``fields`` in turn, each a text array
-    ``(width, lines)`` or bytes every line has, with NULs dropped."""
-    fields = [np.frombuffer(f, np.uint8)[:, None] if isinstance(f, bytes) else f for f in fields]
-    lines = max(field.shape[1] for field in fields)
-    matrix = np.concatenate([np.broadcast_to(field, (len(field), lines)) for field in fields]).T
+    ``(width, lines)`` or ``(width, 1)``, with NULs dropped."""
+    matrix = np.empty((max(field.shape[1] for field in fields), sum(map(len, fields))), np.uint8)
+    column = 0
+    for field in fields:
+        matrix[:, column:column + len(field)] = field.T
+        column += len(field)
     return matrix[matrix != 0].tobytes().decode()
+
+
+def _regroup(chunks: Iterable[tuple[np.ndarray, ...]]) -> Iterator[tuple[np.ndarray, ...]]:
+    """Tuples of arrays whose rows go together, such as the classifier's
+    256-row chunks, regrouped in tuples of ``_ROWS_PER_CHUNK`` rows."""
+    held: tuple[np.ndarray, ...] = ()
+    for chunk in chunks:
+        held = tuple(map(np.concatenate, zip(held, chunk))) if held else chunk
+        while len(held[0]) >= _ROWS_PER_CHUNK:
+            yield tuple(column[:_ROWS_PER_CHUNK] for column in held)
+            held = tuple(column[_ROWS_PER_CHUNK:] for column in held)
+    if held and len(held[0]):
+        yield held
 
 
 # ---------------------------------------------------------------------------
@@ -298,24 +316,26 @@ def _rows_text(fields: list) -> str:
 # ``%r`` of a Python float is its shortest repr, which the parser reads
 # back to the same float; ``_float_text`` spells the same bytes.
 _JOINT_ENTRIES = tuple(f"{joint.value}=%r,%r" for joint in JointId)
-_POSE_SEPARATORS = [text.encode() for joint in JointId for text in (f" {joint.value}=", ",")]
+_POSE_SEPARATORS = [np.frombuffer(text.encode(), np.uint8)[:, None]
+                    for joint in JointId for text in (f" {joint.value}=", ",")]
 
 
-def write_poses(path, poses: Iterable[BodyPose] | np.ndarray) -> None:
-    """Write a pose file from BodyPose objects, or from an ``(N, 12, 2)``
-    coordinate array in JointId order whose row ``i`` is frame id ``i``."""
+def write_poses(path, poses: Iterable[BodyPose] | Iterable[np.ndarray] | np.ndarray) -> None:
+    """Write a pose file from BodyPose objects, or from ``(n, 12, 2)`` coordinate
+    blocks (or one array) in JointId order whose rows are frame ids 0, 1, ..."""
     with _output(path) as write:
         write("# pose frames: frame_id joint=x,y[,confidence] x12; head = head center\n")
-        if isinstance(poses, np.ndarray):
-            rows = np.asarray(poses, np.float64).reshape(len(poses), -1)
-            for start in range(0, len(rows), _ROWS_PER_CHUNK):
-                chunk = rows[start:start + _ROWS_PER_CHUNK]
+        start = 0
+        for block in [poses] if isinstance(poses, np.ndarray) else poses:
+            if isinstance(block, BodyPose):
+                write(_pose_line(block))
+                continue
+            for (chunk,) in _regroup([(np.asarray(block, np.float64).reshape(len(block), 24),)]):
                 numbers = np.split(_float_text(chunk.T.ravel()), chunk.shape[1], axis=1)
                 fields = [field for pair in zip(_POSE_SEPARATORS, numbers) for field in pair]
-                write(_rows_text([_int_text(np.arange(start, start + len(chunk))), *fields, b"\n"]))
-            return
-        for pose in poses:
-            write(_pose_line(pose))
+                write(_rows_text([_int_text(np.arange(start, start + len(chunk))), *fields,
+                                  _NEWLINE]))
+                start += len(chunk)
 
 
 def _pose_line(pose: BodyPose) -> str:
@@ -737,14 +757,13 @@ def write_decisions(path, chunks: Iterable[tuple[np.ndarray, tuple]]) -> int:
     count = 0
     with _output(path) as write:
         write(DECISIONS_HEADER + "\n")
-        for frame_ids, (labels, rule1, rule2, tied, profiles) in chunks:
-            fields = ((labels * 2 + rule1) * 2 + rule2) * 2 + tied
-            for start in range(0, len(frame_ids), _ROWS_PER_CHUNK):
-                rows = slice(start, start + _ROWS_PER_CHUNK)
-                head, shoulders, knees, ankles = np.split(
-                    _float_text(profiles[rows].T.ravel()), 4, axis=1)
-                write(_rows_text([_int_text(frame_ids[rows]), _DECISION_TEXT[:, fields[rows]],
-                                  head, b",", shoulders, b",", knees, b",", ankles, b"\n"]))
+        for frame_ids, fields, profiles in _regroup(
+            (frame_ids, ((labels * 2 + rule1) * 2 + rule2) * 2 + tied, profiles)
+            for frame_ids, (labels, rule1, rule2, tied, profiles) in chunks
+        ):
+            head, shoulders, knees, ankles = np.split(_float_text(profiles.T.ravel()), 4, axis=1)
+            write(_rows_text([_int_text(frame_ids), _DECISION_TEXT[:, fields], head, _COMMA,
+                              shoulders, _COMMA, knees, _COMMA, ankles, _NEWLINE]))
             count += len(frame_ids)
     return count
 

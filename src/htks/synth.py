@@ -20,12 +20,13 @@ knee/ankle ties). Isotropic Gaussian jitter is applied per joint; noise
 is drawn unconditionally and scaled, so runs with the same seed align
 frame-for-frame across jitter settings.
 
-``generate_frames`` is the one producer. Each class draws its noise from
+``frame_blocks`` is the one producer. Each class draws its noise from
 its own ``SeedSequence(entropy=seed, spawn_key=(class_index,))`` stream
-as ``standard_normal((n, 12, 2)) * sigma`` and adds it to ``template *
-torso``, giving one ``(N, 12, 2)`` float64 array for the whole sequence.
-``generate`` and ``SynthFrames.pairs`` build (pose, label) lists from
-that array. Every coordinate is one float64 multiply and one add of
+as ``standard_normal((n, 12, 2)) * sigma`` in blocks of at most
+``_BLOCK_FRAMES`` frames (slices of one stream are one whole draw) and
+adds it to ``template * torso``; ``generate_frames`` concatenates the
+blocks. ``generate`` and ``SynthFrames.pairs`` build (pose, label) lists
+from that array. Every coordinate is one float64 multiply and one add of
 the same operands, whether computed elementwise in numpy or per joint in
 Python floats, so the values are bit-identical either way; the pose
 writer formats them with ``repr`` and yields the same bytes from both.
@@ -34,7 +35,9 @@ writer formats them with ``repr`` and yields the same bytes from both.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from math import isfinite
+from typing import Iterator
 
 import numpy as np
 
@@ -43,6 +46,7 @@ from .pose import BodyPose, JointId, Point2, TouchLabel
 __all__ = [
     "SynthConfig",
     "SynthFrames",
+    "frame_blocks",
     "generate",
     "generate_frames",
 ]
@@ -203,9 +207,6 @@ class SynthFrames:
     coords: np.ndarray
     labels: tuple[TouchLabel, ...]
 
-    def __len__(self) -> int:
-        return len(self.labels)
-
     def pairs(self) -> list[tuple[BodyPose, TouchLabel]]:
         """The frames as (pose, label) pairs."""
         poses = (
@@ -215,26 +216,38 @@ class SynthFrames:
         return list(zip(poses, self.labels))
 
 
-def generate_frames(config: SynthConfig, confusable: bool = False) -> SynthFrames:
-    """Generate the frames of ``generate`` as arrays. With ``confusable``,
-    every frame is a toes-labelled folded pose with the wrists exactly
-    midway between knee and ankle, so the knee and ankle distances tie."""
+# Frames per block of ``frame_blocks`` (786 KB). With 512-frame blocks a
+# 50k-frame ``htks generate`` took 7x the minor page faults and more time.
+_BLOCK_FRAMES = 4096
+
+
+def frame_blocks(config: SynthConfig,
+                 confusable: bool = False) -> Iterator[tuple[TouchLabel, np.ndarray]]:
+    """The frames of ``generate_frames`` in order, as ``(label, coords)``
+    blocks of at most ``_BLOCK_FRAMES`` frames of one class each."""
     class_templates = _CONFUSABLE_TEMPLATES if confusable else _CLASS_TEMPLATES
     torso = config.torso_length
     sigma = config.jitter_stddev_ratio * torso
     n = config.frames_per_class
-    blocks = []
-    labels: tuple[TouchLabel, ...] = ()
     for class_index, (label, template) in enumerate(class_templates):
         # Independent per-class streams keep the classes parallelizable
         # and insensitive to one another's frame counts.
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=config.seed, spawn_key=(class_index,))
         )
-        noise = rng.standard_normal((n, len(_JOINTS), 2)) * sigma
-        blocks.append(np.array([template[joint] for joint in _JOINTS]) * torso + noise)
-        labels += (label,) * n
-    return SynthFrames(coords=np.concatenate(blocks), labels=labels)
+        pose = np.array([template[joint] for joint in _JOINTS]) * torso
+        for start in range(0, n, _BLOCK_FRAMES):
+            noise = rng.standard_normal((min(_BLOCK_FRAMES, n - start), len(_JOINTS), 2))
+            yield label, np.add(pose, np.multiply(noise, sigma, out=noise), out=noise)
+
+
+def generate_frames(config: SynthConfig, confusable: bool = False) -> SynthFrames:
+    """Generate the frames of ``generate`` as arrays. With ``confusable``,
+    every frame is a toes-labelled folded pose with the wrists exactly
+    midway between knee and ankle, so the knee and ankle distances tie."""
+    labels, blocks = zip(*frame_blocks(config, confusable))
+    return SynthFrames(np.concatenate(blocks),
+                       tuple(chain.from_iterable(map(repeat, labels, map(len, blocks)))))
 
 
 def generate(config: SynthConfig) -> list[tuple[BodyPose, TouchLabel]]:

@@ -34,6 +34,7 @@ from htks.formats import (
     write_script,
 )
 from htks.pipeline import RunConfig, classify_sequence, run_pipeline
+from htks.synth import _BLOCK_FRAMES, generate_frames
 
 from conftest import DEFAULT_COORDS, make_pose
 from test_formats import LABEL_FILE_BYTES, label_pairs
@@ -76,6 +77,42 @@ class TestGenerateCommand:
         code = main(["generate", "--out-poses", str(tmp_path / "p.txt"),
                      "--out-labels", str(tmp_path / "l.txt"), "--seed", "-3"])
         assert code == 3
+
+    # Block boundaries of the generator: one frame, a whole block, one past
+    # it, and mid-block; the golden corpus never spans two blocks.
+    @pytest.mark.parametrize("frames_per_class", [1, _BLOCK_FRAMES, _BLOCK_FRAMES + 1, 9_001])
+    @pytest.mark.parametrize("confusable", [False, True])
+    def test_streamed_files_match_the_whole_array_write(self, tmp_path, frames_per_class,
+                                                        confusable):
+        config = SynthConfig(seed=7, jitter_stddev_ratio=0.05, frames_per_class=frames_per_class)
+        frames = generate_frames(config, confusable=confusable)
+        write_poses(tmp_path / "whole.txt", frames.coords)
+        write_labels(tmp_path / "whole_labels.txt", enumerate(frames.labels))
+        code = main(["generate", "--out-poses", str(tmp_path / "p.txt"),
+                     "--out-labels", str(tmp_path / "l.txt"), "--seed", "7", "--jitter", "0.05",
+                     "--frames-per-class", str(frames_per_class)]
+                    + ["--confusable"] * confusable)
+        assert code == 0
+        assert (tmp_path / "p.txt").read_bytes() == (tmp_path / "whole.txt").read_bytes()
+        assert (tmp_path / "l.txt").read_bytes() == (tmp_path / "whole_labels.txt").read_bytes()
+
+    def test_memory_does_not_grow_with_the_corpus(self, tmp_path):
+        """Generation streams blocks from the generator to the pose writer:
+        the tracemalloc peak stays under 8 MB and does not grow from 18k to
+        54k frames. The whole corpus in memory took 1.7 kB per frame."""
+        peaks = []
+        for frames_per_class in (4_500, 13_500):
+            tracemalloc.start()
+            try:
+                code = main(["generate", "--out-poses", str(tmp_path / "p.txt"),
+                             "--out-labels", str(tmp_path / "l.txt"), "--jitter", "0.05",
+                             "--frames-per-class", str(frames_per_class)])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert max(peaks) < 8 * 2**20
+        assert peaks[1] - peaks[0] < 2**16
 
 
 class TestClassifyCommand:

@@ -30,6 +30,7 @@ from htks import (
 )
 from htks.formats import (
     DECISIONS_HEADER,
+    _NEWLINE,
     _canonical_arrays,
     _content_lines,
     _float_text,
@@ -130,6 +131,20 @@ class TestPoseFile:
         with_confidence = (tmp_path / "objects.txt").read_text(encoding="utf-8")
         without = with_confidence.replace(",0.25 ", " ").replace(",1.0\n", "\n")
         assert without == (tmp_path / "array.txt").read_text(encoding="utf-8")
+
+    def test_array_blocks_continue_the_frame_ids(self, tmp_path):
+        coords = generate_frames(SynthConfig(seed=3, jitter_stddev_ratio=0.05,
+                                             frames_per_class=300)).coords
+        write_poses(tmp_path / "whole.txt", coords)
+        write_poses(tmp_path / "blocks.txt", iter(np.split(coords, [0, 1, 700, 700, 1201])))
+        assert (tmp_path / "blocks.txt").read_bytes() == (tmp_path / "whole.txt").read_bytes()
+
+    def test_empty_array_writes_the_header_and_a_bad_shape_raises(self, tmp_path):
+        write_poses(tmp_path / "empty.txt", np.empty((0, 12, 2)))
+        assert list(iter_poses(tmp_path / "empty.txt")) == []
+        with pytest.raises(ValueError):
+            write_poses(tmp_path / "bad.txt", np.zeros((2, 12, 3)))
+        assert not (tmp_path / "bad.txt").exists()
 
     def test_joint_order_within_line_is_free(self, tmp_path):
         path = tmp_path / "poses.txt"
@@ -602,7 +617,7 @@ class TestFloatText:
         assert (~_shortest(values)[2]).sum() <= MAX_REPR_FALLBACKS
         for start in range(0, len(values), 1 << 16):
             chunk = values[start:start + (1 << 16)]
-            assert _rows_text([_float_text(chunk), b"\n"]) == "".join(
+            assert _rows_text([_float_text(chunk), _NEWLINE]) == "".join(
                 [f"{value!r}\n" for value in chunk.tolist()])
 
 
@@ -979,6 +994,26 @@ class TestDecisionsFile:
             "%d,%s,%r,%r,%r,%r\n" % (frame_id, htks.formats._DECISION_FIELDS[field], *profile)
             for frame_id, field, profile in zip(
                 frame_ids.tolist(), combinations.tolist(), profiles.tolist()))
+
+    # The classifier's 256-row chunks, and uneven ones with an empty one,
+    # are formatted in the writer's full 512-row matrices.
+    @pytest.mark.parametrize("sizes", [[256] * 5, [0, 1, 511, 3, 700, 2, 13]],
+                             ids=["reader_chunks", "uneven"])
+    def test_chunks_regrouped_into_full_matrices(self, tmp_path, sizes):
+        rng = np.random.default_rng(len(sizes))
+        rows = sum(sizes)
+        frame_ids = np.arange(rows, dtype=np.int64) * 3
+        flags = rng.integers(0, 2, (3, rows)) == 1
+        whole = frame_ids, (rng.integers(0, 4, rows), *flags, rng.exponential(300.0, (rows, 4)))
+        write_decisions(tmp_path / "one.csv", [whole])
+        ends = np.cumsum(sizes)[:-1]
+        chunks = [(ids, (labels, rule1, rule2, tied, profiles)) for ids, labels, rule1, rule2,
+                  tied, profiles in zip(*(np.split(a, ends) for a in (frame_ids, *whole[1])))]
+        with mock.patch.object(htks.formats, "_float_text", wraps=_float_text) as spy:
+            assert write_decisions(tmp_path / "split.csv", chunks) == rows
+        assert [len(call.args[0]) for call in spy.call_args_list] == [
+            4 * min(512, rows - start) for start in range(0, rows, 512)]
+        assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "decisions.csv"

@@ -15,7 +15,13 @@ from htks import (
     euclidean,
     generate,
 )
-from htks.synth import generate_frames
+from htks.synth import (
+    _BLOCK_FRAMES,
+    _CLASS_TEMPLATES,
+    _CONFUSABLE_TEMPLATES,
+    frame_blocks,
+    generate_frames,
+)
 
 
 class TestSynthConfig:
@@ -156,3 +162,27 @@ class TestConfusablePreset:
                 TouchLabel.KNEES, TouchLabel.TOES, TouchLabel.SHOULDERS, TouchLabel.HEAD)),
         )
         assert knees_first.label is TouchLabel.KNEES and knees_first.tie_broken
+
+
+class TestBlocks:
+    # Block boundaries: one frame, a whole block, one past it, mid-block.
+    @pytest.mark.parametrize("frames_per_class", [1, _BLOCK_FRAMES, _BLOCK_FRAMES + 1, 9_001])
+    @pytest.mark.parametrize("confusable", [False, True])
+    def test_blocks_are_one_whole_draw_per_class(self, frames_per_class, confusable):
+        """Each class's frames, drawn in blocks, equal one whole draw of its
+        stream: ``template * torso + standard_normal((n, 12, 2)) * sigma``."""
+        config = SynthConfig(seed=123456789, torso_length=271.5, jitter_stddev_ratio=0.05,
+                             frames_per_class=frames_per_class)
+        templates = _CONFUSABLE_TEMPLATES if confusable else _CLASS_TEMPLATES
+        blocks = list(frame_blocks(config, confusable))
+        assert all(0 < len(coords) <= _BLOCK_FRAMES for _, coords in blocks)
+        for class_index, (label, template) in enumerate(templates):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=config.seed, spawn_key=(class_index,)))
+            whole = (np.array([template[joint] for joint in JointId]) * config.torso_length
+                     + rng.standard_normal((frames_per_class, 12, 2)) * (0.05 * 271.5))
+            drawn = [coords for block_label, coords in blocks if block_label is label]
+            assert np.concatenate(drawn).tobytes() == whole.tobytes()
+        frames = generate_frames(config, confusable)
+        assert frames.coords.tobytes() == np.concatenate([c for _, c in blocks]).tobytes()
+        assert frames.labels == tuple(label for label, coords in blocks for _ in coords)

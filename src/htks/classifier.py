@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, EmptyInput, DegeneratePose, EvaluationError, InvalidScale
-from .pose import LABEL_ORDER, BodyPose, JointId, TouchLabel, _joint_array, euclidean
+from .pose import LABEL_ORDER, BodyPose, JointId, TouchLabel, _joint_array
 
 __all__ = [
     "Normalization",
@@ -244,6 +244,13 @@ def classify_baseline(profile: DistanceProfile, config: ClassifierConfig) -> Fra
     )
 
 
+def _frame_decisions(decided: tuple) -> list[FrameDecision]:
+    """One FrameDecision per row of what ``_decide`` returns."""
+    labels, *flags, profiles = (column.tolist() for column in decided)
+    return [FrameDecision(LABEL_ORDER[label], DistanceProfile(*profile), *row_flags)
+            for label, profile, row_flags in zip(labels, profiles, zip(*flags))]
+
+
 def classify(pose: BodyPose, config: ClassifierConfig, scale: float) -> FrameDecision:
     """Classify one frame with the configured rules.
 
@@ -253,29 +260,23 @@ def classify(pose: BodyPose, config: ClassifierConfig, scale: float) -> FrameDec
     distance overflows raise EvaluationError. A one-row call into the
     array core that classifies pose files.
     """
-    labels, rule1_fired, rule2_applied, tie_broken, profiles = _decide(
-        [pose.frame_id], _joint_array([pose]), config, scale
-    )
-    return FrameDecision(
-        label=LABEL_ORDER[labels[0]],
-        profile=DistanceProfile(*profiles[0].tolist()),
-        rule1_fired=bool(rule1_fired[0]),
-        rule2_applied=bool(rule2_applied[0]),
-        tie_broken=bool(tie_broken[0]),
-    )
+    return _frame_decisions(_decide([pose.frame_id], _joint_array([pose]), config, scale))[0]
 
 
-def calibration_scale(poses: Iterable[BodyPose], window: int = CALIBRATION_WINDOW) -> float:
+def calibration_scale(poses: Iterable[BodyPose] | np.ndarray, window=CALIBRATION_WINDOW) -> float:
     """Standing torso length: the largest head-to-hip distance among the
-    opening ``window`` frames.
+    opening ``window`` frames, given as poses or as ``(n, 12, 2)``
+    JointId-ordered coordinates.
 
     Needs no labels; robust to the subject starting mid-gesture because
     bent frames only ever shrink the head-to-hip distance.
     """
-    opening = list(islice(iter(poses), max(1, window)))
-    if not opening:
+    window = max(1, window)
+    if not isinstance(poses, np.ndarray):
+        poses = _joint_array(islice(poses, window))
+    if not len(poses):
         raise EmptyInput("cannot calibrate from an empty pose sequence")
-    scale = max(euclidean(p[JointId.HEAD], p[JointId.HIP]) for p in opening)
+    scale = float(_distances(poses[:window])[1].max())
     if scale <= 0.0:
         raise DegeneratePose("head and hip coincide in every calibration frame")
     return scale

@@ -31,12 +31,13 @@ from .formats import (
     write_report_text,
     write_session_json,
     _all_or_none,
+    _pose_chunks,
 )
 from .game import score_session
 from .pipeline import (
     REPORT_FORMATS,
     RunConfig,
-    _classify_file,
+    _classify_chunks,
     evaluate_decisions,
     load_run_settings,
     run_pipeline,
@@ -135,7 +136,7 @@ def classify(poses_path, out_path, config_path, **overrides):
     if not poses_path.is_file():
         raise ConfigError(f"pose file does not exist: {poses_path}")
     config = _merge_classifier(_load_classifier(config_path), overrides)
-    write_decisions(out_path, _classify_file(poses_path, config))
+    write_decisions(out_path, _classify_chunks(_pose_chunks(poses_path), config))
     click.echo(f"wrote decisions to {out_path}")
 
 

@@ -36,7 +36,7 @@ import re
 import stat
 from contextlib import contextmanager, suppress
 from functools import partial
-from itertools import dropwhile, islice
+from itertools import count, dropwhile, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -409,21 +409,23 @@ def iter_poses(path) -> Iterator[BodyPose]:
 _CHUNK_FRAMES = 256
 
 
-def _line_blocks(path) -> Iterator[tuple[list[tuple[int, str]], list[str], ParseError | None]]:
-    """``(block, lines, error)``: ``(line_no, line)`` pairs of ``path`` after
-    its leading ``#`` lines (a header) in lists of up to ``_CHUNK_FRAMES``,
-    their lines that do not start with ``#``, and a byte that is not UTF-8
-    that ends the last list early, so no earlier line's error is skipped."""
+def _line_blocks(path) -> Iterator[tuple[int, list[str], list[str], ParseError | None]]:
+    """``(line_no, block, lines, error)``: the lines of ``path`` after its
+    leading ``#`` lines (a header) in lists ``block`` of up to
+    ``_CHUNK_FRAMES``, the number of each list's first line, its lines that
+    do not start with ``#``, and a byte that is not UTF-8 that ends the
+    last list early, so no earlier line's error is skipped."""
     with open(path, "r", encoding="utf-8") as fh:
-        numbered = dropwhile(lambda pair: pair[1].startswith("#"), enumerate(fh, 1))
-        while True:
+        header: list[None] = []  # one entry per header line dropped
+        lines = dropwhile(lambda line: line.startswith("#") and not header.append(None), fh)
+        for line_no in count(1, _CHUNK_FRAMES):
             block, error = [], None
             try:
                 # ``extend`` keeps the lines read before a decode error.
-                block.extend(islice(numbered, _CHUNK_FRAMES))
+                block.extend(islice(lines, _CHUNK_FRAMES))
             except UnicodeDecodeError:
                 error = _not_utf8(path)
-            yield block, [line for _, line in block if not line.startswith("#")], error
+            yield line_no + len(header), block, [x for x in block if not x.startswith("#")], error
             if error or len(block) < _CHUNK_FRAMES:
                 return
 
@@ -505,12 +507,12 @@ def _pose_chunks(path) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     are yielded first, then its ParseError is raised.
     """
     prev_frame_id = None
-    for block, lines, error in _line_blocks(path):
+    for first, block, lines, error in _line_blocks(path):
         arrays = _canonical_arrays(lines, prev_frame_id)
         if arrays is None:
             poses = []
             try:
-                for line_no, line in _content(block):
+                for line_no, line in _content(enumerate(block, first)):
                     poses.append(_parse_pose_line(line, path, line_no, prev_frame_id))
                     prev_frame_id = poses[-1].frame_id
             except ParseError as exc:
@@ -550,7 +552,7 @@ def load_labels(path) -> tuple[np.ndarray, np.ndarray]:
     ``_CHUNK_FRAMES`` lines: a block as ``write_labels`` writes it is parsed
     as a whole, any other line by line. Ids are sorted once at the end."""
     ids, labels, error = [np.empty(0, np.int64)], [np.empty(0, np.int8)], None
-    for block, lines, error in _line_blocks(path):
+    for first, block, lines, error in _line_blocks(path):
         text = "".join(lines)
         if _CANONICAL_LABELS.fullmatch(text):
             for name, index in _LABEL_INDEX.items():
@@ -559,7 +561,7 @@ def load_labels(path) -> tuple[np.ndarray, np.ndarray]:
         else:
             pairs = []
             try:
-                for line_no, line in _content(block):
+                for line_no, line in _content(enumerate(block, first)):
                     tokens = line.split()
                     if len(tokens) != 2:
                         raise ParseError(f"expected 'frame_id class', got {line!r}", path, line_no)
@@ -696,7 +698,10 @@ def classifier_config_from_dict(data: dict) -> ClassifierConfig:
 def _as_number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} is too large to be a float") from None
 
 
 def load_classifier_config(path) -> ClassifierConfig:
@@ -719,10 +724,11 @@ def _load_yaml(path):
             return yaml.safe_load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"invalid YAML in {path}: {exc}") from None
     except UnicodeDecodeError:
         raise ConfigError(f"invalid config file: {_not_utf8(path)}") from None
+    # ValueError: a value YAML's constructors reject, such as the date 2001-13-45.
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"invalid YAML in {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +760,7 @@ def write_decisions(path, chunks: Iterable[tuple[np.ndarray, tuple]]) -> int:
     tie_broken, profiles))`` as the classifier core returns it: LABEL_ORDER
     indices, three boolean arrays and the ``(n, 4)`` distances.
     """
-    count = 0
+    written = 0
     with _output(path) as write:
         write(DECISIONS_HEADER + "\n")
         for frame_ids, fields, profiles in _regroup(
@@ -764,8 +770,8 @@ def write_decisions(path, chunks: Iterable[tuple[np.ndarray, tuple]]) -> int:
             head, shoulders, knees, ankles = np.split(_float_text(profiles.T.ravel()), 4, axis=1)
             write(_rows_text([_int_text(frame_ids), _DECISION_TEXT[:, fields], head, _COMMA,
                               shoulders, _COMMA, knees, _COMMA, ankles, _NEWLINE]))
-            count += len(frame_ids)
-    return count
+            written += len(frame_ids)
+    return written
 
 
 def _parse_bool(token: str, path, line_no: int) -> bool:
@@ -802,13 +808,7 @@ def iter_decisions(path) -> Iterator[tuple[int, FrameDecision]]:
             except ValueError as exc:
                 raise ParseError(f"bad distances: {exc}", path, line_no) from None
             try:
-                decision = FrameDecision(
-                    label=label,
-                    profile=profile,
-                    rule1_fired=rule1,
-                    rule2_applied=rule2,
-                    tie_broken=tied,
-                )
+                decision = FrameDecision(label, profile, rule1, rule2, tied)
             except ValueError as exc:
                 raise ParseError(str(exc), path, line_no) from None
             yield frame_id, decision
@@ -843,10 +843,11 @@ def load_report_json(path) -> EvalReport:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", path) from None
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
+    # A ValueError is a JSONDecodeError or an int of more than 4300 digits.
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON: {exc}", path) from None
     if not isinstance(data, dict) or "counts" not in data:
         raise ParseError("report JSON must contain a 'counts' grid", path)
     try:

@@ -6,14 +6,14 @@ one. ``run_pipeline`` classifies once and evaluates and scores from the
 labels it kept in memory, never reading ``decisions.csv`` back: arrays of
 int64 frame ids and int8 LABEL_ORDER indices, like its ground truth.
 
-A pose file is classified in fixed-size chunks of arrays, from the reader
-through the classifier core to the decisions writer (``_classify_file``,
-shared by ``run_pipeline`` and ``htks classify``); only the calibration
-window is read as ``BodyPose`` objects. ``classify_sequence`` is the
-per-pose view of the same core for library callers. Both stay in this
-module, not in ``classifier``, because they look up ``iter_poses``,
-``calibration_scale`` and ``classify`` here, where the benchmark's tracer
-(``bench/spans.py``) wraps them, as it wraps ``load_labels`` and ``report``.
+Pose files and pose streams are classified by one generator,
+``_classify_chunks``: it calibrates on the opening frames of
+``(frame_ids, coords)`` chunks and hands each chunk to the classifier
+core. ``run_pipeline`` and ``htks classify`` feed it a pose file's chunks,
+reading the file once; ``classify_sequence`` feeds it blocks of poses. It
+stays here, not in ``classifier``, because it looks up
+``calibration_scale`` here, where the benchmark's tracer
+(``bench/spans.py``) wraps it, as it wraps ``load_labels`` and ``report``.
 """
 
 from __future__ import annotations
@@ -32,13 +32,12 @@ from .classifier import (
     FrameDecision,
     Normalization,
     _decide,
+    _frame_decisions,
     calibration_scale,
-    classify,
 )
 from .errors import ConfigError, EmptyInput
 from .evaluation import EvalReport, _tally, report
 from .formats import (
-    iter_poses,
     load_labels,
     load_script,
     write_decisions,
@@ -52,7 +51,7 @@ from .formats import (
     _pose_chunks,
 )
 from .game import SessionResult, score_session
-from .pose import LABEL_ORDER, BodyPose
+from .pose import LABEL_ORDER, BodyPose, _joint_array
 
 __all__ = [
     "RunConfig",
@@ -104,52 +103,49 @@ def classify_sequence(
     poses: Iterable[BodyPose], config: ClassifierConfig
 ) -> Iterator[tuple[int, FrameDecision]]:
     """Classify every frame of a pose stream, yielding (frame_id, decision)
-    pairs lazily; buffers only the calibration window.
+    pairs lazily; buffers one block of ``CALIBRATION_WINDOW`` poses.
 
     The result is an iterator, so it can be consumed once. A sequence with
-    no frames raises EmptyInput under either normalization.
+    no frames raises EmptyInput under either normalization. A block whose
+    frame overflows raises EvaluationError before yielding any decision.
     """
-    pose_iter = iter(poses)
-    first = next(pose_iter, None)
-    if first is None:
-        raise EmptyInput("pose sequence contains no frames")
-    pose_iter = chain([first], pose_iter)
-    if config.normalization is Normalization.FIXED_PIXELS:
-        scale = 1.0
-    else:
-        opening = list(islice(pose_iter, CALIBRATION_WINDOW))
-        scale = calibration_scale(opening)
-        pose_iter = chain(opening, pose_iter)
-        log.info("calibration scale: %.3f px over first %d frames", scale, len(opening))
-    for pose in pose_iter:
-        yield pose.frame_id, classify(pose, config, scale)
+    poses = iter(poses)
+    blocks = iter(lambda: list(islice(poses, CALIBRATION_WINDOW)), [])
+    chunks = (([pose.frame_id for pose in block], _joint_array(block)) for block in blocks)
+    for frame_ids, decisions in _classify_chunks(chunks, config):
+        yield from zip(frame_ids, _frame_decisions(decisions))
 
 
-def _classify_file(poses_path, config: ClassifierConfig, kept: Optional[list] = None) -> Iterator:
-    """Classify a pose file chunk by chunk, yielding ``(frame_ids, decisions)``
+def _classify_chunks(chunks: Iterable, config: ClassifierConfig, kept: Optional[list] = None):
+    """Classify ``(frame_ids, coords)`` chunks, yielding ``(frame_ids, decisions)``
     as ``write_decisions`` takes them; ``kept`` gets each ``(frame_ids, labels)``.
 
-    The calibration window is read through ``iter_poses``; errors come in
-    file order, as ``classify_sequence`` raises them. A file with no frames
-    raises EmptyInput under either normalization.
+    The scale comes from the first ``CALIBRATION_WINDOW`` frames of the
+    chunks, read before any chunk is decided; under fixed pixels it is 1.0
+    and only the first chunk is read ahead. A stream with no frames raises
+    EmptyInput under either normalization.
     """
-    if config.normalization is Normalization.FIXED_PIXELS:
+    chunks = iter(chunks)
+    fixed = config.normalization is Normalization.FIXED_PIXELS
+    opening, frames = [], 0
+    for chunk in chunks:
+        opening.append(chunk)
+        frames += len(chunk[0])
+        if frames >= (1 if fixed else CALIBRATION_WINDOW):
+            break
+    if not frames:
+        raise EmptyInput("pose sequence contains no frames")
+    if fixed:
         scale = 1.0
     else:
-        opening = list(islice(iter_poses(poses_path), CALIBRATION_WINDOW))
-        if not opening:
-            raise EmptyInput("pose sequence contains no frames")
-        scale = calibration_scale(opening)
-        log.info("calibration scale: %.3f px over first %d frames", scale, len(opening))
-    frames = 0
-    for frame_ids, coords in _pose_chunks(poses_path):
-        frames += len(frame_ids)
+        window = np.concatenate([coords for _, coords in opening])[:CALIBRATION_WINDOW]
+        scale = calibration_scale(window)
+        log.info("calibration scale: %.3f px over first %d frames", scale, len(window))
+    for frame_ids, coords in chain(opening, chunks):
         decisions = _decide(frame_ids, coords, config, scale)
         if kept is not None:
             kept.append((frame_ids, decisions[0]))
         yield frame_ids, decisions
-    if not frames:
-        raise EmptyInput("pose sequence contains no frames")
 
 
 def evaluate_decisions(
@@ -240,7 +236,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     _make_output_dir(out_dir)
     decisions_path = out_dir / "decisions.csv"
     kept = None if truth is None and script is None else []
-    rows = _classify_file(config.poses_path, config.classifier, kept)
+    rows = _classify_chunks(_pose_chunks(config.poses_path), config.classifier, kept)
     with _all_or_none() as output:
         frames = output(write_decisions, decisions_path, rows)
         if kept is not None:

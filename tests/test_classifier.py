@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from htks import (
     DegeneratePose,
     DistanceProfile,
     EmptyInput,
+    EvaluationError,
     FrameDecision,
     InvalidScale,
     JointId,
@@ -21,8 +23,10 @@ from htks import (
     classify_baseline,
     classify_sequence,
     distance_profile,
+    euclidean,
     generate,
 )
+from htks.pose import _joint_array
 
 from conftest import make_pose, random_pose, scale_pose, translate_pose
 
@@ -329,6 +333,9 @@ class TestCalibrationScale:
             poses.append(make_pose(frame_id=i, head=(0.0, 0.0), hip=(0.0, length)))
         assert calibration_scale(poses) == 129.0
         assert calibration_scale(poses, window=5) == 104.0
+        # (n, 12, 2) coordinates calibrate as the poses they hold.
+        assert calibration_scale(_joint_array(poses)) == 129.0
+        assert calibration_scale(_joint_array(poses), window=5) == 104.0
 
     def test_bent_opening_frames_do_not_win(self):
         poses = [make_pose(frame_id=0, head=(0.0, 0.0), hip=(0.0, 40.0)),
@@ -343,6 +350,10 @@ class TestCalibrationScale:
         pose = make_pose(head=(1.0, 1.0), hip=(1.0, 1.0))
         with pytest.raises(DegeneratePose):
             calibration_scale([pose])
+        # The 31st frame is past the window, so it cannot rescue the scale.
+        poses = [make_pose(frame_id=i, head=(1.0, 1.0), hip=(1.0, 1.0)) for i in range(30)]
+        with pytest.raises(DegeneratePose):
+            list(classify_sequence([*poses, make_pose(frame_id=30)], ClassifierConfig()))
 
     def test_classify_sequence_uses_fixed_scale_when_configured(self):
         config = ClassifierConfig(normalization=Normalization.FIXED_PIXELS,
@@ -355,6 +366,65 @@ class TestCalibrationScale:
     def test_classify_sequence_rejects_empty_input(self, normalization):
         with pytest.raises(EmptyInput):
             list(classify_sequence([], ClassifierConfig(normalization=normalization)))
+
+
+# --- classify_sequence against the per-pose path ---------------------------------
+
+
+def per_pose(poses, config):
+    """The decisions of ``classify`` pose by pose, at the scale of the
+    largest head-to-hip distance of the first 30 poses."""
+    if config.normalization is Normalization.FIXED_PIXELS:
+        scale = 1.0
+    else:
+        scale = max(euclidean(p[JointId.HEAD], p[JointId.HIP]) for p in poses[:30])
+        assert calibration_scale(poses) == scale
+    return [(p.frame_id, classify(p, config, scale)) for p in poses]
+
+
+def mixed_poses(count):
+    """``count`` jittered synthetic poses, the four classes interleaved."""
+    frames = generate(SynthConfig(seed=6, frames_per_class=16, jitter_stddev_ratio=0.1))
+    order = np.random.default_rng(6).permutation(len(frames))
+    return [frames[i][0] for i in order[:count]]
+
+
+class TestClassifySequence:
+    @pytest.mark.parametrize("count", [1, 29, 30, 31, 61])
+    @pytest.mark.parametrize("normalization", list(Normalization))
+    def test_matches_the_per_pose_path(self, count, normalization):
+        poses = mixed_poses(count)
+        config = ClassifierConfig(normalization=normalization, rule1_threshold_ratio=0.6,
+                                  rule2_bias_ratio=0.1)
+        if normalization is Normalization.FIXED_PIXELS:
+            config = ClassifierConfig(normalization=normalization, rule1_threshold_ratio=180.0,
+                                      rule2_bias_ratio=15.0)
+        rows = list(classify_sequence(poses, config))
+        assert rows == per_pose(poses, config)
+        assert [fid for fid, _ in rows] == [p.frame_id for p in poses]
+        if count == 61:  # the rules and both outcomes of each are exercised
+            for flag in ("rule1_fired", "rule2_applied"):
+                assert {getattr(d, flag) for _, d in rows} == {True, False}
+
+    @pytest.mark.parametrize("normalization", list(Normalization))
+    def test_overflow_after_the_first_block(self, normalization):
+        # Poses are classified 30 at a time: the error of pose 45 comes
+        # after the decisions of the first block and before any of its own.
+        poses = mixed_poses(61)
+        bad = make_pose(frame_id=poses[45].frame_id, head=(1e308, -300.0),
+                        left_wrist=(-1e308, -40.0), right_wrist=(-1e308, -40.0))
+        poses[45] = bad
+        config = ClassifierConfig(normalization=normalization)
+        expected = per_pose(poses[:30], config)
+        scale = 1.0 if normalization is Normalization.FIXED_PIXELS else calibration_scale(poses)
+        with pytest.raises(EvaluationError) as per_pose_error:
+            classify(bad, config, scale)
+        rows = classify_sequence(poses, config)
+        assert [next(rows) for _ in range(30)] == expected
+        with pytest.raises(EvaluationError) as raised:
+            next(rows)
+        assert str(raised.value) == str(per_pose_error.value)
+        assert str(raised.value).startswith(f"frame {bad.frame_id}: ")
 
 
 @given(values=st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False), min_size=4, max_size=4))

@@ -1,3 +1,5 @@
+import ast
+import builtins
 import dataclasses
 import importlib.util
 import json
@@ -13,6 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+import htks.classifier
+import htks.formats
+import htks.pipeline
 from htks import (
     LABEL_ORDER,
     ClassifierConfig,
@@ -285,6 +290,43 @@ class TestReportCommand:
         assert caught == []
         captured = capsys.readouterr()
         assert "must be below 2**63" in captured.err and captured.out == ""
+
+
+# Inputs a reader once met with a traceback; each is a documented exit now.
+_HUGE_INT = "1" + "0" * 400  # an int, but too big for a float
+_TOO_MANY_DIGITS = "1" + "0" * 5000  # past Python's 4300-digit int parsing limit
+
+
+@pytest.mark.parametrize("command", ["classify", "run"])
+@pytest.mark.parametrize("text", [
+    f"classifier:\n  rule1_threshold_ratio: {_HUGE_INT}\n",
+    f"classifier:\n  rule2_bias_ratio: -{_HUGE_INT}\n",
+    "[" * 3000 + "]" * 3000 + "\n",
+    "a: " + "{a: " * 3000 + "1" + "}" * 3000 + "\n",
+    f"rule1_threshold_ratio: {_TOO_MANY_DIGITS}\n",
+    "rule1_threshold_ratio: 2001-13-45\n",
+], ids=["huge-ratio", "huge-bias", "deep-list", "deep-map", "5001-digits", "bad-date"])
+def test_unreadable_config_is_config_error(corpus, tmp_path, capsys, command, text):
+    poses_path, _ = corpus
+    config_path = tmp_path / "config.yaml"
+    config_path.write_text(text, encoding="utf-8")
+    if command == "classify":
+        out = ["--out", str(tmp_path / "d.csv")]
+    else:
+        out = ["--out-dir", str(tmp_path / "out")]
+    assert main([command, "--config", str(config_path), "--poses", str(poses_path), *out]) == 3
+    assert "config error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 200_000 + "]" * 200_000,
+    '{"counts": [[%s, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}' % _TOO_MANY_DIGITS,
+], ids=["deep", "5001-digits"])
+def test_unreadable_report_json_is_parse_error(tmp_path, capsys, text):
+    path = tmp_path / "report.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["report", "--report", str(path)]) == 2
+    assert f"parse error: {path}: invalid JSON: " in capsys.readouterr().err
 
 
 class TestRunCommand:
@@ -647,6 +689,39 @@ class TestPipelineApi:
         fixed = ClassifierConfig(normalization=Normalization.FIXED_PIXELS)
         assert len(list(islice(classify_sequence(endless(), fixed), 5))) == 5
 
+    def test_sequence_is_decided_in_blocks_of_30(self, monkeypatch):
+        # One core call per block of up to 30 poses, not one per pose.
+        calls = []
+
+        def counting(frame_ids, *args):
+            calls.append(len(frame_ids))
+            return decide(frame_ids, *args)
+
+        decide = htks.classifier._decide
+        monkeypatch.setattr(htks.classifier, "_decide", counting)
+        monkeypatch.setattr(htks.pipeline, "_decide", counting)
+        poses = [make_pose(frame_id=i) for i in range(61)]
+        assert len(list(classify_sequence(poses, ClassifierConfig()))) == 61
+        assert calls == [30, 30, 1]
+
+    @pytest.mark.parametrize("command", ["classify", "run"])
+    def test_pose_file_is_opened_once(self, corpus, tmp_path, monkeypatch, command):
+        poses_path, labels_path = corpus
+        opened = []
+
+        def recording(path, *args, **kwargs):
+            opened.append(Path(path))
+            return builtins.open(path, *args, **kwargs)
+
+        monkeypatch.setattr(htks.formats, "open", recording, raising=False)
+        if command == "classify":
+            argv = ["classify", "--poses", str(poses_path), "--out", str(tmp_path / "d.csv")]
+        else:
+            argv = ["run", "--poses", str(poses_path), "--labels", str(labels_path),
+                    "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert opened.count(poses_path) == 1
+
     def test_run_pipeline_validates_paths_before_processing(self, tmp_path):
         from htks import ConfigError
 
@@ -680,6 +755,24 @@ def test_every_public_name_exists():
         assert missing == [], info.name
 
 
+def test_no_module_imports_a_name_it_never_uses():
+    """No linter is installed, so this is the unused-import check: every
+    name a module imports at its top level is read somewhere in it."""
+    for path in sorted((Path(htks.formats.__file__).parent).glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert sorted(imported - read) == [], path.name
+
+
 def test_benchmark_traced_names_exist():
     """The benchmark tracer skips a name the package no longer has, which
     would silently zero that layer's metrics."""
@@ -698,4 +791,14 @@ def test_benchmark_traced_names_exist():
     # re-parse layer is meant to read zero. evaluate_decisions tallies index
     # arrays with evaluation._tally, not build_confusion, so the tracer's
     # evaluation.pairs count reads zero until the tracer wraps the tally.
-    assert missing == {("htks.pipeline", "iter_decisions"), ("htks.pipeline", "build_confusion")}
+    # Pose files and pose streams are classified in chunks by
+    # pipeline._classify_chunks, which calibrates on the chunks it is given:
+    # pipeline neither re-reads the calibration window with iter_poses nor
+    # classifies pose by pose, so the read_poses and classify layers read
+    # zero until the tracer wraps that generator.
+    assert missing == {
+        ("htks.pipeline", "iter_decisions"),
+        ("htks.pipeline", "build_confusion"),
+        ("htks.pipeline", "iter_poses"),
+        ("htks.pipeline", "classify"),
+    }

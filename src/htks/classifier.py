@@ -109,6 +109,11 @@ class ClassifierConfig:
     normalization: Normalization = Normalization.CALIBRATION_FRAME
 
     def __post_init__(self):
+        for name in ("rule1_threshold_ratio", "rule2_bias_ratio"):
+            try:
+                object.__setattr__(self, name, float(getattr(self, name)))
+            except OverflowError:
+                raise ConfigError(f"{name} is too large to be a float") from None
         if not (isfinite(self.rule1_threshold_ratio) and self.rule1_threshold_ratio > 0):
             raise ConfigError(
                 f"rule1_threshold_ratio must be > 0, got {self.rule1_threshold_ratio!r}"

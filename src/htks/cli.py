@@ -13,14 +13,13 @@ from itertools import chain, repeat, starmap
 from pathlib import Path
 
 import click
-import numpy as np
 
 from .classifier import ClassifierConfig, Normalization
 from .errors import ConfigError, EvaluationError, HtksError, ParseError
 from .evaluation import compare_reports, format_report
 from .formats import (
-    iter_decisions,
     load_classifier_config,
+    load_decisions,
     load_labels,
     load_report_json,
     load_script,
@@ -33,11 +32,11 @@ from .formats import (
     _all_or_none,
     _pose_chunks,
 )
-from .game import score_session
 from .pipeline import (
     REPORT_FORMATS,
     RunConfig,
     _classify_chunks,
+    _score_decisions,
     evaluate_decisions,
     load_run_settings,
     run_pipeline,
@@ -152,9 +151,7 @@ def evaluate(decisions_path, labels_path, out_json, out_text, style):
     for description, candidate in (("decisions", decisions_path), ("labels", labels_path)):
         if not candidate.is_file():
             raise ConfigError(f"{description} file does not exist: {candidate}")
-    rows = [(fid, LABEL_ORDER.index(d.label)) for fid, d in iter_decisions(decisions_path)]
-    decided = np.array(rows, np.int64).reshape(-1, 2).T
-    rep, skipped = evaluate_decisions(tuple(decided), load_labels(labels_path))
+    rep, skipped = evaluate_decisions(load_decisions(decisions_path), load_labels(labels_path))
     if skipped:
         click.echo(f"note: {skipped} frames had no ground truth and were skipped", err=True)
     click.echo(format_report(rep, style=style), nl=False)
@@ -178,11 +175,7 @@ def score(decisions_path, script_path, out_json, config_path):
             raise ConfigError(f"{description} file does not exist: {candidate}")
     tie_break_order = _load_classifier(config_path).tie_break_order
     script = load_script(script_path)
-    result = score_session(
-        script,
-        ((frame_id, d.label) for frame_id, d in iter_decisions(decisions_path)),
-        tie_break_order,
-    )
+    result = _score_decisions(script, load_decisions(decisions_path), tie_break_order)
     for index, outcome in enumerate(result.per_trial):
         observed = outcome.observed_part.value if outcome.observed_part else "undecided"
         status = "correct" if outcome.correct else "wrong"

@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 import yaml
 
-from .classifier import ClassifierConfig, DistanceProfile, FrameDecision
+from .classifier import ClassifierConfig, DistanceProfile
 from .errors import ConfigError, EmptyScript, ParseError
 from .evaluation import ConfusionMatrix, EvalReport, format_report, report
 from .game import PartMapping, SessionScript, SessionResult, Trial, DEFAULT_PART_MAPPING
@@ -61,7 +61,7 @@ __all__ = [
     "load_classifier_config",
     "write_classifier_config",
     "write_decisions",
-    "iter_decisions",
+    "load_decisions",
     "report_to_dict",
     "write_report_json",
     "load_report_json",
@@ -676,10 +676,11 @@ def classifier_config_from_dict(data: dict) -> ClassifierConfig:
     if unknown:
         raise ConfigError(f"unknown classifier config keys: {', '.join(sorted(unknown))}")
     kwargs: dict = {}
-    if "rule1_threshold_ratio" in data:
-        kwargs["rule1_threshold_ratio"] = _as_number(data["rule1_threshold_ratio"], "rule1_threshold_ratio")
-    if "rule2_bias_ratio" in data:
-        kwargs["rule2_bias_ratio"] = _as_number(data["rule2_bias_ratio"], "rule2_bias_ratio")
+    for key in ("rule1_threshold_ratio", "rule2_bias_ratio"):
+        if key in data:
+            if isinstance(data[key], bool) or not isinstance(data[key], (int, float)):
+                raise ConfigError(f"{key} must be a number, got {data[key]!r}")
+            kwargs[key] = data[key]
     for key in ("enable_rule1", "enable_rule2"):
         if key in data:
             if not isinstance(data[key], bool):
@@ -693,15 +694,6 @@ def classifier_config_from_dict(data: dict) -> ClassifierConfig:
     if "normalization" in data:
         kwargs["normalization"] = data["normalization"]
     return ClassifierConfig(**kwargs)
-
-
-def _as_number(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(f"{name} is too large to be a float") from None
 
 
 def load_classifier_config(path) -> ClassifierConfig:
@@ -735,19 +727,15 @@ def _load_yaml(path):
 # per-frame decisions (CSV)
 
 
-def _bool_str(value: bool) -> str:
-    return "true" if value else "false"
-
-
 # The ``label,rule1_fired,rule2_applied,tie_broken`` fields of a decisions
 # row, indexed by ``((label * 2 + rule1) * 2 + rule2) * 2 + tied`` with the
 # label as its LABEL_ORDER index.
 _DECISION_FIELDS = tuple(
-    f"{label.value},{_bool_str(rule1)},{_bool_str(rule2)},{_bool_str(tied)}"
+    f"{label.value},{rule1},{rule2},{tied}"
     for label in LABEL_ORDER
-    for rule1 in (False, True)
-    for rule2 in (False, True)
-    for tied in (False, True)
+    for rule1 in ("false", "true")
+    for rule2 in ("false", "true")
+    for tied in ("false", "true")
 )
 _DECISION_TEXT = np.array([f",{fields}," for fields in _DECISION_FIELDS], "S")
 _DECISION_TEXT = _DECISION_TEXT.view(np.uint8).reshape(len(_DECISION_FIELDS), -1).T
@@ -774,15 +762,12 @@ def write_decisions(path, chunks: Iterable[tuple[np.ndarray, tuple]]) -> int:
     return written
 
 
-def _parse_bool(token: str, path, line_no: int) -> bool:
-    if token == "true":
-        return True
-    if token == "false":
-        return False
-    raise ParseError(f"expected true/false, got {token!r}", path, line_no)
-
-
-def iter_decisions(path) -> Iterator[tuple[int, FrameDecision]]:
+def load_decisions(path) -> tuple[np.ndarray, np.ndarray]:
+    """A decisions CSV as ``(frame_ids int64, labels int8)`` arrays in file
+    order, labels as LABEL_ORDER indices, as ``load_labels`` returns. Every
+    row is checked, in order: nine fields, the frame id, the class, three
+    flags, four distances finite and >= 0, and rule 1 fired only on toes."""
+    frame_ids, labels = [], []
     with open(path, "r", encoding="utf-8") as fh:
         lines = _text_lines(fh, path)
         first = next(lines, "").rstrip("\n")
@@ -795,23 +780,23 @@ def iter_decisions(path) -> Iterator[tuple[int, FrameDecision]]:
             fields = line.split(",")
             if len(fields) != 9:
                 raise ParseError(f"expected 9 fields, got {len(fields)}", path, line_no)
-            frame_id = _frame_id(fields[0], path, line_no)
+            frame_ids.append(_frame_id(fields[0], path, line_no))
+            label = _LABEL_INDEX.get(fields[1])
+            if label is None:
+                raise ParseError(f"unknown class name: {fields[1]!r}", path, line_no)
+            for flag in fields[2:5]:
+                if flag != "true" and flag != "false":
+                    raise ParseError(f"expected true/false, got {flag!r}", path, line_no)
             try:
-                label = TouchLabel(fields[1])
-            except ValueError:
-                raise ParseError(f"unknown class name: {fields[1]!r}", path, line_no) from None
-            rule1 = _parse_bool(fields[2], path, line_no)
-            rule2 = _parse_bool(fields[3], path, line_no)
-            tied = _parse_bool(fields[4], path, line_no)
-            try:
-                profile = DistanceProfile(*(float(v) for v in fields[5:9]))
+                distances = [float(value) for value in fields[5:]]
+                if not all(0.0 <= value < np.inf for value in distances):
+                    DistanceProfile(*distances)  # raises with the class's own message
             except ValueError as exc:
                 raise ParseError(f"bad distances: {exc}", path, line_no) from None
-            try:
-                decision = FrameDecision(label, profile, rule1, rule2, tied)
-            except ValueError as exc:
-                raise ParseError(str(exc), path, line_no) from None
-            yield frame_id, decision
+            if fields[2] == "true" and label != _LABEL_INDEX[TouchLabel.TOES.value]:
+                raise ParseError("rule 1 can only ever conclude toes", path, line_no)
+            labels.append(label)
+    return np.array(frame_ids, np.int64), np.array(labels, np.int8)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 The stage commands communicate only through the documented file formats,
 so any stage can be re-run in isolation from the artifacts of the previous
-one. ``run_pipeline`` classifies once and evaluates and scores from the
-labels it kept in memory, never reading ``decisions.csv`` back: arrays of
-int64 frame ids and int8 LABEL_ORDER indices, like its ground truth.
+one. Decisions and ground truth travel as arrays of int64 frame ids and
+int8 LABEL_ORDER indices. ``run_pipeline`` keeps the labels it classifies
+and never reads ``decisions.csv`` back; ``htks evaluate`` and ``htks
+score`` read it with ``load_decisions`` into the same arrays.
 
 Pose files and pose streams are classified by one generator,
 ``_classify_chunks``: it calibrates on the opening frames of
@@ -35,7 +36,7 @@ from .classifier import (
     _frame_decisions,
     calibration_scale,
 )
-from .errors import ConfigError, EmptyInput
+from .errors import ConfigError, EmptyInput, ParseError
 from .evaluation import EvalReport, _tally, report
 from .formats import (
     load_labels,
@@ -121,20 +122,24 @@ def _classify_chunks(chunks: Iterable, config: ClassifierConfig, kept: Optional[
     as ``write_decisions`` takes them; ``kept`` gets each ``(frame_ids, labels)``.
 
     The scale comes from the first ``CALIBRATION_WINDOW`` frames of the
-    chunks, read before any chunk is decided; under fixed pixels it is 1.0
-    and only the first chunk is read ahead. A stream with no frames raises
-    EmptyInput under either normalization.
+    chunks, read before any chunk is decided (under fixed pixels it is 1.0
+    and only the first chunk is read ahead); a ParseError among them is
+    raised after the frames before it, in file order. A stream with no
+    frames raises EmptyInput under either normalization.
     """
     chunks = iter(chunks)
     fixed = config.normalization is Normalization.FIXED_PIXELS
-    opening, frames = [], 0
-    for chunk in chunks:
-        opening.append(chunk)
-        frames += len(chunk[0])
-        if frames >= (1 if fixed else CALIBRATION_WINDOW):
-            break
+    opening, frames, error = [], 0, None
+    try:
+        for chunk in chunks:
+            opening.append(chunk)
+            frames += len(chunk[0])
+            if frames >= (1 if fixed else CALIBRATION_WINDOW):
+                break
+    except ParseError as exc:
+        error, chunks = exc, ()
     if not frames:
-        raise EmptyInput("pose sequence contains no frames")
+        raise error or EmptyInput("pose sequence contains no frames")
     if fixed:
         scale = 1.0
     else:
@@ -146,6 +151,8 @@ def _classify_chunks(chunks: Iterable, config: ClassifierConfig, kept: Optional[
         if kept is not None:
             kept.append((frame_ids, decisions[0]))
         yield frame_ids, decisions
+    if error is not None:
+        raise error
 
 
 def evaluate_decisions(
@@ -171,6 +178,12 @@ def evaluate_decisions(
     if skipped:
         log.warning("skipped %d frames with no ground truth", skipped)
     return rep, skipped
+
+
+def _score_decisions(script, decided: tuple, tie_break_order) -> SessionResult:
+    """Score ``script`` against decided ``(frame_ids, labels)`` index arrays."""
+    pairs = zip(decided[0].tolist(), map(LABEL_ORDER.__getitem__, decided[1].tolist()))
+    return score_session(script, pairs, tie_break_order)
 
 
 def load_run_settings(path) -> dict:
@@ -256,8 +269,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             log.info("overall accuracy %.2f -> %s", rep.overall_accuracy, result.report_path)
 
         if script is not None:
-            pairs = zip(decided[0].tolist(), map(LABEL_ORDER.__getitem__, decided[1].tolist()))
-            session = score_session(script, pairs, config.classifier.tie_break_order)
+            session = _score_decisions(script, decided, config.classifier.tie_break_order)
             result.session = session
             result.session_path = out_dir / "session.json"
             output(write_session_json, result.session_path, session)

@@ -308,6 +308,8 @@ class TestClassifierConfig:
         {"tie_break_order": (H, H, K, T)},
         {"tie_break_order": (H, S, K)},
         {"normalization": "nope"},
+        {"rule1_threshold_ratio": 10**400},  # an int too big for a float
+        {"rule2_bias_ratio": 10**400},
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):

@@ -1,5 +1,6 @@
 import ast
 import builtins
+import csv
 import dataclasses
 import importlib.util
 import json
@@ -31,8 +32,8 @@ from htks import (
 )
 from htks.cli import main
 from htks.formats import (
-    iter_decisions,
     iter_poses,
+    load_decisions,
     load_labels,
     write_labels,
     write_poses,
@@ -42,7 +43,7 @@ from htks.pipeline import RunConfig, classify_sequence, run_pipeline
 from htks.synth import _BLOCK_FRAMES, generate_frames
 
 from conftest import DEFAULT_COORDS, make_pose
-from test_formats import LABEL_FILE_BYTES, label_pairs
+from test_formats import DECISIONS_FILE_BYTES, LABEL_FILE_BYTES, label_pairs
 
 H, S, K, T = TouchLabel.HEAD, TouchLabel.SHOULDERS, TouchLabel.KNEES, TouchLabel.TOES
 
@@ -126,16 +127,19 @@ class TestClassifyCommand:
         out = tmp_path / "decisions.csv"
         code = main(["classify", "--poses", str(poses_path), "--out", str(out)])
         assert code == 0
-        rows = list(iter_decisions(out))
-        assert len(rows) == 40
-        assert [fid for fid, _ in rows] == list(range(40))
+        ids, labels = load_decisions(out)
+        assert len(ids) == len(labels) == 40
+        assert ids.tolist() == list(range(40))
 
     def test_rule_overrides(self, corpus, tmp_path):
         poses_path, _ = corpus
         out = tmp_path / "decisions.csv"
         assert main(["classify", "--poses", str(poses_path), "--out", str(out),
                      "--no-rule1", "--no-rule2"]) == 0
-        assert not any(d.rule1_fired or d.rule2_applied for _, d in iter_decisions(out))
+        with open(out, encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 40
+        assert not any("true" in (row["rule1_fired"], row["rule2_applied"]) for row in rows)
 
     def test_missing_pose_file_is_config_error(self, tmp_path):
         code = main(["classify", "--poses", str(tmp_path / "absent.txt"),
@@ -350,12 +354,12 @@ class TestRunCommand:
         for name in ("decisions.csv", "report.json", "report.txt", "session.json"):
             assert (out_dir / name).is_file()
         # session totals must agree with an external recount from the file
-        rows = list(iter_decisions(out_dir / "decisions.csv"))
+        ids, labels = load_decisions(out_dir / "decisions.csv")
         session = json.loads((out_dir / "session.json").read_text(encoding="utf-8"))
-        by_frame = dict(rows)
+        by_frame = dict(zip(ids.tolist(), [LABEL_ORDER[index] for index in labels.tolist()]))
         recount = 0
         for trial, required in ((Trial(T, 0, 9), H), (Trial(K, 10, 19), S)):
-            window = [by_frame[f].label for f in range(trial.start_frame, trial.end_frame + 1)
+            window = [by_frame[f] for f in range(trial.start_frame, trial.end_frame + 1)
                       if f in by_frame]
             top = max(set(window), key=window.count)
             recount += top is required
@@ -602,10 +606,13 @@ def _break_line(poses_path, frame: int, bad: bytes) -> None:
 
 # A pose file is read in chunks, but its errors still come in file order:
 # a ParseError from a later line never replaces an earlier frame's error,
-# whether the two lie in one chunk or in two.
+# whether the two lie in one chunk or in two, or in the calibration window
+# that is read ahead of deciding any frame.
 @pytest.mark.parametrize("command", ["classify", "run"])
 @pytest.mark.parametrize("case, expected", [
     ("degenerate-calibration-then-bad-line-100", 4),
+    ("degenerate-calibration-then-bad-line-10", 4),
+    ("overflow-at-10-then-bad-line-20", 4),
     ("overflow-at-10-then-bad-line-100", 4),
     ("overflow-at-10-then-bad-line-300", 4),
     ("overflow-at-10-then-bad-byte-200", 4),
@@ -651,6 +658,24 @@ def test_evaluate_exit_code_for_any_labels_bytes(decisions_csv, data):
     labels.write_bytes(data)
     code = main(["evaluate", "--decisions", str(decisions_csv), "--labels", str(labels)])
     assert code in {0, 2, 3, 4}
+
+
+@pytest.fixture(scope="module")
+def stage_inputs(tmp_path_factory):
+    """A decisions path, and labels and a two-trial script for frames 0-7."""
+    root = tmp_path_factory.mktemp("stage")
+    labels, script = root / "labels.txt", root / "script.txt"
+    write_labels(labels, ((frame_id, LABEL_ORDER[frame_id % 4]) for frame_id in range(8)))
+    write_script(script, SessionScript(trials=(Trial(H, 0, 3), Trial(T, 4, 7))))
+    return root / "decisions.csv", labels, script
+
+
+@given(data=DECISIONS_FILE_BYTES)
+def test_evaluate_and_score_exit_code_for_any_decisions_bytes(stage_inputs, data):
+    decisions, labels, script = stage_inputs
+    decisions.write_bytes(data)
+    for command, option, path in (("evaluate", "--labels", labels), ("score", "--script", script)):
+        assert main([command, "--decisions", str(decisions), option, str(path)]) in {0, 2, 3, 4}
 
 
 def test_run_memory_grows_by_at_most_48_bytes_per_frame(tmp_path):
@@ -771,6 +796,32 @@ def test_no_module_imports_a_name_it_never_uses():
         }
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert sorted(imported - read) == [], path.name
+
+
+def test_no_private_module_name_is_unused():
+    """Every ``_private`` name a module of ``src/htks`` defines at its top
+    level is read somewhere in the package outside its own definition."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(htks.formats.__file__).parent.glob("*.py")}
+    defined, read = set(), set()
+    for module, tree in trees.items():
+        for statement in tree.body:
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                bound = {statement.name}
+            else:
+                bound = {node.id for node in ast.walk(statement)
+                         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+            defined.update((module, name) for name in bound
+                           if name.startswith("_") and not name.startswith("__"))
+            # An import of the name, an attribute or a plain read counts.
+            for node in ast.walk(statement):
+                if isinstance(node, ast.alias):
+                    read.add(node.name)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, ast.Name) and node.id not in bound:
+                    read.add(node.id)
+    assert sorted(f"{module}:{name}" for module, name in defined if name not in read) == []
 
 
 def test_benchmark_traced_names_exist():

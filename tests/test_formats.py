@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
@@ -38,11 +39,12 @@ from htks.formats import (
     _pose_chunks,
     _rows_text,
     _shortest,
+    _text_lines,
     classifier_config_from_dict,
     classifier_config_to_dict,
-    iter_decisions,
     iter_poses,
     load_classifier_config,
+    load_decisions,
     load_labels,
     load_report_json,
     load_script,
@@ -947,6 +949,121 @@ class TestClassifierConfigFile:
             load_classifier_config(tmp_path / "nope.yaml")
 
 
+def iter_decisions_by_line(path):
+    """The per-row decisions reader ``load_decisions`` replaced, kept as the
+    reference it is checked against: ``(frame_id, FrameDecision)`` rows."""
+
+    def parse_bool(token, line_no):
+        if token == "true":
+            return True
+        if token == "false":
+            return False
+        raise ParseError(f"expected true/false, got {token!r}", path, line_no)
+
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = _text_lines(fh, path)
+        first = next(lines, "").rstrip("\n")
+        if first != DECISIONS_HEADER:
+            raise ParseError(f"bad decisions header: {first!r}", path, 1)
+        for line_no, raw in enumerate(lines, start=2):
+            line = raw.strip()
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) != 9:
+                raise ParseError(f"expected 9 fields, got {len(fields)}", path, line_no)
+            frame_id = _frame_id(fields[0], path, line_no)
+            try:
+                label = TouchLabel(fields[1])
+            except ValueError:
+                raise ParseError(f"unknown class name: {fields[1]!r}", path, line_no) from None
+            rule1, rule2, tied = (parse_bool(token, line_no) for token in fields[2:5])
+            try:
+                profile = DistanceProfile(*(float(v) for v in fields[5:9]))
+            except ValueError as exc:
+                raise ParseError(f"bad distances: {exc}", path, line_no) from None
+            try:
+                decision = FrameDecision(label, profile, rule1, rule2, tied)
+            except ValueError as exc:
+                raise ParseError(str(exc), path, line_no) from None
+            yield frame_id, decision
+
+
+def assert_same_decisions(path):
+    """``load_decisions`` returns the reference reader's ids and labels or
+    raises its ParseError: same message, path and line."""
+    try:
+        expected = [(frame_id, LABEL_ORDER.index(decision.label))
+                    for frame_id, decision in iter_decisions_by_line(path)]
+        expected_error = None
+    except ParseError as exc:
+        expected, expected_error = None, exc
+    try:
+        ids, labels = load_decisions(path)
+        assert (ids.dtype, labels.dtype) == (np.int64, np.int8)
+        rows, error = list(zip(ids.tolist(), labels.tolist())), None
+    except ParseError as exc:
+        rows, error = None, exc
+    assert rows == expected
+    if expected_error is None:
+        assert error is None
+    else:
+        assert (str(error), error.path, error.line_no) == (
+            str(expected_error), expected_error.path, expected_error.line_no)
+    return rows, error
+
+
+# Decisions files for the reader property: rows as ``write_decisions``
+# spells them, some with one token mutated (a field missing or extra, an id
+# or class or flag off the grammar, rule 1 on a non-toes row, a distance
+# that is not finite and >= 0 or not a number), blank lines, a bad header,
+# and a non-UTF-8 byte anywhere.
+_DECISION_KIND = st.sampled_from(
+    ["valid"] * 12 + ["blank", "fields", "id", "class", "flag", "rule1", "distance"])
+_FLAG = st.sampled_from(["true", "false"])
+_BAD_DISTANCE = st.sampled_from(
+    ["nan", "inf", "1e400", "-1.0", "x", "-inf", "-0.0", "1_0", " 2.5", "", "\u0663"])
+
+
+@st.composite
+def decisions_file_bytes(draw):
+    header = draw(st.sampled_from(
+        [DECISIONS_HEADER] * 9 + [DECISIONS_HEADER + ",x", DECISIONS_HEADER.upper(), ""]))
+    lines = [header]
+    for frame_id in range(draw(st.integers(0, 10))):
+        kind, label = draw(_DECISION_KIND), draw(_CLASS_NAME)
+        rule1 = draw(_FLAG) if label == "toes" else "false"
+        distances = [repr(draw(st.floats(0.0, 1e300))) for _ in range(4)]
+        fields = [str(frame_id), label, rule1, draw(_FLAG), draw(_FLAG), *distances]
+        if kind == "blank":
+            fields = [draw(st.sampled_from(["", "   ", "\t"]))]
+        elif kind == "fields" and draw(st.booleans()):
+            fields.pop(draw(st.integers(0, 8)))
+        elif kind == "fields":
+            fields.insert(draw(st.integers(0, 9)), draw(st.sampled_from(["", "1.0", "true"])))
+        elif kind == "id":
+            fields[0] = draw(st.sampled_from(
+                ["+4", "1_0", "\u0663", str(2**63), str(2**63 - 1), "-1", "", "007"]))
+        elif kind == "class":
+            fields[1] = draw(st.sampled_from(["Toes", "elbows", "", "head ", "TOES"]))
+        elif kind == "flag":
+            fields[draw(st.integers(2, 4))] = draw(st.sampled_from(["True", "1", "", "yes"]))
+        elif kind == "rule1":
+            fields[1:3] = [draw(st.sampled_from(["head", "shoulders", "knees"])), "true"]
+        elif kind == "distance":
+            fields[draw(st.integers(5, 8))] = draw(_BAD_DISTANCE)
+        lines.append(",".join(fields))
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    data = (newline.join(lines) + newline).encode("utf-8")
+    if draw(st.integers(0, 5)) == 0:
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data
+
+
+DECISIONS_FILE_BYTES = st.one_of(st.binary(max_size=120), decisions_file_bytes())
+
+
 def decision_chunk(rows):
     """``(frame_id, FrameDecision)`` rows as the one chunk of arrays
     ``write_decisions`` takes."""
@@ -972,7 +1089,10 @@ class TestDecisionsFile:
         ]
         path = tmp_path / "decisions.csv"
         write_decisions(path, [decision_chunk(rows)])
-        assert list(iter_decisions(path)) == rows
+        assert list(iter_decisions_by_line(path)) == rows
+        ids, labels = load_decisions(path)
+        assert (ids.dtype, labels.dtype) == (np.int64, np.int8)
+        assert (ids.tolist(), labels.tolist()) == ([0, 1, 5], [3, 1, 0])
 
     # Every label and flag combination, ids up to 2**63 - 1, distances of
     # 0.0, 1e-7 and 1e300 among random ones, in one chunk either side of
@@ -1015,11 +1135,41 @@ class TestDecisionsFile:
             4 * min(512, rows - start) for start in range(0, rows, 512)]
         assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
+    @given(data=decisions_file_bytes())
+    def test_same_rows_and_errors_as_the_per_row_reader(self, scratch_dir, data):
+        path = scratch_dir / "decisions.csv"
+        path.write_bytes(data)
+        assert_same_decisions(path)
+
+    # Each rule, its message and line, on the third line of a file.
+    @pytest.mark.parametrize("row, message", [
+        ("0,head,false,false,false,1,2,3", "expected 9 fields, got 8"),
+        ("0,head,false,false,false,1,2,3,4,5", "expected 9 fields, got 10"),
+        ("+4,head,false,false,false,1,2,3,4", "frame id must be ASCII digits"),
+        (f"{2**63},head,false,false,false,1,2,3,4", "frame id must be ASCII digits"),
+        ("0,elbows,false,false,false,1,2,3,4", "unknown class name: 'elbows'"),
+        ("0,toes,True,false,false,1,2,3,4", "expected true/false, got 'True'"),
+        ("0,toes,false,false,1,1,2,3,4", "expected true/false, got '1'"),
+        ("0,head,true,false,false,1,2,3,4", "rule 1 can only ever conclude toes"),
+        ("0,head,false,false,false,nan,2,3,4", "bad distances: d_head must be finite"),
+        ("0,head,false,false,false,1,inf,3,4", "bad distances: d_shoulders must be finite"),
+        ("0,head,false,false,false,1,2,1e400,4", "bad distances: d_knees must be finite"),
+        ("0,head,false,false,false,1,2,3,-1.0", "bad distances: d_ankles must be finite"),
+        ("0,head,false,false,false,x,2,3,4", "bad distances: could not convert"),
+    ])
+    def test_each_rule_names_its_line(self, tmp_path, row, message):
+        path = tmp_path / "decisions.csv"
+        write_lines(path, [DECISIONS_HEADER, "", row])
+        with pytest.raises(ParseError, match=re.escape(message)) as exc_info:
+            load_decisions(path)
+        assert (exc_info.value.path, exc_info.value.line_no) == (path, 3)
+        assert_same_decisions(path)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "decisions.csv"
         path.write_text("frame,stuff\n", encoding="utf-8")
         with pytest.raises(ParseError, match="header"):
-            list(iter_decisions(path))
+            load_decisions(path)
 
     def test_bad_label_rejected(self, tmp_path):
         path = tmp_path / "decisions.csv"
@@ -1029,7 +1179,7 @@ class TestDecisionsFile:
         text = path.read_text(encoding="utf-8").replace(",head,", ",hihat,")
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError, match="hihat"):
-            list(iter_decisions(path))
+            load_decisions(path)
 
 
 class TestReportJson:
@@ -1071,7 +1221,7 @@ class TestFrameIdGrammar:
             load = load_labels
         else:
             write_lines(path, [DECISIONS_HEADER, f"{token},head,false,true,false,1.0,2.0,3.0,4.0"])
-            load = lambda p: list(iter_decisions(p))  # noqa: E731
+            load = load_decisions
         with pytest.raises(ParseError, match="frame id") as exc_info:
             load(path)
         assert (exc_info.value.path, exc_info.value.line_no) == (path, 2)
@@ -1088,7 +1238,7 @@ class TestNonUtf8Input:
         (lambda p: list(iter_poses(p)), "# poses\n\n"),
         (load_labels, "# labels\n\n"),
         (load_script, "# script\n\n"),
-        (lambda p: list(iter_decisions(p)), DECISIONS_HEADER + "\n\n"),
+        (load_decisions, DECISIONS_HEADER + "\n\n"),
         (load_report_json, "{\n\n"),
     ], ids=["poses", "labels", "script", "decisions", "report_json"])
     def test_parse_error_names_path_and_line(self, tmp_path, loader, prefix):

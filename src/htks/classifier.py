@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 from math import isfinite
+from numbers import Real
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -109,7 +110,17 @@ class ClassifierConfig:
     normalization: Normalization = Normalization.CALIBRATION_FRAME
 
     def __post_init__(self):
-        for name in ("rule1_threshold_ratio", "rule2_bias_ratio"):
+        ratios = ("rule1_threshold_ratio", "rule2_bias_ratio")
+        for name in ratios:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        for name in ("enable_rule1", "enable_rule2"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be a boolean, got {getattr(self, name)!r}")
+        if not isinstance(self.tie_break_order, (list, tuple)):
+            raise ConfigError(f"tie_break_order must be a list, got {self.tie_break_order!r}")
+        for name in ratios:
             try:
                 object.__setattr__(self, name, float(getattr(self, name)))
             except OverflowError:

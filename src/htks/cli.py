@@ -238,7 +238,7 @@ def run(config_path, poses_path, labels_path, script_path, out_dir, style, **ove
         script_path=script_path or settings.get("script_path"),
         out_dir=out_dir or settings.get("out_dir") or Path("htks_out"),
         classifier=_merge_classifier(base, overrides),
-        report_format=style or settings.get("report_format") or "table",
+        report_format=style or settings.get("report_format", "table"),
     )
     result = run_pipeline(run_config)
     click.echo(f"decisions: {result.decisions_path} ({result.frames} frames)")
@@ -272,9 +272,6 @@ def main(argv=None) -> int:
     except click.exceptions.Exit as exc:
         return exc.exit_code
     except click.exceptions.Abort:
-        return 3
-    except click.UsageError as exc:
-        exc.show()
         return 3
     except click.ClickException as exc:
         exc.show()

@@ -35,6 +35,7 @@ import os
 import re
 import stat
 from contextlib import contextmanager, suppress
+from dataclasses import fields
 from functools import partial
 from itertools import count, dropwhile, islice
 from pathlib import Path
@@ -668,32 +669,8 @@ def classifier_config_to_dict(config: ClassifierConfig) -> dict:
 
 
 def classifier_config_from_dict(data: dict) -> ClassifierConfig:
-    if not isinstance(data, dict):
-        raise ConfigError(f"classifier config must be a mapping, got {type(data).__name__}")
-    defaults = ClassifierConfig()
-    known = set(classifier_config_to_dict(defaults))
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown classifier config keys: {', '.join(sorted(unknown))}")
-    kwargs: dict = {}
-    for key in ("rule1_threshold_ratio", "rule2_bias_ratio"):
-        if key in data:
-            if isinstance(data[key], bool) or not isinstance(data[key], (int, float)):
-                raise ConfigError(f"{key} must be a number, got {data[key]!r}")
-            kwargs[key] = data[key]
-    for key in ("enable_rule1", "enable_rule2"):
-        if key in data:
-            if not isinstance(data[key], bool):
-                raise ConfigError(f"{key} must be a boolean, got {data[key]!r}")
-            kwargs[key] = data[key]
-    if "tie_break_order" in data:
-        raw = data["tie_break_order"]
-        if not isinstance(raw, (list, tuple)):
-            raise ConfigError(f"tie_break_order must be a list, got {raw!r}")
-        kwargs["tie_break_order"] = raw
-    if "normalization" in data:
-        kwargs["normalization"] = data["normalization"]
-    return ClassifierConfig(**kwargs)
+    _known_keys(data, "classifier config", [f.name for f in fields(ClassifierConfig)])
+    return ClassifierConfig(**data)
 
 
 def load_classifier_config(path) -> ClassifierConfig:
@@ -708,6 +685,15 @@ def load_classifier_config(path) -> ClassifierConfig:
 def write_classifier_config(path, config: ClassifierConfig) -> None:
     with _output(path) as write:
         write(yaml.safe_dump({"classifier": classifier_config_to_dict(config)}, sort_keys=True))
+
+
+def _known_keys(data, name: str, known, keys_name: str | None = None) -> None:
+    """Raise ConfigError unless ``data`` is a dict whose keys are all in ``known``."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{name} must be a mapping, got {type(data).__name__}")
+    unknown = sorted(map(str, set(data) - set(known)))
+    if unknown:
+        raise ConfigError(f"unknown {keys_name or name} keys: {', '.join(unknown)}")
 
 
 def _load_yaml(path):

@@ -47,6 +47,7 @@ from .formats import (
     write_session_json,
     classifier_config_from_dict,
     _all_or_none,
+    _known_keys,
     _load_yaml,
     _make_output_dir,
     _pose_chunks,
@@ -197,22 +198,14 @@ def load_run_settings(path) -> dict:
     data = _load_yaml(path)
     if data is None:
         data = {}
-    if not isinstance(data, dict):
-        raise ConfigError(f"run config must be a mapping, got {type(data).__name__}")
-    unknown = set(data) - {"classifier", "paths", "report_format"}
-    if unknown:
-        raise ConfigError(f"unknown run config keys: {', '.join(sorted(unknown))}")
+    _known_keys(data, "run config", ("classifier", "paths", "report_format"))
     settings: dict = {}
     if "classifier" in data:
         settings["classifier"] = classifier_config_from_dict(data["classifier"])
     if "report_format" in data:
         settings["report_format"] = data["report_format"]
     paths = data.get("paths", {})
-    if not isinstance(paths, dict):
-        raise ConfigError(f"paths must be a mapping, got {type(paths).__name__}")
-    unknown = set(paths) - {"poses", "labels", "script", "out_dir"}
-    if unknown:
-        raise ConfigError(f"unknown path keys: {', '.join(sorted(unknown))}")
+    _known_keys(paths, "paths", ("poses", "labels", "script", "out_dir"), "path")
     base = Path(path).resolve().parent
     for file_key, settings_key in (
         ("poses", "poses_path"),

@@ -36,7 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, repeat
-from math import isfinite
+from numbers import Integral, Real
+from sys import float_info
 from typing import Iterator
 
 import numpy as np
@@ -62,16 +63,22 @@ class SynthConfig:
     frames_per_class: int = 100
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not (isfinite(self.torso_length) and self.torso_length > 0):
-            raise ValueError(f"torso_length must be > 0, got {self.torso_length!r}")
-        if not (isfinite(self.jitter_stddev_ratio) and self.jitter_stddev_ratio >= 0):
-            raise ValueError(
-                f"jitter_stddev_ratio must be >= 0, got {self.jitter_stddev_ratio!r}"
-            )
-        if self.frames_per_class < 1:
-            raise ValueError(f"frames_per_class must be >= 1, got {self.frames_per_class!r}")
+        seed, torso, jitter = self.seed, self.torso_length, self.jitter_stddev_ratio
+        frames = self.frames_per_class
+        if not (_is_a(Integral, seed) and seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        # A bound of float_info.max rejects nan, inf and ints too large for a float.
+        if not (_is_a(Real, torso) and 0 < torso <= float_info.max):
+            raise ValueError(f"torso_length must be a finite real > 0, got {torso!r}")
+        if not (_is_a(Real, jitter) and 0 <= jitter <= float_info.max):
+            raise ValueError(f"jitter_stddev_ratio must be a finite real >= 0, got {jitter!r}")
+        if not (_is_a(Integral, frames) and frames >= 1):
+            raise ValueError(f"frames_per_class must be an integer >= 1, got {frames!r}")
+
+
+def _is_a(kind, value) -> bool:
+    """``isinstance(value, kind)``, but a bool is not a number here."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 # Joint order used for the per-frame noise array.

@@ -310,6 +310,11 @@ class TestClassifierConfig:
         {"normalization": "nope"},
         {"rule1_threshold_ratio": 10**400},  # an int too big for a float
         {"rule2_bias_ratio": 10**400},
+        {"rule1_threshold_ratio": "0.5"},
+        {"rule2_bias_ratio": True},
+        {"enable_rule1": "no"},
+        {"enable_rule2": 0},
+        {"tie_break_order": "toes"},
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):

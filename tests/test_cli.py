@@ -1,8 +1,10 @@
 import ast
 import builtins
+import contextlib
 import csv
 import dataclasses
 import importlib.util
+import io
 import json
 import os
 import pkgutil
@@ -15,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import htks.classifier
 import htks.formats
@@ -322,6 +325,28 @@ def test_unreadable_config_is_config_error(corpus, tmp_path, capsys, command, te
     assert "config error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("classify", "1: 2\n", "unknown classifier config keys: 1"),
+    ("score", "1: 2\n", "unknown classifier config keys: 1"),
+    ("run", "1: 2\n", "unknown run config keys: 1"),
+    ("run", "paths: {1: x}\n", "unknown path keys: 1"),
+    ("run", "classifier: {1: 2, x: 3}\n", "unknown classifier config keys: 1, x"),
+])
+def test_any_yaml_key_is_config_error(decisions_csv, tmp_path, capsys, command, text, message):
+    poses, script = decisions_csv.parent / "poses.txt", tmp_path / "s.txt"
+    config_path = tmp_path / "c.yaml"
+    config_path.write_text(text, encoding="utf-8")
+    write_script(script, SessionScript(trials=(Trial(H, 0, 3),)))
+    args = {
+        "classify": ["--poses", str(poses), "--out", str(tmp_path / "d.csv")],
+        "score": ["--decisions", str(decisions_csv), "--script", str(script)],
+        "run": ["--poses", str(poses), "--out-dir", str(tmp_path / "out")],
+    }[command]
+    assert main([command, "--config", str(config_path), *args]) == 3
+    err = capsys.readouterr().err
+    assert f"config error: {message}\n" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("text", [
     "[" * 200_000 + "]" * 200_000,
     '{"counts": [[%s, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}' % _TOO_MANY_DIGITS,
@@ -409,6 +434,15 @@ class TestRunCommand:
         config_path = tmp_path / "run.yaml"
         config_path.write_text("pathz:\n  poses: x\n", encoding="utf-8")
         assert main(["run", "--config", str(config_path)]) == 3
+
+    @pytest.mark.parametrize("value", ["false", "''", "null"])
+    def test_report_format_that_is_not_a_style(self, corpus, tmp_path, capsys, value):
+        poses_path, labels_path = corpus
+        config_path = tmp_path / "run.yaml"
+        config_path.write_text(f"report_format: {value}\n", encoding="utf-8")
+        assert main(["run", "--config", str(config_path), "--poses", str(poses_path),
+                     "--labels", str(labels_path), "--out-dir", str(tmp_path / "out")]) == 3
+        assert "config error: report_format must be one of" in capsys.readouterr().err
 
     def test_stage_replay_matches_run(self, tmp_path):
         poses = tmp_path / "poses.txt"
@@ -678,6 +712,59 @@ def test_evaluate_and_score_exit_code_for_any_decisions_bytes(stage_inputs, data
         assert main([command, "--decisions", str(decisions), option, str(path)]) in {0, 2, 3, 4}
 
 
+def _exit_and_stderr(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+# Config bytes: raw bytes, or "key: value" lines, at the top level or under
+# ``classifier:``, with keys that are not strings and values of every type.
+_YAML_KEYS = st.sampled_from([
+    "rule1_threshold_ratio", "rule2_bias_ratio", "enable_rule1", "enable_rule2",
+    "tie_break_order", "normalization", "classifier", "rule3_gain", "1", "-1", "1.5", "null",
+    "~", "true", "2001-01-01", "[1, 2]", "{a: 1}", "? [x]", "!!binary aGk=", "&k x", "*k",
+])
+_YAML_VALUES = st.sampled_from([
+    "0.5", "1", "0", "-1", ".nan", ".inf", "-.inf", "1" + "0" * 400, "yes", "no", "true",
+    "false", "null", "''", "head", "[toes, knees, shoulders, head]", "[toes, toes]", "[]",
+    "{}", "{1: 2}", "fixed_pixels", "2001-13-45", "!!binary aGk=", "&v 1", "*v", "[", "'",
+    "!!python/name:os.system", "!!set {a}",
+])
+
+
+@st.composite
+def config_lines(draw):
+    lines = [f"{key}: {value}"
+             for key, value in draw(st.lists(st.tuples(_YAML_KEYS, _YAML_VALUES), max_size=4))]
+    if draw(st.booleans()):
+        lines = ["classifier:", *("  " + line for line in lines)]
+    return "\n".join(lines).encode()
+
+
+@given(data=st.one_of(st.binary(max_size=60), config_lines()))
+def test_classify_exit_code_for_any_config_bytes(decisions_csv, data):
+    root = decisions_csv.parent
+    (root / "config.yaml").write_bytes(data)
+    code, err = _exit_and_stderr(["classify", "--config", str(root / "config.yaml"), "--poses",
+                                  str(root / "poses.txt"), "--out", str(root / "d.csv")])
+    assert code in {0, 2, 3, 4} and "Traceback" not in err
+
+
+@given(data=st.one_of(st.binary(max_size=120), st.lists(st.sampled_from([
+    b"trial head 0 3", b"trial toes 4 7", b"trial knees 9 2", b"trial toes 0 99999999999999999999",
+    b"map head toes", b"map toes head", b"map head head", b"map knees shoulders", b"# c", b"",
+    b"trial", b"map", b"tria head 0 1", b"trial \xff 0 1", b"trial head -1 2",
+]), max_size=6).map(b"\n".join)))
+def test_score_exit_code_for_any_script_bytes(decisions_csv, data):
+    script = decisions_csv.parent / "script.txt"
+    script.write_bytes(data)
+    code, err = _exit_and_stderr(["score", "--decisions", str(decisions_csv),
+                                  "--script", str(script)])
+    assert code in {0, 2, 3, 4} and "Traceback" not in err
+
+
 def test_run_memory_grows_by_at_most_48_bytes_per_frame(tmp_path):
     """Ground truth and decisions stay arrays through ``run --labels``: the
     tracemalloc peak grows by at most 48 B per frame from 10k to 20k frames.
@@ -768,7 +855,7 @@ class TestPipelineApi:
 
     def test_version_of_usage_error(self, capsys):
         assert main(["frobnicate"]) == 3
-        capsys.readouterr()
+        assert "No such command 'frobnicate'" in capsys.readouterr().err
 
 
 def test_every_public_name_exists():

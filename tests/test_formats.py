@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import htks.formats
@@ -22,6 +22,7 @@ from htks import (
     JointId,
     Normalization,
     ParseError,
+    PartMapping,
     SessionScript,
     SynthConfig,
     TouchLabel,
@@ -841,6 +842,19 @@ class TestLabelsFile:
             assert (ids >= 0).all()
 
 
+@st.composite
+def session_scripts(draw):
+    """Scripts with ordered, disjoint trials and any derangement as the mapping."""
+    bounds = sorted(draw(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=12,
+                                  unique=True)))
+    windows = zip(bounds[::2], bounds[1::2] + bounds[-1:])  # an odd last bound: one frame
+    trials = tuple(Trial(draw(st.sampled_from(LABEL_ORDER)), start, end)
+                   for start, end in windows)
+    required = draw(st.permutations(LABEL_ORDER).filter(
+        lambda order: all(a is not b for a, b in zip(LABEL_ORDER, order))))
+    return SessionScript(trials=trials, mapping=PartMapping(dict(zip(LABEL_ORDER, required))))
+
+
 class TestScriptFile:
     def test_default_mapping_when_no_map_lines(self, tmp_path):
         path = tmp_path / "script.txt"
@@ -863,6 +877,12 @@ class TestScriptFile:
     def test_round_trip(self, tmp_path):
         script = SessionScript(trials=(Trial(H, 0, 9), Trial(K, 15, 30)))
         path = tmp_path / "script.txt"
+        write_script(path, script)
+        assert load_script(path) == script
+
+    @given(script=session_scripts())
+    def test_round_trip_any_script(self, scratch_dir, script):
+        path = scratch_dir / "script.txt"
         write_script(path, script)
         assert load_script(path) == script
 
@@ -900,6 +920,59 @@ class TestScriptFile:
         write_lines(path, ["sing head 0 10"])
         with pytest.raises(ParseError, match="sing"):
             load_script(path)
+
+
+def classifier_config_from_dict_reference(data: dict) -> ClassifierConfig:
+    """The YAML reader from before ``ClassifierConfig`` checked its own field
+    types, kept as the reference for the configs and first errors it gives."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"classifier config must be a mapping, got {type(data).__name__}")
+    defaults = ClassifierConfig()
+    known = set(classifier_config_to_dict(defaults))
+    unknown = set(data) - known
+    if unknown:
+        raise ConfigError(f"unknown classifier config keys: {', '.join(sorted(unknown))}")
+    kwargs: dict = {}
+    for key in ("rule1_threshold_ratio", "rule2_bias_ratio"):
+        if key in data:
+            if isinstance(data[key], bool) or not isinstance(data[key], (int, float)):
+                raise ConfigError(f"{key} must be a number, got {data[key]!r}")
+            kwargs[key] = data[key]
+    for key in ("enable_rule1", "enable_rule2"):
+        if key in data:
+            if not isinstance(data[key], bool):
+                raise ConfigError(f"{key} must be a boolean, got {data[key]!r}")
+            kwargs[key] = data[key]
+    if "tie_break_order" in data:
+        raw = data["tie_break_order"]
+        if not isinstance(raw, (list, tuple)):
+            raise ConfigError(f"tie_break_order must be a list, got {raw!r}")
+        kwargs["tie_break_order"] = raw
+    if "normalization" in data:
+        kwargs["normalization"] = data["normalization"]
+    return ClassifierConfig(**kwargs)
+
+
+# Values YAML can give any classifier key, and values near each key's own type.
+_LABEL_NAMES = [label.value for label in LABEL_ORDER]
+_CONFIG_JUNK = st.one_of(
+    st.text(max_size=4), st.sampled_from(["0.5", "no", "yes", "toes", "fixed_pixels"]),
+    st.booleans(), st.none(), st.lists(st.integers(), max_size=2),
+    st.integers(), st.sampled_from([10**400, -(10**400)]), st.floats(),
+)
+_RATIO_VALUES = st.one_of(st.floats(), st.integers(-3, 3), st.floats(-1.0, 2.0))
+_CONFIG_VALUES = {
+    "rule1_threshold_ratio": _RATIO_VALUES,
+    "rule2_bias_ratio": _RATIO_VALUES,
+    "enable_rule1": st.booleans(),
+    "enable_rule2": st.booleans(),
+    "tie_break_order": st.one_of(
+        st.permutations(_LABEL_NAMES), st.permutations(LABEL_ORDER).map(tuple),
+        st.lists(st.sampled_from([*_LABEL_NAMES, "ankles", None]), max_size=5),
+    ),
+    "normalization": st.one_of(st.sampled_from(Normalization),
+                               st.sampled_from([m.value for m in Normalization])),
+}
 
 
 class TestClassifierConfigFile:
@@ -947,6 +1020,37 @@ class TestClassifierConfigFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_classifier_config(tmp_path / "nope.yaml")
+
+    @given(config=st.builds(
+        ClassifierConfig,
+        rule1_threshold_ratio=st.floats(0.0, exclude_min=True, allow_infinity=False),
+        rule2_bias_ratio=st.floats(0.0, allow_infinity=False),
+        enable_rule1=st.booleans(),
+        enable_rule2=st.booleans(),
+        tie_break_order=st.permutations(LABEL_ORDER).map(tuple),
+        normalization=st.sampled_from(Normalization),
+    ))
+    def test_round_trip_any_config(self, scratch_dir, config):
+        path = scratch_dir / "classifier.yaml"
+        write_classifier_config(path, config)
+        assert load_classifier_config(path) == config
+
+    # Junk in one of four draws per key, so that some dicts pass every type
+    # check and the order of the later checks is exercised too.
+    @settings(max_examples=500)
+    @given(data=st.fixed_dictionaries({}, optional={
+        key: st.one_of(_CONFIG_JUNK, values, values, values)
+        for key, values in _CONFIG_VALUES.items()
+    }))
+    def test_same_config_and_errors_as_the_reference_reader(self, data):
+        try:
+            expected = classifier_config_from_dict_reference(data)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as raised:
+                classifier_config_from_dict(data)
+            assert str(raised.value) == str(exc)
+        else:
+            assert classifier_config_from_dict(data) == expected
 
 
 def iter_decisions_by_line(path):

@@ -31,6 +31,14 @@ class TestSynthConfig:
         {"torso_length": -3.0},
         {"jitter_stddev_ratio": -0.1},
         {"frames_per_class": 0},
+        {"frames_per_class": 2.5},
+        {"frames_per_class": True},
+        {"seed": True},
+        {"seed": 1.0},
+        {"torso_length": "300"},
+        {"torso_length": 10**400},  # an int too big for a float
+        {"jitter_stddev_ratio": float("nan")},
+        {"jitter_stddev_ratio": True},
     ])
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -11,8 +11,10 @@ within a line never matters::
 
 Frame ids must be strictly increasing. The head entry is expected to be
 the head *center*; adapt estimator output that reports the head top.
-Chunks of lines in the layout ``write_poses`` writes from an array are
-parsed as a whole; every other line goes through the strict parser.
+Pose and labels files are read, and pose, labels and decisions files
+written, in chunks of ``_CHUNK_FRAMES`` lines. A chunk exactly as
+``write_poses`` (from an array) or ``write_labels`` writes it is parsed as
+a whole; any other chunk, such as one with a comment, goes line by line.
 
 Labels file: ``<frame_id> <class>`` with class one of head, shoulders,
 knees, toes. Frame ids are unique and in any order.
@@ -193,10 +195,13 @@ def _frame_id(token: str, path, line_no: int) -> int:
 # ---------------------------------------------------------------------------
 # numbers as text
 
-# The array writers spell up to ``_ROWS_PER_CHUNK`` lines at a time as one
+# The array writers spell up to ``_CHUNK_FRAMES`` lines at a time as one
 # uint8 matrix with a column per line. Each field of a line is a block of
 # rows, NUL where its text is shorter; the NULs are dropped on writing.
-_ROWS_PER_CHUNK = 512
+# The line readers take chunks of as many lines. Peak memory grows with it,
+# mostly a chunk's text and its byte-wide masks: the tracemalloc peak of a
+# 100k-frame ``htks classify`` run is 2.2 MB at 256, 4.2 MB at 512 and 8.0 MB at 1,024.
+_CHUNK_FRAMES = 512
 _POW10_INT = 10 ** np.arange(19, dtype=np.int64)
 # ``repr`` of a float64 v is its shortest round-trip decimal (as Ryu finds
 # it; Adams, PLDI 2018). ``_shortest`` finds it for 1e-2 <= |v| < 1e15 by
@@ -297,19 +302,6 @@ def _rows_text(fields: list[np.ndarray]) -> str:
     return matrix[matrix != 0].tobytes().decode()
 
 
-def _regroup(chunks: Iterable[tuple[np.ndarray, ...]]) -> Iterator[tuple[np.ndarray, ...]]:
-    """Tuples of arrays whose rows go together, such as the classifier's
-    256-row chunks, regrouped in tuples of ``_ROWS_PER_CHUNK`` rows."""
-    held: tuple[np.ndarray, ...] = ()
-    for chunk in chunks:
-        held = tuple(map(np.concatenate, zip(held, chunk))) if held else chunk
-        while len(held[0]) >= _ROWS_PER_CHUNK:
-            yield tuple(column[:_ROWS_PER_CHUNK] for column in held)
-            held = tuple(column[_ROWS_PER_CHUNK:] for column in held)
-    if held and len(held[0]):
-        yield held
-
-
 # ---------------------------------------------------------------------------
 # poses
 
@@ -331,7 +323,9 @@ def write_poses(path, poses: Iterable[BodyPose] | Iterable[np.ndarray] | np.ndar
             if isinstance(block, BodyPose):
                 write(_pose_line(block))
                 continue
-            for (chunk,) in _regroup([(np.asarray(block, np.float64).reshape(len(block), 24),)]):
+            block = np.asarray(block, np.float64).reshape(len(block), 24)
+            for at in range(0, len(block), _CHUNK_FRAMES):
+                chunk = block[at:at + _CHUNK_FRAMES]
                 numbers = np.split(_float_text(chunk.T.ravel()), chunk.shape[1], axis=1)
                 fields = [field for pair in zip(_POSE_SEPARATORS, numbers) for field in pair]
                 write(_rows_text([_int_text(np.arange(start, start + len(chunk))), *fields,
@@ -404,18 +398,11 @@ def iter_poses(path) -> Iterator[BodyPose]:
         yield pose
 
 
-# Frames per chunk of the array reader. Peak memory grows with it, mostly a
-# chunk's text and its byte-wide masks: the tracemalloc peak of a 100k-frame
-# ``htks classify`` run is about 2.2 MB with 256-frame chunks, 4.0 MB with 512.
-_CHUNK_FRAMES = 256
-
-
-def _line_blocks(path) -> Iterator[tuple[int, list[str], list[str], ParseError | None]]:
-    """``(line_no, block, lines, error)``: the lines of ``path`` after its
-    leading ``#`` lines (a header) in lists ``block`` of up to
-    ``_CHUNK_FRAMES``, the number of each list's first line, its lines that
-    do not start with ``#``, and a byte that is not UTF-8 that ends the
-    last list early, so no earlier line's error is skipped."""
+def _line_blocks(path) -> Iterator[tuple[int, list[str], ParseError | None]]:
+    """``(line_no, block, error)``: the lines of ``path`` after its leading
+    ``#`` lines (a header) in lists ``block`` of up to ``_CHUNK_FRAMES``,
+    the number of each list's first line, and a byte that is not UTF-8
+    that ends the last list early, so no earlier line's error is skipped."""
     with open(path, "r", encoding="utf-8") as fh:
         header: list[None] = []  # one entry per header line dropped
         lines = dropwhile(lambda line: line.startswith("#") and not header.append(None), fh)
@@ -426,7 +413,7 @@ def _line_blocks(path) -> Iterator[tuple[int, list[str], list[str], ParseError |
                 block.extend(islice(lines, _CHUNK_FRAMES))
             except UnicodeDecodeError:
                 error = _not_utf8(path)
-            yield line_no + len(header), block, [x for x in block if not x.startswith("#")], error
+            yield line_no + len(header), block, error
             if error or len(block) < _CHUNK_FRAMES:
                 return
 
@@ -508,8 +495,8 @@ def _pose_chunks(path) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     are yielded first, then its ParseError is raised.
     """
     prev_frame_id = None
-    for first, block, lines, error in _line_blocks(path):
-        arrays = _canonical_arrays(lines, prev_frame_id)
+    for first, block, error in _line_blocks(path):
+        arrays = _canonical_arrays(block, prev_frame_id)
         if arrays is None:
             poses = []
             try:
@@ -537,7 +524,7 @@ def write_labels(path, pairs: Iterable[tuple[int, TouchLabel]]) -> None:
     pairs = iter(pairs)
     with _output(path) as write:
         write("# ground truth: frame_id class\n")
-        while block := list(islice(pairs, _ROWS_PER_CHUNK)):
+        while block := list(islice(pairs, _CHUNK_FRAMES)):
             # A TouchLabel is a str, so ``+`` adds its value.
             write("".join([f"{frame_id} " + truth + "\n" for frame_id, truth in block]))
 
@@ -553,8 +540,8 @@ def load_labels(path) -> tuple[np.ndarray, np.ndarray]:
     ``_CHUNK_FRAMES`` lines: a block as ``write_labels`` writes it is parsed
     as a whole, any other line by line. Ids are sorted once at the end."""
     ids, labels, error = [np.empty(0, np.int64)], [np.empty(0, np.int8)], None
-    for first, block, lines, error in _line_blocks(path):
-        text = "".join(lines)
+    for first, block, error in _line_blocks(path):
+        text = "".join(block)
         if _CANONICAL_LABELS.fullmatch(text):
             for name, index in _LABEL_INDEX.items():
                 text = text.replace(name, str(index))
@@ -737,10 +724,10 @@ def write_decisions(path, chunks: Iterable[tuple[np.ndarray, tuple]]) -> int:
     written = 0
     with _output(path) as write:
         write(DECISIONS_HEADER + "\n")
-        for frame_ids, fields, profiles in _regroup(
-            (frame_ids, ((labels * 2 + rule1) * 2 + rule2) * 2 + tied, profiles)
-            for frame_ids, (labels, rule1, rule2, tied, profiles) in chunks
-        ):
+        for frame_ids, (labels, rule1, rule2, tied, profiles) in chunks:
+            if not len(frame_ids):
+                continue  # ``_rows_text`` would stretch the separators to one line
+            fields = ((labels * 2 + rule1) * 2 + rule2) * 2 + tied
             head, shoulders, knees, ankles = np.split(_float_text(profiles.T.ravel()), 4, axis=1)
             write(_rows_text([_int_text(frame_ids), _DECISION_TEXT[:, fields], head, _COMMA,
                               shoulders, _COMMA, knees, _COMMA, ankles, _NEWLINE]))

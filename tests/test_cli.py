@@ -8,11 +8,13 @@ import io
 import json
 import os
 import pkgutil
+import re
 import stat
 import tracemalloc
 import warnings
 from itertools import islice
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -763,6 +765,67 @@ def test_score_exit_code_for_any_script_bytes(decisions_csv, data):
     code, err = _exit_and_stderr(["score", "--decisions", str(decisions_csv),
                                   "--script", str(script)])
     assert code in {0, 2, 3, 4} and "Traceback" not in err
+
+
+# Pose-file bytes: the canonical lines of ``decisions_csv``'s poses with
+# bytes overwritten, and comments, blank lines or bad UTF-8 between them,
+# under any line end; or raw bytes.
+_POSE_BYTES = st.sampled_from([b"\xff", b"\xc3", b"#", b" ", b"\t", b"\r", b"\n", b"0", b"9",
+                               b"-", b".", b"e", b",", b"=", b"x", b""])
+
+
+@st.composite
+def pose_file_bytes(draw, lines: list[bytes]):
+    lines = list(lines)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        at, cut = draw(st.integers(0, len(lines[i]))), draw(st.integers(0, 3))
+        lines[i] = lines[i][:at] + draw(_POSE_BYTES) + lines[i][at + cut:]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from([b"# c", b"", b"  ", b"\xff", b"#\xff"])))
+    newline = draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    return newline.join(lines) + draw(st.sampled_from([newline, b""]))
+
+
+@given(data=st.data(), chunk_frames=st.sampled_from([1, 2, 3, 5, htks.formats._CHUNK_FRAMES]))
+def test_classify_exit_code_for_any_pose_bytes(decisions_csv, data, chunk_frames):
+    root = decisions_csv.parent
+    canonical = (root / "poses.txt").read_bytes().splitlines()
+    poses = root / "fuzzed_poses.txt"
+    poses.write_bytes(data.draw(st.one_of(st.binary(max_size=200), pose_file_bytes(canonical))))
+    with mock.patch.object(htks.formats, "_CHUNK_FRAMES", chunk_frames):
+        code, err = _exit_and_stderr(["classify", "--poses", str(poses),
+                                      "--out", str(root / "d.csv")])
+    assert code in {0, 2, 3, 4} and "Traceback" not in err
+    if code == 2:
+        assert re.match(rf"parse error: {re.escape(str(poses))}:\d+: ", err)
+
+
+# report.json bytes: raw bytes, a written report with bytes overwritten, or
+# a ``counts`` value of any JSON shape and type.
+_JSON_VALUES = st.recursive(
+    st.one_of(st.integers(-1, 2**64), st.floats(), st.booleans(), st.none(), st.text(max_size=3)),
+    lambda children: st.lists(children, max_size=5), max_leaves=24)
+_VALID_REPORT = json.dumps({"counts": [[5, 1, 0, 0], [0, 9, 1, 0], [0, 0, 7, 3], [1, 0, 0, 9]]})
+
+
+@st.composite
+def overwritten_report(draw):
+    text = _VALID_REPORT.encode()
+    at = draw(st.integers(0, len(text) - 1))
+    return text[:at] + draw(st.binary(min_size=1, max_size=3)) + text[at + 1:]
+
+
+@given(data=st.one_of(st.binary(max_size=120), overwritten_report(),
+                      _JSON_VALUES.map(lambda counts: json.dumps({"counts": counts}).encode())))
+def test_report_exit_code_for_any_report_bytes(decisions_csv, data):
+    path = decisions_csv.parent / "report.json"
+    path.write_bytes(data)
+    code, err = _exit_and_stderr(["report", "--report", str(path)])
+    assert code in {0, 2, 3, 4} and "Traceback" not in err
+    if code == 2:
+        assert err.startswith(f"parse error: {path}:")
 
 
 def test_run_memory_grows_by_at_most_48_bytes_per_frame(tmp_path):

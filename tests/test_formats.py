@@ -49,6 +49,7 @@ from htks.formats import (
     load_labels,
     load_report_json,
     load_script,
+    report_to_dict,
     write_classifier_config,
     write_decisions,
     write_labels,
@@ -59,6 +60,9 @@ from htks.formats import (
 from htks.synth import SynthFrames, generate_frames
 
 H, S, K, T = TouchLabel.HEAD, TouchLabel.SHOULDERS, TouchLabel.KNEES, TouchLabel.TOES
+# Lines per block of the line readers and writers; a synth corpus of
+# ``CHUNK // 2 + 22`` frames per class fills two blocks and 88 frames of a third.
+CHUNK = htks.formats._CHUNK_FRAMES
 
 POSE_LINE = (
     "{fid} head=320.5,80.25 left_shoulder=280.0,140.0 right_shoulder=360.0,140.0 "
@@ -319,7 +323,7 @@ def pose_file_lines(draw):
 
 
 class TestPoseChunks:
-    @given(lines=pose_file_lines(), chunk_frames=st.sampled_from([1, 2, 3, 5, 256]),
+    @given(lines=pose_file_lines(), chunk_frames=st.sampled_from([1, 2, 3, 5, CHUNK]),
            newline=st.sampled_from(["\n", "\n", "\r\n", "\r"]))
     def test_same_frames_and_errors_as_iter_poses(self, scratch_dir, lines, chunk_frames,
                                                   newline):
@@ -328,14 +332,14 @@ class TestPoseChunks:
         with mock.patch.object(htks.formats, "_CHUNK_FRAMES", chunk_frames):
             assert_same_reading(path)
 
-    @pytest.mark.parametrize("bad_frame", [254, 255, 256, 257])
+    @pytest.mark.parametrize("bad_frame", [CHUNK - 2, CHUNK - 1, CHUNK, CHUNK + 1],
+                             ids=["C-2", "C-1", "C", "C+1"])
     def test_bad_line_either_side_of_a_chunk_boundary(self, tmp_path, bad_frame):
-        # Frames 0-255 make the first 256-frame chunk; the bad line ends the
+        # Frames 0 to CHUNK - 1 make the first chunk; the bad line ends the
         # stream, and every frame before it is still yielded.
-        assert htks.formats._CHUNK_FRAMES == 256
         path = tmp_path / "poses.txt"
         frames = generate_frames(SynthConfig(seed=2, jitter_stddev_ratio=0.05,
-                                             frames_per_class=150))
+                                             frames_per_class=CHUNK // 2 + 22))
         write_poses(path, frames.coords)
         lines = path.read_text(encoding="utf-8").splitlines()
         lines[1 + bad_frame] = lines[1 + bad_frame].replace(" hip=", " hip=1_0,nan ", 1)
@@ -358,10 +362,10 @@ class TestPoseChunks:
     def test_canonical_file_read_as_arrays(self, tmp_path):
         path = tmp_path / "poses.txt"
         frames = generate_frames(SynthConfig(seed=2, jitter_stddev_ratio=0.05,
-                                             frames_per_class=150))
+                                             frames_per_class=CHUNK // 2 + 22))
         write_poses(path, frames.coords)
         chunks = list(_pose_chunks(path))
-        assert [len(ids) for ids, _ in chunks] == [256, 256, 88]
+        assert [len(ids) for ids, _ in chunks] == [CHUNK, CHUNK, 88]
         assert np.concatenate([c for _, c in chunks]).tobytes() == frames.coords.tobytes()
         assert_same_reading(path)
 
@@ -400,11 +404,11 @@ class TestPoseChunks:
     def test_canonical_file_with_other_line_ends(self, tmp_path, newline):
         path = tmp_path / "poses.txt"
         frames = generate_frames(SynthConfig(seed=2, jitter_stddev_ratio=0.05,
-                                             frames_per_class=150))
+                                             frames_per_class=CHUNK // 2 + 22))
         write_poses(path, frames.coords)
         path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
         chunks = list(_pose_chunks(path))
-        assert [len(ids) for ids, _ in chunks] == [256, 256, 88]
+        assert [len(ids) for ids, _ in chunks] == [CHUNK, CHUNK, 88]
         assert np.concatenate([c for _, c in chunks]).tobytes() == frames.coords.tobytes()
 
     @pytest.mark.parametrize("bad_line", [3, 300, 601])
@@ -534,8 +538,11 @@ class TestExactDecimals:
 
         with mock.patch.object(htks.formats, "_canonical_arrays", counting):
             chunks = list(_pose_chunks(path))
-        # Two blocks hold exponent tokens such as 1e-05.
-        assert (len(fell_back), sum(fell_back)) == (391, 2)
+        # Only the blocks that hold exponent tokens such as 1e-05 fall back.
+        lines = path.read_text(encoding="utf-8").splitlines()[1:]
+        exponents = {i // CHUNK for i, line in enumerate(lines) if "e-" in line or "e+" in line}
+        assert (len(fell_back), sum(fell_back)) == (-(-len(coords) // CHUNK), len(exponents))
+        assert exponents
         assert np.concatenate([ids for ids, _ in chunks]).tolist() == list(range(len(coords)))
         assert all(c.tobytes() == coords[ids[0]:ids[-1] + 1].tobytes() for ids, c in chunks)
 
@@ -792,21 +799,23 @@ class TestLabelsFile:
         write_labels(path, pairs)
         assert label_pairs(path) == pairs
 
-    @given(lines=label_file_lines(), chunk_frames=st.sampled_from([1, 2, 3, 5, 256]))
+    @given(lines=label_file_lines(), chunk_frames=st.sampled_from([1, 2, 3, 5, CHUNK]))
     def test_same_labels_and_errors_as_the_line_reader(self, scratch_dir, lines, chunk_frames):
         path = scratch_dir / "labels.txt"
         write_lines(path, lines)
         with mock.patch.object(htks.formats, "_CHUNK_FRAMES", chunk_frames):
             assert_same_labels(path)
 
-    @pytest.mark.parametrize("bad_line, expected_line", [(600, 501), (400, 400)])
+    @pytest.mark.parametrize("bad_line, expected_line",
+                             [(2 * CHUNK + 88, 2 * CHUNK - 11), (CHUNK + 144, CHUNK + 144)],
+                             ids=["after-the-repeat", "before-the-repeat"])
     def test_earlier_error_wins_across_blocks(self, tmp_path, bad_line, expected_line):
-        # Line 501 repeats frame 3 of the first 256-frame block; a bad line
-        # after it loses to the duplicate, one before it wins.
-        assert htks.formats._CHUNK_FRAMES == 256
+        # Line 2 * CHUNK - 11, in the second block, repeats frame 3 of the
+        # first; a bad line after it, in the third block, loses to the
+        # duplicate, one before it in the second block wins.
         path = tmp_path / "labels.txt"
-        lines = [f"{i} {LABEL_ORDER[i % 4].value}" for i in range(700)]
-        lines[500] = "3 toes"
+        lines = [f"{i} {LABEL_ORDER[i % 4].value}" for i in range(2 * CHUNK + 188)]
+        lines[2 * CHUNK - 12] = "3 toes"
         lines[bad_line - 1] = f"{bad_line} elbows"
         write_lines(path, lines)
         _, error = assert_same_labels(path)
@@ -814,15 +823,15 @@ class TestLabelsFile:
 
     @pytest.mark.parametrize("bad", ["5 elbows", "5 toes"], ids=["bad-class", "duplicate"])
     def test_earlier_error_wins_over_a_later_non_utf8_byte(self, tmp_path, bad):
-        # Line 260 is bad; 12 KB of comments on, past the text decoder's
-        # first read of that part of the file, line 301 is not UTF-8. Both
-        # sit in the second 256-line block.
+        # Line CHUNK + 4 is bad; 12 KB of comments on, past the text
+        # decoder's first read of that part of the file, line CHUNK + 45 is
+        # not UTF-8. Both sit in the second block.
         path = tmp_path / "labels.txt"
-        lines = [f"{i} head".encode() for i in range(259)]
+        lines = [f"{i} head".encode() for i in range(CHUNK + 3)]
         lines += [bad.encode()] + [b"# " + b"x" * 300] * 40 + [b"\xff head"]
         path.write_bytes(b"\n".join(lines) + b"\n")
         _, error = assert_same_labels(path)
-        assert error.line_no == 260
+        assert error.line_no == CHUNK + 4
 
     def test_canonical_file_read_as_arrays(self, tmp_path):
         path = tmp_path / "labels.txt"
@@ -1219,8 +1228,8 @@ class TestDecisionsFile:
             for frame_id, field, profile in zip(
                 frame_ids.tolist(), combinations.tolist(), profiles.tolist()))
 
-    # The classifier's 256-row chunks, and uneven ones with an empty one,
-    # are formatted in the writer's full 512-row matrices.
+    # 256-row chunks, and uneven ones with an empty one, are each
+    # formatted as they arrive; an empty chunk writes nothing.
     @pytest.mark.parametrize("sizes", [[256] * 5, [0, 1, 511, 3, 700, 2, 13]],
                              ids=["reader_chunks", "uneven"])
     def test_chunks_regrouped_into_full_matrices(self, tmp_path, sizes):
@@ -1235,8 +1244,7 @@ class TestDecisionsFile:
                   tied, profiles in zip(*(np.split(a, ends) for a in (frame_ids, *whole[1])))]
         with mock.patch.object(htks.formats, "_float_text", wraps=_float_text) as spy:
             assert write_decisions(tmp_path / "split.csv", chunks) == rows
-        assert [len(call.args[0]) for call in spy.call_args_list] == [
-            4 * min(512, rows - start) for start in range(0, rows, 512)]
+        assert [len(call.args[0]) for call in spy.call_args_list] == [4 * n for n in sizes if n]
         assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
     @given(data=decisions_file_bytes())
@@ -1296,6 +1304,16 @@ class TestReportJson:
         assert loaded.matrix == rep.matrix
         assert loaded.overall_accuracy == rep.overall_accuracy
         assert np.allclose(loaded.row_percentages, rep.row_percentages)
+
+    @given(counts=st.lists(st.lists(st.integers(0, 2**58), min_size=4, max_size=4).filter(any),
+                           min_size=4, max_size=4))
+    def test_round_trip_any_counts(self, scratch_dir, counts):
+        rep = report(ConfusionMatrix(np.array(counts)))
+        path = scratch_dir / "report.json"
+        write_report_json(path, rep)
+        loaded = load_report_json(path)
+        assert loaded.matrix == rep.matrix
+        assert report_to_dict(loaded) == report_to_dict(rep)
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "report.json"

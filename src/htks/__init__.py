@@ -49,7 +49,6 @@ from .pose import (
     JointId,
     Point2,
     TouchLabel,
-    euclidean,
 )
 from .pipeline import classify_sequence
 from .synth import SynthConfig, generate
@@ -95,7 +94,6 @@ __all__ = [
     "classify_sequence",
     "compare_reports",
     "distance_profile",
-    "euclidean",
     "format_report",
     "generate",
     "report",

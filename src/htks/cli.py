@@ -1,7 +1,8 @@
 """Command-line surface: one subcommand per pipeline stage plus ``run``.
 
 Exit codes: 0 success, 2 parse error in an input file, 3 configuration
-error (bad values, missing paths, CLI misuse), 4 evaluation error.
+error (bad values, missing or unreadable inputs, an output that would
+overwrite an input or another output, CLI misuse), 4 evaluation error.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .formats import (
     write_report_text,
     write_session_json,
     _all_or_none,
+    _check_files,
     _pose_chunks,
 )
 from .pipeline import (
@@ -109,12 +111,16 @@ def generate(out_poses, out_labels, seed, frames_per_class, torso_length, jitter
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    _check_files((), [out_poses, out_labels])
     written = []  # (label, frame count) of each block, as write_poses takes it
 
     def coords():
-        for label, block in synth_generate(config, confusable=confusable):
-            written.append((label, len(block)))
-            yield block
+        try:
+            for label, block in synth_generate(config, confusable=confusable):
+                written.append((label, len(block)))
+                yield block
+        except ValueError as exc:  # a coordinate that overflows a float64
+            raise ConfigError(str(exc)) from None
 
     with _all_or_none() as output:
         output(write_poses, out_poses, coords())
@@ -132,8 +138,7 @@ def generate(out_poses, out_labels, seed, frames_per_class, torso_length, jitter
 @_classifier_overrides
 def classify(poses_path, out_path, config_path, **overrides):
     """Classify every frame of a pose file."""
-    if not poses_path.is_file():
-        raise ConfigError(f"pose file does not exist: {poses_path}")
+    _check_files([("pose file", poses_path)], [out_path])
     config = _merge_classifier(_load_classifier(config_path), overrides)
     write_decisions(out_path, _classify_chunks(_pose_chunks(poses_path), config))
     click.echo(f"wrote decisions to {out_path}")
@@ -148,9 +153,8 @@ def classify(poses_path, out_path, config_path, **overrides):
               show_default=True)
 def evaluate(decisions_path, labels_path, out_json, out_text, style):
     """Compare decisions against ground-truth labels."""
-    for description, candidate in (("decisions", decisions_path), ("labels", labels_path)):
-        if not candidate.is_file():
-            raise ConfigError(f"{description} file does not exist: {candidate}")
+    _check_files([("decisions file", decisions_path), ("labels file", labels_path)],
+                 [out_json, out_text])
     rep, skipped = evaluate_decisions(load_decisions(decisions_path), load_labels(labels_path))
     if skipped:
         click.echo(f"note: {skipped} frames had no ground truth and were skipped", err=True)
@@ -170,9 +174,7 @@ def evaluate(decisions_path, labels_path, out_json, out_text, style):
               help="Classifier config YAML; its tie_break_order settles tied trials.")
 def score(decisions_path, script_path, out_json, config_path):
     """Score a session script against per-frame decisions."""
-    for description, candidate in (("decisions", decisions_path), ("script", script_path)):
-        if not candidate.is_file():
-            raise ConfigError(f"{description} file does not exist: {candidate}")
+    _check_files([("decisions file", decisions_path), ("script file", script_path)], [out_json])
     tie_break_order = _load_classifier(config_path).tie_break_order
     script = load_script(script_path)
     result = _score_decisions(script, load_decisions(decisions_path), tie_break_order)
@@ -199,14 +201,12 @@ def score(decisions_path, script_path, out_json, config_path):
               show_default=True)
 def report(report_path, compare_path, style):
     """Render a stored report, or compare two reports."""
-    if not report_path.is_file():
-        raise ConfigError(f"report file does not exist: {report_path}")
+    _check_files([("report file", report_path)])
     first = load_report_json(report_path)
     if compare_path is None:
         click.echo(format_report(first, style=style), nl=False)
         return
-    if not compare_path.is_file():
-        raise ConfigError(f"report file does not exist: {compare_path}")
+    _check_files([("report file", compare_path)])
     second = load_report_json(compare_path)
     delta = compare_reports(first, second)
     for label in LABEL_ORDER:
@@ -266,6 +266,10 @@ def main(argv=None) -> int:
     except EvaluationError as exc:
         click.echo(f"evaluation error: {exc}", err=True)
         return 4
+    except OSError as exc:  # reading an input; a failed write is a ConfigError
+        named = "" if exc.filename is None else f" {exc.filename}"
+        click.echo(f"config error: cannot read{named}: {exc.strerror or exc}", err=True)
+        return 3
     except HtksError as exc:  # pragma: no cover - safety net
         click.echo(f"error: {exc}", err=True)
         return 4

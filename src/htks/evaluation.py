@@ -59,11 +59,6 @@ class ConfusionMatrix:
             return NotImplemented
         return bool(np.array_equal(self.counts, other.counts))
 
-    def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if not isinstance(other, ConfusionMatrix):
-            return NotImplemented
-        return ConfusionMatrix(self.counts + other.counts)
-
     @property
     def total(self) -> int:
         return int(self.counts.sum())

@@ -12,9 +12,10 @@ within a line never matters::
 Frame ids must be strictly increasing. The head entry is expected to be
 the head *center*; adapt estimator output that reports the head top.
 Pose and labels files are read, and pose, labels and decisions files
-written, in chunks of ``_CHUNK_FRAMES`` lines. A chunk exactly as
-``write_poses`` (from an array) or ``write_labels`` writes it is parsed as
-a whole; any other chunk, such as one with a comment, goes line by line.
+written, in chunks of ``_CHUNK_FRAMES`` (512) lines, counted from the
+first line of the file. A chunk whose lines, less its comment and blank
+lines, are exactly as ``write_poses`` (from an array) or ``write_labels``
+writes them is parsed as a whole; any other chunk goes line by line.
 
 Labels file: ``<frame_id> <class>`` with class one of head, shoulders,
 knees, toes. Frame ids are unique and in any order.
@@ -39,7 +40,7 @@ import stat
 from contextlib import contextmanager, suppress
 from dataclasses import fields
 from functools import partial
-from itertools import count, dropwhile, islice
+from itertools import count, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -148,9 +149,25 @@ def _all_or_none() -> Iterator[Callable]:
         raise
 
 
-def _make_output_dir(path) -> None:
-    """Create the directory ``path`` and its parents, if missing."""
-    _writing(path, Path(path).mkdir, parents=True, exist_ok=True)
+def _check_files(inputs: Iterable[tuple[str, object]], outputs: Iterable = ()) -> None:
+    """Raise ConfigError unless each ``(description, path)`` of ``inputs``
+    is a file, in order, and no output is an input or an earlier output,
+    which writing it would destroy. A None path is skipped, and so is an
+    output that exists but is not a regular file (``/dev/null``, a pipe)."""
+    # Keyed by a file's (st_ino, st_dev), as os.path.samefile compares
+    # files, or by the resolved name of a path that does not exist yet.
+    named = {}
+    for description, path in inputs:
+        if path is not None:
+            if not os.path.isfile(path):
+                raise ConfigError(f"{description} does not exist: {path}")
+            named.setdefault(os.stat(path)[1:3], f"{description} {path}")
+    for path in outputs:
+        if path is not None and (os.path.isfile(path) or not os.path.exists(path)):
+            key = os.stat(path)[1:3] if os.path.isfile(path) else os.path.realpath(path)
+            if key in named:
+                raise ConfigError(f"output {path} is also the {named[key]}")
+            named[key] = f"output {path}"
 
 
 def _text_lines(fh, path) -> Iterator[str]:
@@ -399,23 +416,26 @@ def iter_poses(path) -> Iterator[BodyPose]:
 
 
 def _line_blocks(path) -> Iterator[tuple[int, list[str], ParseError | None]]:
-    """``(line_no, block, error)``: the lines of ``path`` after its leading
-    ``#`` lines (a header) in lists ``block`` of up to ``_CHUNK_FRAMES``,
-    the number of each list's first line, and a byte that is not UTF-8
-    that ends the last list early, so no earlier line's error is skipped."""
+    """``(line_no, block, error)``: the lines of ``path`` in lists ``block``
+    of up to ``_CHUNK_FRAMES``, the number of each list's first line, and
+    a byte that is not UTF-8 that ends the last list early, so no earlier
+    line's error is skipped."""
     with open(path, "r", encoding="utf-8") as fh:
-        header: list[None] = []  # one entry per header line dropped
-        lines = dropwhile(lambda line: line.startswith("#") and not header.append(None), fh)
         for line_no in count(1, _CHUNK_FRAMES):
             block, error = [], None
             try:
                 # ``extend`` keeps the lines read before a decode error.
-                block.extend(islice(lines, _CHUNK_FRAMES))
+                block.extend(islice(fh, _CHUNK_FRAMES))
             except UnicodeDecodeError:
                 error = _not_utf8(path)
-            yield line_no + len(header), block, error
+            yield line_no, block, error
             if error or len(block) < _CHUNK_FRAMES:
                 return
+
+
+def _data_lines(block: list[str]) -> list[str]:
+    """The lines of ``block`` that ``_content`` keeps, unchanged."""
+    return [line for line in block if (text := line.strip()) and not text.startswith("#")]
 
 
 # A line exactly as ``write_poses`` writes it from an array is its numbers,
@@ -490,13 +510,15 @@ def _pose_chunks(path) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     chunks of up to ``_CHUNK_FRAMES`` frames, with the frames and errors
     of ``iter_poses``.
 
-    A chunk of canonical lines is parsed as a whole; any other chunk goes
-    through the strict per-line parser. On an error the frames before it
-    are yielded first, then its ParseError is raised.
+    A chunk of canonical lines is parsed as a whole, and so is one whose
+    lines are canonical without its header, comment and blank lines; any
+    other chunk goes through the strict per-line parser. On an error the
+    frames before it are yielded first, then its ParseError is raised.
     """
     prev_frame_id = None
     for first, block, error in _line_blocks(path):
-        arrays = _canonical_arrays(block, prev_frame_id)
+        arrays = (_canonical_arrays(block, prev_frame_id)
+                  or _canonical_arrays(_data_lines(block), prev_frame_id))
         if arrays is None:
             poses = []
             try:
@@ -537,11 +559,14 @@ _CANONICAL_LABELS = re.compile(f"(?:[0-9]{{1,18}} (?:{'|'.join(_LABEL_INDEX)})\n
 def load_labels(path) -> tuple[np.ndarray, np.ndarray]:
     """Ground truth as ``(frame_ids int64, labels int8)`` arrays in file
     order, each label a LABEL_ORDER index. The file is read in blocks of
-    ``_CHUNK_FRAMES`` lines: a block as ``write_labels`` writes it is parsed
-    as a whole, any other line by line. Ids are sorted once at the end."""
+    ``_CHUNK_FRAMES`` lines: a block whose lines, less its comment and
+    blank lines, are as ``write_labels`` writes them is parsed as a whole,
+    any other line by line. Ids are sorted once at the end."""
     ids, labels, error = [np.empty(0, np.int64)], [np.empty(0, np.int8)], None
     for first, block, error in _line_blocks(path):
         text = "".join(block)
+        if not _CANONICAL_LABELS.fullmatch(text):
+            text = "".join(_data_lines(block))
         if _CANONICAL_LABELS.fullmatch(text):
             for name, index in _LABEL_INDEX.items():
                 text = text.replace(name, str(index))

@@ -47,10 +47,11 @@ from .formats import (
     write_session_json,
     classifier_config_from_dict,
     _all_or_none,
+    _check_files,
     _known_keys,
     _load_yaml,
-    _make_output_dir,
     _pose_chunks,
+    _writing,
 )
 from .game import SessionResult, score_session
 from .pose import LABEL_ORDER, BodyPose, _joint_array
@@ -227,20 +228,19 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     are loaded first, so a bad one leaves no output behind; a step that
     fails later removes the outputs already written.
     """
-    for description, candidate in (
-        ("pose file", config.poses_path),
-        ("labels file", config.labels_path),
-        ("script file", config.script_path),
-    ):
-        if candidate is not None and not Path(candidate).is_file():
-            raise ConfigError(f"{description} does not exist: {candidate}")
+    out_dir = Path(config.out_dir)
+    decisions_path = out_dir / "decisions.csv"
+    report_paths = (None, None) if config.labels_path is None else (
+        out_dir / "report.json", out_dir / "report.txt")
+    session_path = None if config.script_path is None else out_dir / "session.json"
+    _check_files([("pose file", config.poses_path), ("labels file", config.labels_path),
+                  ("script file", config.script_path)],
+                 [decisions_path, *report_paths, session_path])
 
     truth = None if config.labels_path is None else load_labels(config.labels_path)
     script = None if config.script_path is None else load_script(config.script_path)
 
-    out_dir = Path(config.out_dir)
-    _make_output_dir(out_dir)
-    decisions_path = out_dir / "decisions.csv"
+    _writing(out_dir, out_dir.mkdir, parents=True, exist_ok=True)
     kept = None if truth is None and script is None else []
     rows = _classify_chunks(_pose_chunks(config.poses_path), config.classifier, kept)
     with _all_or_none() as output:
@@ -255,8 +255,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             rep, skipped = evaluate_decisions(decided, truth)
             result.report = rep
             result.skipped_unlabeled = skipped
-            result.report_path = out_dir / "report.json"
-            result.report_text_path = out_dir / "report.txt"
+            result.report_path, result.report_text_path = report_paths
             output(write_report_json, result.report_path, rep)
             output(write_report_text, result.report_text_path, rep, style=config.report_format)
             log.info("overall accuracy %.2f -> %s", rep.overall_accuracy, result.report_path)
@@ -264,7 +263,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         if script is not None:
             session = _score_decisions(script, decided, config.classifier.tie_break_order)
             result.session = session
-            result.session_path = out_dir / "session.json"
+            result.session_path = session_path
             output(write_session_json, result.session_path, session)
             log.info(
                 "session score %d/%d -> %s",

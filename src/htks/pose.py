@@ -26,7 +26,6 @@ __all__ = [
     "LABEL_ORDER",
     "Point2",
     "BodyPose",
-    "euclidean",
 ]
 
 
@@ -72,11 +71,6 @@ class Point2:
         object.__setattr__(self, "y", float(self.y))
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"coordinates must be finite, got ({self.x}, {self.y})")
-
-
-def euclidean(a: Point2, b: Point2) -> float:
-    """Euclidean distance between two points."""
-    return math.hypot(a.x - b.x, a.y - b.y)
 
 
 @dataclass(frozen=True)

@@ -231,7 +231,8 @@ _BLOCK_FRAMES = 4096
 def frame_blocks(config: SynthConfig,
                  confusable: bool = False) -> Iterator[tuple[TouchLabel, np.ndarray]]:
     """The frames of ``generate_frames`` in order, as ``(label, coords)``
-    blocks of at most ``_BLOCK_FRAMES`` frames of one class each."""
+    blocks of at most ``_BLOCK_FRAMES`` frames of one class each. A block
+    with a coordinate that is not finite raises ValueError instead."""
     class_templates = _CONFUSABLE_TEMPLATES if confusable else _CLASS_TEMPLATES
     torso = config.torso_length
     sigma = config.jitter_stddev_ratio * torso
@@ -245,7 +246,12 @@ def frame_blocks(config: SynthConfig,
         pose = np.array([template[joint] for joint in _JOINTS]) * torso
         for start in range(0, n, _BLOCK_FRAMES):
             noise = rng.standard_normal((min(_BLOCK_FRAMES, n - start), len(_JOINTS), 2))
-            yield label, np.add(pose, np.multiply(noise, sigma, out=noise), out=noise)
+            with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+                block = np.add(pose, np.multiply(noise, sigma, out=noise), out=noise)
+            if not np.isfinite(block).all():
+                raise ValueError(f"torso_length {torso!r} with jitter_stddev_ratio "
+                                 f"{config.jitter_stddev_ratio!r} overflows a coordinate")
+            yield label, block
 
 
 def generate_frames(config: SynthConfig, confusable: bool = False) -> SynthFrames:

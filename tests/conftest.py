@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,12 @@ def random_pose(rng: np.random.Generator, frame_id: int = 0, span: int = 1000) -
         head = joints[JointId.HEAD]
         joints[JointId.HIP] = Point2(head.x + 1.0, head.y)
     return BodyPose(frame_id=frame_id, joints=joints)
+
+
+def head_hip(pose: BodyPose) -> float:
+    """The head-to-hip distance of ``pose``, by ``math.hypot``."""
+    head, hip = pose[JointId.HEAD], pose[JointId.HIP]
+    return math.hypot(head.x - hip.x, head.y - hip.y)
 
 
 def translate_pose(pose: BodyPose, tx: float, ty: float) -> BodyPose:

@@ -23,12 +23,11 @@ from htks import (
     classify_baseline,
     classify_sequence,
     distance_profile,
-    euclidean,
     generate,
 )
 from htks.pose import _joint_array
 
-from conftest import make_pose, random_pose, scale_pose, translate_pose
+from conftest import head_hip, make_pose, random_pose, scale_pose, translate_pose
 
 H, S, K, T = TouchLabel.HEAD, TouchLabel.SHOULDERS, TouchLabel.KNEES, TouchLabel.TOES
 
@@ -384,7 +383,7 @@ def per_pose(poses, config):
     if config.normalization is Normalization.FIXED_PIXELS:
         scale = 1.0
     else:
-        scale = max(euclidean(p[JointId.HEAD], p[JointId.HIP]) for p in poses[:30])
+        scale = max(map(head_hip, poses[:30]))
         assert calibration_scale(poses) == scale
     return [(p.frame_id, classify(p, config, scale)) for p in poses]
 

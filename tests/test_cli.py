@@ -599,6 +599,167 @@ def test_run_keeps_no_decisions_when_a_report_fails(corpus, tmp_path, capsys):
     assert sorted(path.name for path in out_dir.iterdir()) == ["report.json"]
 
 
+@pytest.mark.parametrize("case", [
+    "classify-poses", "classify-hard-link", "classify-symlink", "run-poses", "run-labels",
+    "generate", "generate-other-spelling", "evaluate-labels", "evaluate-both-outputs",
+    "score-script",
+])
+def test_output_that_is_an_input_or_another_output_is_config_error(corpus, tmp_path, capsys,
+                                                                   case):
+    # Writing such an output would destroy the file; nothing is opened.
+    poses_path, labels_path = corpus
+    out_dir = tmp_path / "o"
+    out_dir.mkdir()
+    decisions, script = tmp_path / "decisions.csv", tmp_path / "script.txt"
+    assert main(["classify", "--poses", str(poses_path), "--out", str(decisions)]) == 0
+    write_script(script, SessionScript(trials=(Trial(H, 0, 9),)))
+    inputs = [poses_path, labels_path, decisions, script]
+    before = [path.read_bytes() for path in inputs]
+    evaluate = ["evaluate", "--decisions", str(decisions), "--labels", str(labels_path)]
+    if case == "classify-poses":
+        argv = ["classify", "--poses", str(poses_path), "--out", str(poses_path)]
+    elif case in ("classify-hard-link", "classify-symlink"):
+        other = out_dir / "d.csv"
+        (os.link if case == "classify-hard-link" else os.symlink)(poses_path, other)
+        argv = ["classify", "--poses", str(poses_path), "--out", str(other)]
+    elif case.startswith("run"):
+        index, name = (0, "decisions.csv") if case == "run-poses" else (1, "report.json")
+        inputs[index] = inputs[index].rename(out_dir / name)
+        argv = ["run", "--poses", str(inputs[0]), "--labels", str(inputs[1]),
+                "--out-dir", str(out_dir)]
+    elif case == "generate":
+        argv = ["generate", "--out-poses", str(out_dir / "x"), "--out-labels", str(out_dir / "x")]
+    elif case == "generate-other-spelling":
+        argv = ["generate", "--out-poses", str(out_dir / "x"),
+                "--out-labels", str(tmp_path / "o" / ".." / "o" / "x")]
+    elif case == "evaluate-labels":
+        argv = [*evaluate, "--out-text", str(out_dir / "r.txt"), "--out-json", str(labels_path)]
+    elif case == "evaluate-both-outputs":
+        argv = [*evaluate, "--out-json", str(out_dir / "r"), "--out-text", str(out_dir / "r")]
+    else:
+        argv = ["score", "--decisions", str(decisions), "--script", str(script),
+                "--out-json", str(script)]
+    kept = sorted(out_dir.iterdir())
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "config error: output " in err and "Traceback" not in err
+    assert [path.read_bytes() for path in inputs] == before
+    assert sorted(out_dir.iterdir()) == kept
+
+
+def test_outputs_that_are_not_regular_files_may_repeat(corpus, tmp_path, capsys):
+    poses_path, labels_path = corpus
+    decisions = tmp_path / "decisions.csv"
+    assert main(["classify", "--poses", str(poses_path), "--out", str(decisions)]) == 0
+    assert main(["evaluate", "--decisions", str(decisions), "--labels", str(labels_path),
+                 "--out-json", os.devnull, "--out-text", os.devnull]) == 0
+    capsys.readouterr()
+
+
+def test_run_compares_only_the_outputs_it_writes(corpus, tmp_path):
+    # Without labels or a script, run writes decisions.csv alone, so a
+    # pose file named report.json or session.json in its directory is safe.
+    poses_path, _ = corpus
+    out_dir = tmp_path / "o"
+    out_dir.mkdir()
+    for name in ("report.json", "session.json"):
+        moved = out_dir / name
+        poses_path.rename(moved)
+        assert main(["run", "--poses", str(moved), "--out-dir", str(out_dir)]) == 0
+        poses_path = moved
+
+
+def _denied(path):
+    """An ``open`` for ``htks.formats`` that refuses to open ``path``."""
+    def opening(name, *args, **kwargs):
+        if Path(name) == path:
+            raise PermissionError(13, "Permission denied", str(name))
+        return builtins.open(name, *args, **kwargs)
+    return opening
+
+
+@pytest.mark.parametrize("case", [
+    "classify-poses", "run-poses", "run-labels", "run-script", "evaluate-decisions",
+    "evaluate-labels", "score-decisions", "score-script", "report-first", "report-compare",
+    "classify-config", "score-config", "run-config",
+])
+def test_input_that_cannot_be_opened_is_config_error(corpus, tmp_path, capsys, monkeypatch,
+                                                     case):
+    poses_path, labels_path = corpus
+    decisions, script, config = (tmp_path / name for name in ("d.csv", "s.txt", "c.yaml"))
+    assert main(["classify", "--poses", str(poses_path), "--out", str(decisions)]) == 0
+    write_script(script, SessionScript(trials=(Trial(H, 0, 9),)))
+    config.write_text("classifier: {}\n", encoding="utf-8")
+    report_path = tmp_path / "r.json"
+    assert main(["evaluate", "--decisions", str(decisions), "--labels", str(labels_path),
+                 "--out-json", str(report_path)]) == 0
+    out_dir = tmp_path / "out"
+    command, _, reader = case.partition("-")
+    argv = {
+        "classify": ["classify", "--poses", str(poses_path), "--config", str(config),
+                     "--out", str(out_dir / "d.csv")],
+        "run": ["run", "--poses", str(poses_path), "--labels", str(labels_path),
+                "--script", str(script), "--config", str(config), "--out-dir", str(out_dir)],
+        "evaluate": ["evaluate", "--decisions", str(decisions), "--labels", str(labels_path),
+                     "--out-json", str(out_dir / "r.json")],
+        "score": ["score", "--decisions", str(decisions), "--script", str(script),
+                  "--config", str(config), "--out-json", str(out_dir / "s.json")],
+        "report": ["report", "--report", str(report_path), "--compare", str(report_path)],
+    }[command]
+    if reader == "compare":
+        report_path = tmp_path / "r2.json"
+        report_path.write_bytes((tmp_path / "r.json").read_bytes())
+        argv[-1] = str(report_path)
+    unreadable = {"poses": poses_path, "labels": labels_path, "script": script,
+                  "decisions": decisions, "config": config, "first": report_path,
+                  "compare": report_path}[reader]
+    out_dir.mkdir()
+    monkeypatch.setattr(htks.formats, "open", _denied(unreadable), raising=False)
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"config error: cannot read {unreadable}: Permission denied\n" in err
+    assert "Traceback" not in err
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["classify", "score", "run"])
+def test_config_that_is_a_directory_is_config_error(decisions_csv, tmp_path, capsys, command):
+    poses, script = decisions_csv.parent / "poses.txt", tmp_path / "s.txt"
+    write_script(script, SessionScript(trials=(Trial(H, 0, 3),)))
+    args = {
+        "classify": ["--poses", str(poses), "--out", str(tmp_path / "d.csv")],
+        "score": ["--decisions", str(decisions_csv), "--script", str(script)],
+        "run": ["--poses", str(poses), "--out-dir", str(tmp_path / "out")],
+    }[command]
+    assert main([command, "--config", str(tmp_path), *args]) == 3
+    err = capsys.readouterr().err
+    assert f"config error: cannot read {tmp_path}: Is a directory\n" in err
+    assert not (tmp_path / "d.csv").exists() and not (tmp_path / "out").exists()
+
+
+@pytest.mark.skipif(not os.path.isfile("/proc/self/mem"), reason="needs /proc/self/mem")
+@pytest.mark.parametrize("command", ["classify", "run"])
+def test_pose_file_that_fails_on_read_is_config_error(tmp_path, capsys, command):
+    # /proc/self/mem opens, but a read at offset 0 fails with EIO, an
+    # error that names no file.
+    out = (["--out", str(tmp_path / "d.csv")] if command == "classify"
+           else ["--out-dir", str(tmp_path)])
+    assert main([command, "--poses", "/proc/self/mem", *out]) == 3
+    err = capsys.readouterr().err
+    assert "config error: cannot read: Input/output error\n" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("torso, jitter", [("300", "1e306"), ("1e308", "1.0")])
+def test_generate_settings_that_overflow_are_config_error(tmp_path, capsys, torso, jitter):
+    argv = ["generate", "--out-poses", str(tmp_path / "p.txt"),
+            "--out-labels", str(tmp_path / "l.txt"), "--torso-length", torso, "--jitter", jitter]
+    assert main(argv) == 3
+    assert "overflows a coordinate" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_score_uses_the_configured_tie_break_order(tmp_path, capsys):
     # Frames alternate head and toes touches, so the trial's majority and
     # longest run both tie; only the tie-break order decides it.

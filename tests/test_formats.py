@@ -365,7 +365,23 @@ class TestPoseChunks:
                                              frames_per_class=CHUNK // 2 + 22))
         write_poses(path, frames.coords)
         chunks = list(_pose_chunks(path))
-        assert [len(ids) for ids, _ in chunks] == [CHUNK, CHUNK, 88]
+        # Chunks count lines from the header, the first chunk's first line.
+        assert [len(ids) for ids, _ in chunks] == [CHUNK - 1, CHUNK, 89]
+        assert np.concatenate([c for _, c in chunks]).tobytes() == frames.coords.tobytes()
+        assert_same_reading(path)
+
+    @pytest.mark.parametrize("comment", ["# segment", "", "  # indented"])
+    def test_comment_every_256_lines_keeps_the_array_path(self, tmp_path, comment):
+        path = tmp_path / "poses.txt"
+        frames = generate_frames(SynthConfig(seed=2, jitter_stddev_ratio=0.05,
+                                             frames_per_class=CHUNK // 2 + 22))
+        write_poses(path, frames.coords)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for at in range(len(lines) - len(lines) % 256, 0, -256):
+            lines.insert(at, comment)
+        write_lines(path, lines)
+        with mock.patch.object(htks.formats, "_parse_pose_line", side_effect=AssertionError):
+            chunks = list(_pose_chunks(path))
         assert np.concatenate([c for _, c in chunks]).tobytes() == frames.coords.tobytes()
         assert_same_reading(path)
 
@@ -408,7 +424,7 @@ class TestPoseChunks:
         write_poses(path, frames.coords)
         path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
         chunks = list(_pose_chunks(path))
-        assert [len(ids) for ids, _ in chunks] == [CHUNK, CHUNK, 88]
+        assert [len(ids) for ids, _ in chunks] == [CHUNK - 1, CHUNK, 89]
         assert np.concatenate([c for _, c in chunks]).tobytes() == frames.coords.tobytes()
 
     @pytest.mark.parametrize("bad_line", [3, 300, 601])
@@ -538,11 +554,15 @@ class TestExactDecimals:
 
         with mock.patch.object(htks.formats, "_canonical_arrays", counting):
             chunks = list(_pose_chunks(path))
-        # Only the blocks that hold exponent tokens such as 1e-05 fall back.
-        lines = path.read_text(encoding="utf-8").splitlines()[1:]
+        # Only the blocks that hold exponent tokens such as 1e-05 fail both
+        # checks, with and without their comment lines, and go line by
+        # line; the first block fails only the first, as it holds the header.
+        lines = path.read_text(encoding="utf-8").splitlines()
         exponents = {i // CHUNK for i, line in enumerate(lines) if "e-" in line or "e+" in line}
-        assert (len(fell_back), sum(fell_back)) == (-(-len(coords) // CHUNK), len(exponents))
-        assert exponents
+        expected = [[True, True] if block in exponents else [True, False] if block == 0
+                    else [False] for block in range(-(-len(lines) // CHUNK))]
+        assert fell_back == sum(expected, [])
+        assert exponents and 0 not in exponents
         assert np.concatenate([ids for ids, _ in chunks]).tolist() == list(range(len(coords)))
         assert all(c.tobytes() == coords[ids[0]:ids[-1] + 1].tobytes() for ids, c in chunks)
 
@@ -838,6 +858,19 @@ class TestLabelsFile:
         pairs = [(i * 7 % 600, LABEL_ORDER[i % 4]) for i in range(600)]
         write_labels(path, pairs)
         assert label_pairs(path) == pairs
+
+    @pytest.mark.parametrize("comment", ["# segment", "", "  # indented"])
+    def test_comment_every_256_lines_keeps_the_block_path(self, tmp_path, comment):
+        path = tmp_path / "labels.txt"
+        pairs = [(i * 7 % 1200, LABEL_ORDER[i % 4]) for i in range(1200)]
+        write_labels(path, pairs)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for at in range(len(lines) - len(lines) % 256, 0, -256):
+            lines.insert(at, comment)
+        write_lines(path, lines)
+        with mock.patch.object(htks.formats, "_frame_id", side_effect=AssertionError):
+            assert label_pairs(path) == pairs
+        assert_same_labels(path)
 
     @given(data=LABEL_FILE_BYTES)
     def test_any_bytes_parse_or_raise_parse_error(self, scratch_dir, data):

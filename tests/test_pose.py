@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import pytest
 
@@ -8,7 +7,6 @@ from htks import (
     JointId,
     Point2,
     TouchLabel,
-    euclidean,
 )
 
 from conftest import make_pose
@@ -91,10 +89,3 @@ class TestBodyPose:
         pose = make_pose()
         with pytest.raises(dataclasses.FrozenInstanceError):
             pose.frame_id = 3
-
-
-def test_euclidean_matches_hypot(rng):
-    for _ in range(100):
-        a = Point2(float(rng.integers(-500, 500)), float(rng.integers(-500, 500)))
-        b = Point2(float(rng.integers(-500, 500)), float(rng.integers(-500, 500)))
-        assert euclidean(a, b) == math.hypot(a.x - b.x, a.y - b.y)

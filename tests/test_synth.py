@@ -12,7 +12,6 @@ from htks import (
     classify_baseline,
     classify_sequence,
     distance_profile,
-    euclidean,
     generate,
 )
 from htks.synth import (
@@ -22,6 +21,8 @@ from htks.synth import (
     frame_blocks,
     generate_frames,
 )
+
+from conftest import head_hip
 
 
 class TestSynthConfig:
@@ -66,15 +67,13 @@ class TestNoiselessGeometry:
     def test_toes_class_bent_with_zero_ankle_distance(self):
         pose, label = self.frames[-1]
         assert label is TouchLabel.TOES
-        head_hip = euclidean(pose[JointId.HEAD], pose[JointId.HIP])
-        assert head_hip <= 0.4 * self.config.torso_length
+        assert head_hip(pose) <= 0.4 * self.config.torso_length
         assert distance_profile(pose).d_ankles == 0.0
 
     def test_upright_classes_keep_full_torso(self):
         for pose, label in self.frames:
-            head_hip = euclidean(pose[JointId.HEAD], pose[JointId.HIP])
             if label in (TouchLabel.HEAD, TouchLabel.SHOULDERS):
-                assert head_hip == pytest.approx(self.config.torso_length)
+                assert head_hip(pose) == pytest.approx(self.config.torso_length)
 
     def test_class_geometry_separation(self):
         # Each frame's own profile entry is the strict minimum, or the
@@ -85,7 +84,7 @@ class TestNoiselessGeometry:
             profile = distance_profile(pose)
             own = profile.value(label)
             others = [profile.value(l) for l in TouchLabel if l is not label]
-            bent = euclidean(pose[JointId.HEAD], pose[JointId.HIP]) < threshold
+            bent = head_hip(pose) < threshold
             assert all(own < other for other in others) or (
                 label is TouchLabel.TOES and bent
             )
@@ -141,7 +140,8 @@ class TestJitter:
         displacements = []
         for (p0, _), (p1, _) in zip(base, jittered):
             for joint in JointId:
-                displacements.append(euclidean(p0[joint], p1[joint]))
+                a, b = p0[joint], p1[joint]
+                displacements.append(math.hypot(a.x - b.x, a.y - b.y))
         sigma = ratio * torso
         expected_mean = sigma * math.sqrt(math.pi / 2.0)
         rayleigh_std = sigma * math.sqrt((4.0 - math.pi) / 2.0)
@@ -194,3 +194,11 @@ class TestBlocks:
         frames = generate_frames(config, confusable)
         assert frames.coords.tobytes() == np.concatenate([c for _, c in blocks]).tobytes()
         assert frames.labels == tuple(label for label, coords in blocks for _ in coords)
+
+    @pytest.mark.parametrize("torso, jitter", [(300.0, 1e306), (1e308, 10.0), (1e308, 1.0)])
+    def test_coordinate_past_float64_raises(self, torso, jitter):
+        # Each setting is finite, but jitter times torso, or a noise draw
+        # times it, is not.
+        config = SynthConfig(torso_length=torso, jitter_stddev_ratio=jitter)
+        with pytest.raises(ValueError, match="overflows a coordinate"):
+            next(frame_blocks(config))

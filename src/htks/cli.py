@@ -34,11 +34,12 @@ from .formats import (
     _check_files,
     _pose_chunks,
 )
+from .game import score_session
 from .pipeline import (
     REPORT_FORMATS,
     RunConfig,
     _classify_chunks,
-    _score_decisions,
+    _run_outputs,
     evaluate_decisions,
     load_run_settings,
     run_pipeline,
@@ -138,8 +139,8 @@ def generate(out_poses, out_labels, seed, frames_per_class, torso_length, jitter
 @_classifier_overrides
 def classify(poses_path, out_path, config_path, **overrides):
     """Classify every frame of a pose file."""
-    _check_files([("pose file", poses_path)], [out_path])
     config = _merge_classifier(_load_classifier(config_path), overrides)
+    _check_files([("pose file", poses_path), ("config file", config_path)], [out_path])
     write_decisions(out_path, _classify_chunks(_pose_chunks(poses_path), config))
     click.echo(f"wrote decisions to {out_path}")
 
@@ -174,10 +175,11 @@ def evaluate(decisions_path, labels_path, out_json, out_text, style):
               help="Classifier config YAML; its tie_break_order settles tied trials.")
 def score(decisions_path, script_path, out_json, config_path):
     """Score a session script against per-frame decisions."""
-    _check_files([("decisions file", decisions_path), ("script file", script_path)], [out_json])
     tie_break_order = _load_classifier(config_path).tie_break_order
+    _check_files([("decisions file", decisions_path), ("script file", script_path),
+                  ("config file", config_path)], [out_json])
     script = load_script(script_path)
-    result = _score_decisions(script, load_decisions(decisions_path), tie_break_order)
+    result = score_session(script, load_decisions(decisions_path), tie_break_order)
     for index, outcome in enumerate(result.per_trial):
         observed = outcome.observed_part.value if outcome.observed_part else "undecided"
         status = "correct" if outcome.correct else "wrong"
@@ -240,6 +242,7 @@ def run(config_path, poses_path, labels_path, script_path, out_dir, style, **ove
         classifier=_merge_classifier(base, overrides),
         report_format=style or settings.get("report_format", "table"),
     )
+    _check_files([("config file", config_path)], _run_outputs(run_config))
     result = run_pipeline(run_config)
     click.echo(f"decisions: {result.decisions_path} ({result.frames} frames)")
     if result.report is not None:

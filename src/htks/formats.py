@@ -13,9 +13,9 @@ Frame ids must be strictly increasing. The head entry is expected to be
 the head *center*; adapt estimator output that reports the head top.
 Pose and labels files are read, and pose, labels and decisions files
 written, in chunks of ``_CHUNK_FRAMES`` (512) lines, counted from the
-first line of the file. A chunk whose lines, less its comment and blank
-lines, are exactly as ``write_poses`` (from an array) or ``write_labels``
-writes them is parsed as a whole; any other chunk goes line by line.
+first line of the file. Lines exactly as ``write_poses`` (from an array)
+or ``write_labels`` writes them are parsed as a whole, a chunk or, for
+poses, a run between other lines at a time; any other goes line by line.
 
 Labels file: ``<frame_id> <class>`` with class one of head, shoulders,
 knees, toes. Frame ids are unique and in any order.
@@ -34,18 +34,17 @@ defaults.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import re
-import stat
 from contextlib import contextmanager, suppress
 from dataclasses import fields
 from functools import partial
-from itertools import count, islice
+from itertools import count, groupby, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
-import yaml
 
 from .classifier import ClassifierConfig, DistanceProfile
 from .errors import ConfigError, EmptyScript, ParseError
@@ -102,51 +101,63 @@ def _writing(path, call, *args, **kwargs):
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+class _Staged:
+    """An output ``path`` and the ``file`` written for it: for a regular or
+    new file, a new temporary file beside it, which ``_all_or_none`` renames
+    over it; for any other (``/dev/null``, a pipe), ``path`` itself."""
+
+    def __init__(self, path):
+        self.path, self.target = path, os.path.realpath(path)  # the file a symlink names
+        self.temporary = os.path.isfile(path) or not os.path.exists(path)
+        head, name = os.path.split(self.target)
+        name = f".{name}.{os.urandom(6).hex()}.tmp"
+        self.file = os.path.join(head, name) if self.temporary else path
+
+
 @contextmanager
 def _output(path) -> Iterator[Callable[[str], object]]:
     """Open ``path`` for every writer here and yield its ``write``. A path
     that cannot be opened, written, flushed or closed is a ConfigError
     naming it; any other error of the body, such as a ParseError from the
-    pose reader ``write_decisions`` pulls, keeps its type. If the body
-    raises, the half-written file is removed, unless it is not a regular
-    file (``/dev/null``, a pipe)."""
-    fh = _writing(path, open, path, "w", encoding="utf-8")
-    regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+    pose reader ``write_decisions`` pulls, keeps its type. The file at
+    ``path`` is replaced once the body succeeds, or for a ``_Staged`` path
+    once its ``_all_or_none`` does."""
+    if not isinstance(path, _Staged):  # a writer called on its own: a command of one output
+        with _all_or_none() as output, output(_output, path) as write:
+            yield write
+        return
+    fh = _writing(path.path, open, path.file, "x" if path.temporary else "w", encoding="utf-8")
     try:
-        try:
-            yield partial(_writing, path, fh.write)
-        except BaseException:
-            # The body's error is the one to report, not a failed flush.
-            with suppress(OSError):
-                fh.close()
-            raise
-        _writing(path, fh.close)
+        yield partial(_writing, path.path, fh.write)
     except BaseException:
-        if regular:
-            Path(path).unlink(missing_ok=True)
+        # The body's error is the one to report, not a failed flush.
+        with suppress(OSError):
+            fh.close()
         raise
+    _writing(path.path, fh.close)
 
 
 @contextmanager
 def _all_or_none() -> Iterator[Callable]:
-    """Yield ``output(writer, path, *args)``, which calls ``writer(path,
-    *args)`` and returns its result. If the body raises, the regular files
-    ``output`` already wrote are removed, so a command that fails leaves
-    none of its outputs rather than some of them."""
-    written: list[Path] = []
+    """Yield ``output(writer, path, *args)``, which calls ``writer`` on
+    ``path`` as a ``_Staged`` output and returns its result. The files
+    written replace their paths only once the body has succeeded, so a
+    command that fails leaves every earlier file as it was."""
+    staged: list[_Staged] = []
 
     def output(writer, path, *args, **kwargs):
-        result = writer(path, *args, **kwargs)
-        written.append(Path(path))
-        return result
+        staged.append(_Staged(path))
+        return writer(staged[-1], *args, **kwargs)
 
     try:
         yield output
-    except BaseException:
-        for path in written:
-            if path.is_file():
-                path.unlink(missing_ok=True)
-        raise
+        for out in staged:
+            if out.temporary:
+                _writing(out.path, os.replace, out.file, out.target)
+    finally:
+        for out in staged:
+            if out.temporary:
+                Path(out.file).unlink(missing_ok=True)
 
 
 def _check_files(inputs: Iterable[tuple[str, object]], outputs: Iterable = ()) -> None:
@@ -510,31 +521,52 @@ def _pose_chunks(path) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     chunks of up to ``_CHUNK_FRAMES`` frames, with the frames and errors
     of ``iter_poses``.
 
-    A chunk of canonical lines is parsed as a whole, and so is one whose
-    lines are canonical without its header, comment and blank lines; any
-    other chunk goes through the strict per-line parser. On an error the
-    frames before it are yielded first, then its ParseError is raised.
+    A chunk of canonical lines is parsed as a whole; in any other, so is
+    each run of lines that are canonical less their numbers. Other lines
+    (comments, exponents, confidences) and runs the array check refuses go
+    through the strict per-line parser, in file order, and are counted in
+    one INFO line. On an error the frames before it are yielded first, then
+    its ParseError is raised.
     """
-    prev_frame_id = None
+    prev_frame_id, frames, strict = None, 0, 0
     for first, block, error in _line_blocks(path):
-        arrays = (_canonical_arrays(block, prev_frame_id)
-                  or _canonical_arrays(_data_lines(block), prev_frame_id))
+        arrays = _canonical_arrays(block, prev_frame_id)
+        pieces, poses = [] if arrays is None else [arrays], []
         if arrays is None:
-            poses = []
             try:
-                for line_no, line in _content(enumerate(block, first)):
-                    poses.append(_parse_pose_line(line, path, line_no, prev_frame_id))
-                    prev_frame_id = poses[-1].frame_id
+                for canonical, run in groupby(enumerate(block, first), _on_template):
+                    run = list(run)
+                    arrays = _canonical_arrays([line for _, line in run],
+                                               prev_frame_id) if canonical else None
+                    if arrays is not None:
+                        pieces += [_pose_arrays(poses), arrays]
+                        poses, prev_frame_id = [], int(arrays[0][-1])
+                        continue
+                    for line_no, line in _content(run):
+                        strict += 1
+                        poses.append(_parse_pose_line(line, path, line_no, prev_frame_id))
+                        prev_frame_id = poses[-1].frame_id
             except ParseError as exc:
                 error = exc
-            if poses:
-                arrays = np.array([pose.frame_id for pose in poses], np.int64), _joint_array(poses)
-        else:
-            prev_frame_id = int(arrays[0][-1])
-        if arrays is not None:
-            yield arrays
+            pieces.append(_pose_arrays(poses))
+        ids, coords = pieces[0] if len(pieces) == 1 else map(np.concatenate, zip(*pieces))
+        if len(ids):
+            prev_frame_id = int(ids[-1])
+            frames += len(ids)
+            yield ids, coords
         if error is not None:
             raise error
+    if strict:
+        logging.getLogger("htks").info("%d of %d pose lines parsed line by line", strict, frames)
+
+
+def _on_template(numbered: tuple[int, str]) -> bool:
+    """Whether a ``(line_no, line)`` less its ``_NUMERIC`` bytes is ``_POSE_TEMPLATE``."""
+    return numbered[1].encode().translate(None, _NUMERIC) == _POSE_TEMPLATE
+
+
+def _pose_arrays(poses: list[BodyPose]) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([pose.frame_id for pose in poses], np.int64), _joint_array(poses)
 
 
 # ---------------------------------------------------------------------------
@@ -695,6 +727,7 @@ def load_classifier_config(path) -> ClassifierConfig:
 
 
 def write_classifier_config(path, config: ClassifierConfig) -> None:
+    import yaml
     with _output(path) as write:
         write(yaml.safe_dump({"classifier": classifier_config_to_dict(config)}, sort_keys=True))
 
@@ -709,6 +742,7 @@ def _known_keys(data, name: str, known, keys_name: str | None = None) -> None:
 
 
 def _load_yaml(path):
+    import yaml  # here, so that commands without a YAML file never load PyYAML
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return yaml.safe_load(fh)

@@ -7,21 +7,21 @@ with the longest consecutive run, then to the classifier tie-break order.
 Trials with no frames are undecided and score as incorrect, so the score
 denominator never shrinks.
 
-Scoring sees only what the classifier decided: each frame is a
-``(frame_id, TouchLabel)`` pair.
+Scoring sees only what the classifier decided: a frame id and a
+LABEL_ORDER index per frame, as arrays.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
+
+import numpy as np
 
 from .classifier import DEFAULT_TIE_BREAK_ORDER
 from .errors import EmptyScript
-from .pose import TouchLabel
+from .evaluation import _INDEX
+from .pose import LABEL_ORDER, TouchLabel
 
 __all__ = [
     "PartMapping",
@@ -133,12 +133,21 @@ class SessionResult:
         object.__setattr__(self, "score_fraction", self.num_correct / self.num_trials)
 
 
-def _longest_run(labels: Sequence[TouchLabel], target: TouchLabel) -> int:
-    best = run = 0
-    for label in labels:
-        run = run + 1 if label is target else 0
-        best = max(best, run)
-    return best
+def _window_label(labels: np.ndarray, tie_break: Sequence[int]) -> Optional[int]:
+    """``aggregate_trial`` on LABEL_ORDER indices: ``labels`` of one window
+    in frame order, ``tie_break`` the tie-break order."""
+    if not len(labels):
+        return None
+    counts = np.bincount(labels, minlength=len(LABEL_ORDER))
+    leaders = np.flatnonzero(counts == counts.max())
+    if len(leaders) > 1:
+        starts = np.flatnonzero(np.diff(labels, prepend=-1))
+        longest = np.zeros(len(counts), np.intp)
+        np.maximum.at(longest, labels[starts], np.diff(starts, append=len(labels)))
+        leaders = leaders[longest[leaders] == longest[leaders].max()]
+    if len(leaders) == 1:
+        return int(leaders[0])
+    return next(index for index in tie_break if index in leaders)
 
 
 def aggregate_trial(
@@ -151,48 +160,39 @@ def aggregate_trial(
     ties go to the label with the longest consecutive run, remaining ties
     to the earliest label in ``tie_break_order``.
     """
-    labels = list(labels)
-    if not labels:
-        return None
-    counts = Counter(labels)
-    top = max(counts.values())
-    leaders = [label for label in counts if counts[label] == top]
-    if len(leaders) == 1:
-        return leaders[0]
-    runs = {label: _longest_run(labels, label) for label in leaders}
-    best_run = max(runs.values())
-    run_leaders = [label for label in leaders if runs[label] == best_run]
-    if len(run_leaders) == 1:
-        return run_leaders[0]
-    return next(label for label in tie_break_order if label in run_leaders)
+    indices = np.array([_INDEX[label] for label in labels], np.int8)
+    index = _window_label(indices, [_INDEX[label] for label in tie_break_order])
+    return None if index is None else LABEL_ORDER[index]
 
 
-def score_session(
-    script: SessionScript,
-    decisions: Iterable[tuple[int, TouchLabel]],
-    tie_break_order: Sequence[TouchLabel] = DEFAULT_TIE_BREAK_ORDER,
-) -> SessionResult:
+def score_session(script: SessionScript, decisions: tuple | Iterable[tuple[int, TouchLabel]],
+                  tie_break_order: Sequence[TouchLabel] = DEFAULT_TIE_BREAK_ORDER) -> SessionResult:
     """Score a full session against its script.
 
-    ``decisions`` pairs frame ids with frame labels, in any order; pairs
-    with the same frame id keep their given order. Frames outside every
-    trial window are ignored; missing frames simply thin the windows they
-    belong to. An undecided trial is never correct.
+    ``decisions`` is a pair of arrays ``(frame_ids, labels)``, int64 frame
+    ids and int8 LABEL_ORDER indices, as ``htks run`` keeps them and
+    ``load_decisions`` returns them. Any other iterable is read as
+    ``(frame_id, TouchLabel)`` pairs and turned into those arrays first; a
+    frame id outside int64 then raises OverflowError. Frames come in any
+    order; frames with the same id keep their given order. Frames outside
+    every trial window are ignored; missing frames simply thin the windows
+    they belong to. An undecided trial is never correct.
     """
-    frame_id = itemgetter(0)
-    items = sorted(decisions, key=frame_id)
+    if not (isinstance(decisions, tuple) and len(decisions) == 2
+            and isinstance(decisions[0], np.ndarray)):
+        pairs = list(decisions)
+        decisions = (np.array([frame_id for frame_id, _ in pairs], np.int64),
+                     np.array([_INDEX[label] for _, label in pairs], np.int8))
+    order = np.argsort(decisions[0], kind="stable")
+    frame_ids, labels = decisions[0][order], decisions[1][order]
+    # A window [start, end] holds the frames with start - 1 < id <= end.
+    edges = [edge for trial in script.trials for edge in (trial.start_frame - 1, trial.end_frame)]
+    bounds = np.searchsorted(frame_ids, edges, "right").reshape(-1, 2).tolist()
+    tie_break = [_INDEX[label] for label in tie_break_order]
     outcomes = []
-    for trial in script.trials:
-        start = bisect_left(items, trial.start_frame, key=frame_id)
-        end = bisect_right(items, trial.end_frame, lo=start, key=frame_id)
-        observed = aggregate_trial([label for _, label in items[start:end]], tie_break_order)
+    for trial, (start, end) in zip(script.trials, bounds):
+        index = _window_label(labels[start:end], tie_break)
+        observed = None if index is None else LABEL_ORDER[index]
         required = script.mapping.required_for(trial.stated_part)
-        outcomes.append(
-            TrialOutcome(
-                stated_part=trial.stated_part,
-                required_part=required,
-                observed_part=observed,
-                correct=observed == required,
-            )
-        )
+        outcomes.append(TrialOutcome(trial.stated_part, required, observed, observed == required))
     return SessionResult(per_trial=tuple(outcomes))

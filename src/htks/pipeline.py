@@ -54,7 +54,7 @@ from .formats import (
     _writing,
 )
 from .game import SessionResult, score_session
-from .pose import LABEL_ORDER, BodyPose, _joint_array
+from .pose import BodyPose, _joint_array
 
 __all__ = [
     "RunConfig",
@@ -182,12 +182,6 @@ def evaluate_decisions(
     return rep, skipped
 
 
-def _score_decisions(script, decided: tuple, tie_break_order) -> SessionResult:
-    """Score ``script`` against decided ``(frame_ids, labels)`` index arrays."""
-    pairs = zip(decided[0].tolist(), map(LABEL_ORDER.__getitem__, decided[1].tolist()))
-    return score_session(script, pairs, tie_break_order)
-
-
 def load_run_settings(path) -> dict:
     """Parse a run-config YAML into normalized settings.
 
@@ -219,23 +213,28 @@ def load_run_settings(path) -> dict:
     return settings
 
 
+def _run_outputs(config: RunConfig) -> list[Optional[Path]]:
+    """decisions.csv, report.json, report.txt and session.json as ``run_pipeline``
+    writes them: no report without labels, no session without a script."""
+    out_dir, labels = Path(config.out_dir), config.labels_path is not None
+    return [out_dir / "decisions.csv", out_dir / "report.json" if labels else None,
+            out_dir / "report.txt" if labels else None,
+            out_dir / "session.json" if config.script_path is not None else None]
+
+
 def run_pipeline(config: RunConfig) -> PipelineResult:
     """Classify a pose file and write every requested artifact.
 
     Writes decisions.csv always, report.json/report.txt when labels are
     supplied, session.json when a script is supplied. Reruns with the same
     config overwrite the outputs with identical bytes. Labels and script
-    are loaded first, so a bad one leaves no output behind; a step that
-    fails later removes the outputs already written.
+    are loaded first, so a bad one leaves no output behind; the outputs
+    replace the files at their paths only once every step has succeeded.
     """
     out_dir = Path(config.out_dir)
-    decisions_path = out_dir / "decisions.csv"
-    report_paths = (None, None) if config.labels_path is None else (
-        out_dir / "report.json", out_dir / "report.txt")
-    session_path = None if config.script_path is None else out_dir / "session.json"
+    decisions_path, *report_paths, session_path = outputs = _run_outputs(config)
     _check_files([("pose file", config.poses_path), ("labels file", config.labels_path),
-                  ("script file", config.script_path)],
-                 [decisions_path, *report_paths, session_path])
+                  ("script file", config.script_path)], outputs)
 
     truth = None if config.labels_path is None else load_labels(config.labels_path)
     script = None if config.script_path is None else load_script(config.script_path)
@@ -261,7 +260,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             log.info("overall accuracy %.2f -> %s", rep.overall_accuracy, result.report_path)
 
         if script is not None:
-            session = _score_decisions(script, decided, config.classifier.tie_break_order)
+            session = score_session(script, decided, config.classifier.tie_break_order)
             result.session = session
             result.session_path = session_path
             output(write_session_json, result.session_path, session)

@@ -10,6 +10,8 @@ import os
 import pkgutil
 import re
 import stat
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from itertools import islice
@@ -602,7 +604,7 @@ def test_run_keeps_no_decisions_when_a_report_fails(corpus, tmp_path, capsys):
 @pytest.mark.parametrize("case", [
     "classify-poses", "classify-hard-link", "classify-symlink", "run-poses", "run-labels",
     "generate", "generate-other-spelling", "evaluate-labels", "evaluate-both-outputs",
-    "score-script",
+    "score-script", "classify-config", "score-config", "run-config",
 ])
 def test_output_that_is_an_input_or_another_output_is_config_error(corpus, tmp_path, capsys,
                                                                    case):
@@ -613,7 +615,10 @@ def test_output_that_is_an_input_or_another_output_is_config_error(corpus, tmp_p
     decisions, script = tmp_path / "decisions.csv", tmp_path / "script.txt"
     assert main(["classify", "--poses", str(poses_path), "--out", str(decisions)]) == 0
     write_script(script, SessionScript(trials=(Trial(H, 0, 9),)))
-    inputs = [poses_path, labels_path, decisions, script]
+    # A run config named like one of run's outputs, inside its --out-dir.
+    config = out_dir / "session.json" if case == "run-config" else tmp_path / "c.yaml"
+    config.write_text("classifier: {}\n", encoding="utf-8")
+    inputs = [poses_path, labels_path, decisions, script, config]
     before = [path.read_bytes() for path in inputs]
     evaluate = ["evaluate", "--decisions", str(decisions), "--labels", str(labels_path)]
     if case == "classify-poses":
@@ -622,7 +627,7 @@ def test_output_that_is_an_input_or_another_output_is_config_error(corpus, tmp_p
         other = out_dir / "d.csv"
         (os.link if case == "classify-hard-link" else os.symlink)(poses_path, other)
         argv = ["classify", "--poses", str(poses_path), "--out", str(other)]
-    elif case.startswith("run"):
+    elif case in ("run-poses", "run-labels"):
         index, name = (0, "decisions.csv") if case == "run-poses" else (1, "report.json")
         inputs[index] = inputs[index].rename(out_dir / name)
         argv = ["run", "--poses", str(inputs[0]), "--labels", str(inputs[1]),
@@ -636,6 +641,15 @@ def test_output_that_is_an_input_or_another_output_is_config_error(corpus, tmp_p
         argv = [*evaluate, "--out-text", str(out_dir / "r.txt"), "--out-json", str(labels_path)]
     elif case == "evaluate-both-outputs":
         argv = [*evaluate, "--out-json", str(out_dir / "r"), "--out-text", str(out_dir / "r")]
+    elif case == "classify-config":
+        argv = ["classify", "--poses", str(poses_path), "--config", str(config),
+                "--out", str(config)]
+    elif case == "score-config":
+        argv = ["score", "--decisions", str(decisions), "--script", str(script),
+                "--config", str(config), "--out-json", str(config)]
+    elif case == "run-config":
+        argv = ["run", "--config", str(config), "--poses", str(poses_path),
+                "--script", str(script), "--out-dir", str(out_dir)]
     else:
         argv = ["score", "--decisions", str(decisions), "--script", str(script),
                 "--out-json", str(script)]
@@ -645,6 +659,50 @@ def test_output_that_is_an_input_or_another_output_is_config_error(corpus, tmp_p
     assert "config error: output " in err and "Traceback" not in err
     assert [path.read_bytes() for path in inputs] == before
     assert sorted(out_dir.iterdir()) == kept
+
+
+@pytest.mark.parametrize("command, expected", [
+    ("classify", 2), ("evaluate", 3), ("score", 2), ("run", 2),
+])
+def test_failed_command_keeps_earlier_outputs(corpus, tmp_path, capsys, command, expected):
+    # Each output is written beside its path and renamed over it only once
+    # the whole command has succeeded.
+    poses_path, labels_path = corpus
+    script, out = tmp_path / "script.txt", tmp_path / "o"
+    write_script(script, SessionScript(trials=(Trial(H, 0, 9),)))
+    assert main(["run", "--poses", str(poses_path), "--labels", str(labels_path),
+                 "--script", str(script), "--out-dir", str(out)]) == 0
+    decisions = out / "decisions.csv"
+    # Each failing command would write other bytes: 20 of the 40 frames, a
+    # report against other labels.
+    bad_poses, bad_decisions = tmp_path / "bad.txt", tmp_path / "bad.csv"
+    head = poses_path.read_text(encoding="utf-8").splitlines(keepends=True)[:21]
+    bad_poses.write_text("".join(head) + "20 head=1,2\n", encoding="utf-8")
+    bad_decisions.write_bytes(decisions.read_bytes() + b"41,head\n")
+    other_labels = tmp_path / "other.txt"
+    write_labels(other_labels, [(frame_id, LABEL_ORDER[LABEL_ORDER.index(label) - 1])
+                                for frame_id, label in label_pairs(labels_path)])
+    argv = {
+        "classify": ["classify", "--poses", str(bad_poses), "--out", str(decisions)],
+        # report.json is written, then the directory given as --out-text fails.
+        "evaluate": ["evaluate", "--decisions", str(decisions), "--labels", str(other_labels),
+                     "--out-json", str(out / "report.json"), "--out-text", str(out)],
+        "score": ["score", "--decisions", str(bad_decisions), "--script", str(script),
+                  "--out-json", str(out / "session.json")],
+        "run": ["run", "--poses", str(bad_poses), "--labels", str(labels_path),
+                "--script", str(script), "--out-dir", str(out)],
+    }[command]
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert sorted(before) == ["decisions.csv", "report.json", "report.txt", "session.json"]
+    capsys.readouterr()
+    assert main(argv) == expected
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def test_yaml_is_loaded_only_for_a_yaml_file():
+    code = "import sys, htks.cli; sys.exit('yaml' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(htks.formats.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_outputs_that_are_not_regular_files_may_repeat(corpus, tmp_path, capsys):

@@ -255,7 +255,7 @@ def assert_same_reading(path):
 # canonical layout that still parse, and lines that break a rule.
 _COORDINATE = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([0.0, -0.0, 1.5, -300.25, 1e-310]),
+    st.sampled_from([0.0, -0.0, 1.5, -300.25, 1e-310, 1e-05, -7.3e-05, 1e16]),
 )
 # Each is a float() spelling the strict parser rejects or must agree on;
 # "1\x1c" and "2\xa0" end in characters str.split() splits on. Then signs,
@@ -385,6 +385,20 @@ class TestPoseChunks:
         assert np.concatenate([c for _, c in chunks]).tobytes() == frames.coords.tobytes()
         assert_same_reading(path)
 
+
+    def test_lines_read_line_by_line_are_logged(self, tmp_path, caplog):
+        path = tmp_path / "poses.txt"
+        write_poses(path, generate_frames(SynthConfig(seed=2, frames_per_class=10)).coords)
+        with caplog.at_level("INFO", logger="htks"):
+            list(_pose_chunks(path))
+        assert caplog.messages == []
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for at in (5, 30):
+            lines[at] = re.sub("hip=[^,]*", "hip=1e-05", lines[at])
+        write_lines(path, lines)
+        with caplog.at_level("INFO", logger="htks"):
+            assert_same_reading(path)
+        assert caplog.messages == ["2 of 40 pose lines parsed line by line"]
 
     @pytest.mark.parametrize("old, new", [
         ("head=320.5", "he1ad=320.5"), ("head=320.5,80.25", "he1ad=,80.25"),
@@ -545,23 +559,37 @@ class TestExactDecimals:
         path = tmp_path / "poses.txt"
         coords = seed_1_coords
         write_poses(path, coords)
-        read, fell_back = htks.formats._canonical_arrays, []
+        read, parse = htks.formats._canonical_arrays, htks.formats._parse_pose_line
+        calls, parsed = [], []
 
         def counting(lines, prev_frame_id):
             arrays = read(lines, prev_frame_id)
-            fell_back.append(arrays is None)
+            calls.append((len(lines), arrays is not None))
             return arrays
 
-        with mock.patch.object(htks.formats, "_canonical_arrays", counting):
+        def parsing(line, path, line_no, prev_frame_id):
+            parsed.append(line_no)
+            return parse(line, path, line_no, prev_frame_id)
+
+        with mock.patch.object(htks.formats, "_canonical_arrays", counting), \
+                mock.patch.object(htks.formats, "_parse_pose_line", parsing):
             chunks = list(_pose_chunks(path))
-        # Only the blocks that hold exponent tokens such as 1e-05 fail both
-        # checks, with and without their comment lines, and go line by
-        # line; the first block fails only the first, as it holds the header.
+        # A block is read as a whole unless it holds the header or a line
+        # with an exponent token such as 1e-05. Such a block is tried whole,
+        # then each run of lines between those lines is read as a whole,
+        # and only the exponent lines go through the strict parser.
         lines = path.read_text(encoding="utf-8").splitlines()
-        exponents = {i // CHUNK for i, line in enumerate(lines) if "e-" in line or "e+" in line}
-        expected = [[True, True] if block in exponents else [True, False] if block == 0
-                    else [False] for block in range(-(-len(lines) // CHUNK))]
-        assert fell_back == sum(expected, [])
+        exponents = [i for i, line in enumerate(lines) if "e-" in line or "e+" in line]
+        expected = []
+        for start in range(0, len(lines), CHUNK):
+            block = range(start, min(start + CHUNK, len(lines)))
+            odd = [i for i in block if i == 0 or i in exponents]
+            expected.append((len(block), not odd))
+            if odd:
+                edges = [block.start - 1, *odd, block.stop]
+                expected += [(b - a - 1, True) for a, b in zip(edges, edges[1:]) if b - a > 1]
+        assert calls == expected
+        assert parsed == [i + 1 for i in exponents]
         assert exponents and 0 not in exponents
         assert np.concatenate([ids for ids, _ in chunks]).tolist() == list(range(len(coords)))
         assert all(c.tobytes() == coords[ids[0]:ids[-1] + 1].tobytes() for ids, c in chunks)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from htks import (
     DEFAULT_PART_MAPPING,
+    LABEL_ORDER,
     EmptyScript,
     PartMapping,
     SessionResult,
@@ -168,6 +169,25 @@ class TestScoreSession:
             assert result.score_fraction == result.num_correct / n
 
 
+def _reference_window(labels, tie_break_order):
+    """The window rule of the ``game`` docstring, written out: the majority
+    label; majority ties to the label with the longest consecutive run;
+    remaining ties to the earliest label in ``tie_break_order``."""
+    if not labels:
+        return None
+    counts = {label: labels.count(label) for label in set(labels)}
+    leaders = [label for label in counts if counts[label] == max(counts.values())]
+    runs = {}
+    for index, label in enumerate(labels):
+        if index == 0 or labels[index - 1] is not label:
+            length = 1
+            while index + length < len(labels) and labels[index + length] is label:
+                length += 1
+            runs[label] = max(runs.get(label, 0), length)
+    leaders = [label for label in leaders if runs[label] == max(runs[l] for l in leaders)]
+    return next(label for label in tie_break_order if label in leaders)
+
+
 def _score_by_filter(script, decisions, tie_break_order):
     """Reference scoring: stable sort by frame id, then scan every frame
     for every trial."""
@@ -175,7 +195,7 @@ def _score_by_filter(script, decisions, tie_break_order):
     outcomes = []
     for trial in script.trials:
         window = [label for fid, label in items if trial.start_frame <= fid <= trial.end_frame]
-        observed = aggregate_trial(window, tie_break_order)
+        observed = _reference_window(window, tie_break_order)
         required = script.mapping.required_for(trial.stated_part)
         outcomes.append(TrialOutcome(trial.stated_part, required, observed, observed == required))
     return SessionResult(per_trial=tuple(outcomes))
@@ -204,3 +224,36 @@ def test_score_session_matches_per_trial_filter(session, tie_break_order):
     assert score_session(script, decisions, tie_break_order) == _score_by_filter(
         script, decisions, tie_break_order
     )
+
+
+@given(st.lists(_labels, max_size=40), st.permutations(list(TouchLabel)))
+def test_aggregate_trial_matches_the_reference_rule(labels, tie_break_order):
+    assert aggregate_trial(labels, tie_break_order) == _reference_window(labels, tie_break_order)
+
+
+def _as_arrays(decisions):
+    return (np.array([frame_id for frame_id, _ in decisions], np.int64),
+            np.array([LABEL_ORDER.index(label) for _, label in decisions], np.int8))
+
+
+@given(_sessions(), st.permutations(list(TouchLabel)))
+def test_pairs_and_arrays_score_alike(session, tie_break_order):
+    script, decisions = session
+    assert score_session(script, _as_arrays(decisions), tie_break_order) == score_session(
+        script, decisions, tie_break_order
+    )
+
+
+class TestFrameIdsPastInt64:
+    def test_pair_with_an_id_outside_int64_is_overflow_error(self):
+        script = SessionScript(trials=(Trial(H, 0, 3),))
+        for frame_id in (2**63, -(2**63) - 1):
+            with pytest.raises(OverflowError):
+                score_session(script, [(0, T), (frame_id, T)])
+
+    def test_window_bounds_past_int64(self):
+        last = 2**63 - 1
+        script = SessionScript(trials=(Trial(H, last - 1, 2**70), Trial(S, 2**70 + 1, 2**71)))
+        result = score_session(script, [(0, H), (last - 2, K), (last - 1, T), (last, T)])
+        assert [t.observed_part for t in result.per_trial] == [T, None]
+        assert result.num_correct == 1

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import sys
+from contextlib import closing
 from itertools import chain, repeat, starmap
 from pathlib import Path
 
@@ -30,9 +31,9 @@ from .formats import (
     write_report_json,
     write_report_text,
     write_session_json,
+    _PoseFile,
     _all_or_none,
     _check_files,
-    _pose_chunks,
 )
 from .game import score_session
 from .pipeline import (
@@ -141,7 +142,8 @@ def classify(poses_path, out_path, config_path, **overrides):
     """Classify every frame of a pose file."""
     config = _merge_classifier(_load_classifier(config_path), overrides)
     _check_files([("pose file", poses_path), ("config file", config_path)], [out_path])
-    write_decisions(out_path, _classify_chunks(_pose_chunks(poses_path), config))
+    with closing(_classify_chunks(_PoseFile(poses_path), config)) as rows:
+        write_decisions(out_path, rows)
     click.echo(f"wrote decisions to {out_path}")
 
 

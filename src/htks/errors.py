@@ -58,3 +58,7 @@ class EmptyClassRow(EvaluationError):
     def __init__(self, label):
         self.label = label
         super().__init__(f"no frames with ground truth {label.value!r}; per-class accuracy undefined")
+
+    def __reduce__(self):
+        # Unpickling calls the class on these arguments, by default the message.
+        return type(self), (self.label,)

@@ -516,9 +516,9 @@ def _canonical_arrays(lines: list[str], prev_frame_id: int | None):
     return ids, values.reshape(n, len(JointId), 2)
 
 
-def _pose_chunks(path) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Stream a pose file as ``(ids int64 (n,), coords float64 (n, 12, 2))``
-    chunks of up to ``_CHUNK_FRAMES`` frames, with the frames and errors
+class _PoseFile:
+    """A pose file as ``(ids int64 (n,), coords float64 (n, 12, 2))``
+    chunks, one per block of ``_line_blocks``, with the frames and errors
     of ``iter_poses``.
 
     A chunk of canonical lines is parsed as a whole; in any other, so is
@@ -526,13 +526,25 @@ def _pose_chunks(path) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     (comments, exponents, confidences) and runs the array check refuses go
     through the strict per-line parser, in file order, and are counted in
     one INFO line. On an error the frames before it are yielded first, then
-    its ParseError is raised.
+    its ParseError, kept in ``error``, is raised. ``chunk`` reads one of
+    the ``blocks`` not read yet so, and ``took`` counts one read elsewhere.
     """
-    prev_frame_id, frames, strict = None, 0, 0
-    for first, block, error in _line_blocks(path):
-        arrays = _canonical_arrays(block, prev_frame_id)
+
+    def __init__(self, path):
+        self.path, self.blocks = path, _line_blocks(path)
+        self.prev_frame_id, self.error, self.frames, self.chunks, self.strict = None, None, 0, 0, 0
+
+    def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for block in self.blocks:
+            yield from self.chunk(*block)
+        self.log()
+
+    def chunk(self, first: int, block: list[str], error: ParseError | None):
+        """Yield the ``(ids, coords)`` of one block, if it has frames, then raise its error."""
+        arrays = _canonical_arrays(block, self.prev_frame_id)
         pieces, poses = [] if arrays is None else [arrays], []
         if arrays is None:
+            prev_frame_id = self.prev_frame_id
             try:
                 for canonical, run in groupby(enumerate(block, first), _on_template):
                     run = list(run)
@@ -543,21 +555,28 @@ def _pose_chunks(path) -> Iterator[tuple[np.ndarray, np.ndarray]]:
                         poses, prev_frame_id = [], int(arrays[0][-1])
                         continue
                     for line_no, line in _content(run):
-                        strict += 1
-                        poses.append(_parse_pose_line(line, path, line_no, prev_frame_id))
+                        self.strict += 1
+                        poses.append(_parse_pose_line(line, self.path, line_no, prev_frame_id))
                         prev_frame_id = poses[-1].frame_id
             except ParseError as exc:
                 error = exc
             pieces.append(_pose_arrays(poses))
         ids, coords = pieces[0] if len(pieces) == 1 else map(np.concatenate, zip(*pieces))
+        self.error = error
         if len(ids):
-            prev_frame_id = int(ids[-1])
-            frames += len(ids)
+            self.took(ids)
             yield ids, coords
         if error is not None:
             raise error
-    if strict:
-        logging.getLogger("htks").info("%d of %d pose lines parsed line by line", strict, frames)
+
+    def took(self, ids: np.ndarray) -> None:
+        self.prev_frame_id = int(ids[-1])
+        self.frames, self.chunks = self.frames + len(ids), self.chunks + 1
+
+    def log(self) -> None:
+        if self.strict:
+            logging.getLogger("htks").info("%d of %d pose lines parsed line by line",
+                                           self.strict, self.frames)
 
 
 def _on_template(numbered: tuple[int, str]) -> bool:
@@ -778,20 +797,28 @@ def write_decisions(path, chunks: Iterable[tuple[np.ndarray, tuple]]) -> int:
 
     Each chunk is ``(frame_ids, (labels, rule1_fired, rule2_applied,
     tie_broken, profiles))`` as the classifier core returns it: LABEL_ORDER
-    indices, three boolean arrays and the ``(n, 4)`` distances.
+    indices, three boolean arrays and the ``(n, 4)`` distances; or
+    ``(frame_ids, (labels, text))``, the rows spelled by ``_decisions_text``.
     """
     written = 0
     with _output(path) as write:
         write(DECISIONS_HEADER + "\n")
-        for frame_ids, (labels, rule1, rule2, tied, profiles) in chunks:
+        for frame_ids, decisions in chunks:
             if not len(frame_ids):
                 continue  # ``_rows_text`` would stretch the separators to one line
-            fields = ((labels * 2 + rule1) * 2 + rule2) * 2 + tied
-            head, shoulders, knees, ankles = np.split(_float_text(profiles.T.ravel()), 4, axis=1)
-            write(_rows_text([_int_text(frame_ids), _DECISION_TEXT[:, fields], head, _COMMA,
-                              shoulders, _COMMA, knees, _COMMA, ankles, _NEWLINE]))
+            text = decisions[-1]
+            write(text if isinstance(text, str) else _decisions_text(frame_ids, decisions))
             written += len(frame_ids)
     return written
+
+
+def _decisions_text(frame_ids: np.ndarray, decisions: tuple) -> str:
+    """The decisions CSV rows of ``frame_ids`` and the ``_decide`` result ``decisions``."""
+    labels, rule1, rule2, tied, profiles = decisions
+    fields = ((labels * 2 + rule1) * 2 + rule2) * 2 + tied
+    head, shoulders, knees, ankles = np.split(_float_text(profiles.T.ravel()), 4, axis=1)
+    return _rows_text([_int_text(frame_ids), _DECISION_TEXT[:, fields], head, _COMMA,
+                       shoulders, _COMMA, knees, _COMMA, ankles, _NEWLINE])
 
 
 def load_decisions(path) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,9 @@ Pose files and pose streams are classified by one generator,
 ``_classify_chunks``: it calibrates on the opening frames of
 ``(frame_ids, coords)`` chunks and hands each chunk to the classifier
 core. ``run_pipeline`` and ``htks classify`` feed it a pose file's chunks,
-reading the file once; ``classify_sequence`` feeds it blocks of poses. It
+reading the file once, and with more than one CPU the blocks after the
+calibration window are parsed, decided and spelled in worker processes;
+``classify_sequence`` feeds it blocks of poses. It
 stays here, not in ``classifier``, because it looks up
 ``calibration_scale`` here, where the benchmark's tracer
 (``bench/spans.py``) wraps it, as it wraps ``load_labels`` and ``report``.
@@ -20,6 +22,9 @@ stays here, not in ``classifier``, because it looks up
 from __future__ import annotations
 
 import logging
+import os
+from collections import deque
+from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from pathlib import Path
@@ -36,7 +41,7 @@ from .classifier import (
     _frame_decisions,
     calibration_scale,
 )
-from .errors import ConfigError, EmptyInput, ParseError
+from .errors import ConfigError, EmptyInput, HtksError, ParseError
 from .evaluation import EvalReport, _tally, report
 from .formats import (
     load_labels,
@@ -46,11 +51,13 @@ from .formats import (
     write_report_text,
     write_session_json,
     classifier_config_from_dict,
+    _PoseFile,
     _all_or_none,
+    _canonical_arrays,
     _check_files,
+    _decisions_text,
     _known_keys,
     _load_yaml,
-    _pose_chunks,
     _writing,
 )
 from .game import SessionResult, score_session
@@ -127,9 +134,10 @@ def _classify_chunks(chunks: Iterable, config: ClassifierConfig, kept: Optional[
     chunks, read before any chunk is decided (under fixed pixels it is 1.0
     and only the first chunk is read ahead); a ParseError among them is
     raised after the frames before it, in file order. A stream with no
-    frames raises EmptyInput under either normalization.
+    frames raises EmptyInput under either normalization. The blocks of a
+    ``_PoseFile`` after those chunks are decided by ``_decided_blocks``.
     """
-    chunks = iter(chunks)
+    source, chunks = chunks, iter(chunks)
     fixed = config.normalization is Normalization.FIXED_PIXELS
     opening, frames, error = [], 0, None
     try:
@@ -138,6 +146,8 @@ def _classify_chunks(chunks: Iterable, config: ClassifierConfig, kept: Optional[
             frames += len(chunk[0])
             if frames >= (1 if fixed else CALIBRATION_WINDOW):
                 break
+        else:
+            source = None  # no block is left
     except ParseError as exc:
         error, chunks = exc, ()
     if not frames:
@@ -148,13 +158,73 @@ def _classify_chunks(chunks: Iterable, config: ClassifierConfig, kept: Optional[
         window = np.concatenate([coords for _, coords in opening])[:CALIBRATION_WINDOW]
         scale = calibration_scale(window)
         log.info("calibration scale: %.3f px over first %d frames", scale, len(window))
-    for frame_ids, coords in chain(opening, chunks):
-        decisions = _decide(frame_ids, coords, config, scale)
+    rest = ()
+    if isinstance(source, _PoseFile) and source.error is None:
+        chunks.close()  # which frees the block it holds
+        rest = _decided_blocks(source, config, scale)
+    decided = ((ids, _decide(ids, coords, config, scale)) for ids, coords in chain(opening, chunks))
+    for frame_ids, decisions in chain(decided, rest):
         if kept is not None:
             kept.append((frame_ids, decisions[0]))
         yield frame_ids, decisions
     if error is not None:
         raise error
+
+
+def _decided_blocks(source: _PoseFile, config: ClassifierConfig, scale: float):
+    """Decide the blocks ``source`` has not read, as ``_classify_chunks`` does,
+    with more than one CPU in forked worker processes, one per CPU and at
+    most two blocks each in flight. A block that ``_decided_lines`` returns
+    None for, whose ids do not follow the frames before it, or that ends in
+    a byte that is not UTF-8 is read and decided here, in file order."""
+    # ``os.sched_getaffinity`` is only found where processes fork.
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    window, pool, pending, pooled = 2 * workers if workers > 1 else 0, None, deque(), 0
+    try:
+        for block in chain(source.blocks, [None]):
+            if block is not None:
+                job = None
+                if window and block[1] and block[2] is None:
+                    if pool is None:
+                        import multiprocessing
+                        import signal
+                        from concurrent.futures import ProcessPoolExecutor
+                        # Ctrl-C reaches the whole process group; the parent alone handles it.
+                        pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                                   signal.signal, (signal.SIGINT, signal.SIG_IGN))
+                    job = pool.submit(_decided_lines, block[1], config, scale)
+                pending.append((block, job))
+            while len(pending) > (0 if block is None else window):
+                done, job = pending.popleft()
+                result = job and job.result()
+                if result is None or result[0][0] <= source.prev_frame_id:
+                    for ids, coords in source.chunk(*done):
+                        yield ids, _decide(ids, coords, config, scale)
+                else:
+                    source.took(result[0])
+                    pooled += 1
+                    yield result
+        source.log()
+        if pool is not None:
+            log.info("decided %d of %d chunks in %d worker processes",
+                     pooled, source.chunks, workers)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
+def _decided_lines(lines: list[str], config: ClassifierConfig, scale: float):
+    """A worker's job: ``(ids, (labels, text))`` of pose ``lines`` exactly as
+    ``write_poses`` writes them, with the rows ``write_decisions`` writes for
+    them; else None."""
+    arrays = _canonical_arrays(lines, None)
+    if arrays is None:
+        return None
+    try:
+        decisions = _decide(*arrays, config, scale)
+    except HtksError:  # the parent decides the block again and raises it in file order
+        return None
+    return arrays[0], (decisions[0], _decisions_text(arrays[0], decisions))
 
 
 def evaluate_decisions(
@@ -241,8 +311,8 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
 
     _writing(out_dir, out_dir.mkdir, parents=True, exist_ok=True)
     kept = None if truth is None and script is None else []
-    rows = _classify_chunks(_pose_chunks(config.poses_path), config.classifier, kept)
-    with _all_or_none() as output:
+    rows = _classify_chunks(_PoseFile(config.poses_path), config.classifier, kept)
+    with _all_or_none() as output, closing(rows):
         frames = output(write_decisions, decisions_path, rows)
         if kept is not None:
             decided = tuple(map(np.concatenate, zip(*kept)))

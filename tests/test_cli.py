@@ -6,9 +6,11 @@ import dataclasses
 import importlib.util
 import io
 import json
+import multiprocessing
 import os
 import pkgutil
 import re
+import shutil
 import stat
 import subprocess
 import sys
@@ -705,6 +707,21 @@ def test_yaml_is_loaded_only_for_a_yaml_file():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_worker_pool_is_loaded_only_for_a_pool(corpus, tmp_path):
+    # A one-chunk pose file is read for calibration and decided at once.
+    poses_path, _ = corpus
+    code = ("import sys, htks.cli\n"
+            "pool = lambda: {'concurrent.futures', 'multiprocessing'} & set(sys.modules)\n"
+            "assert not pool(), pool()\n"
+            "assert htks.cli.main(sys.argv[1:]) == 0\n"
+            "assert not pool(), pool()\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(htks.formats.__file__).parents[1])}
+    argv = ["run", "--poses", str(poses_path), "--out-dir", str(tmp_path / "out")]
+    result = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 def test_outputs_that_are_not_regular_files_may_repeat(corpus, tmp_path, capsys):
     poses_path, labels_path = corpus
     decisions = tmp_path / "decisions.csv"
@@ -895,6 +912,104 @@ def test_errors_come_in_file_order(tmp_path, capsys, command, case, expected):
     elif case.startswith("bad-line"):
         assert f"parse error: {poses_path}:5002: " in err
     assert not decisions.exists()
+
+
+# A pose file of five blocks: the first is read for calibration, the other
+# four go to worker processes where the pool runs. Line 1 is the header and
+# line i + 2 frame i; the third block starts at line 1025.
+_POOL_FRAMES = 2_400
+_HUGE = b"1" + b"0" * 308 + b".0"  # 1e308 in the layout write_poses uses for short numbers
+
+
+def _set_token(lines: list[bytes], line_no: int, index: int, token: bytes) -> None:
+    tokens = lines[line_no - 1].split(b" ")
+    tokens[index] = token
+    lines[line_no - 1] = b" ".join(tokens)
+
+
+def _bad_token(lines):
+    _set_token(lines, 1500, 1, b"head=x,1.5")
+
+
+def _bad_byte(lines):
+    lines[2200] += b"\xff"
+
+
+def _repeated_id_at_chunk_edge(lines):
+    _set_token(lines, 1025, 0, lines[1023].split(b" ")[0])
+
+
+def _exponent_and_confidence(lines):
+    _set_token(lines, 1800, 1, b"head=1e-05,-3e+02")
+    lines[1800] += b",0.75"
+
+
+def _crlf(lines):
+    lines[:] = [line + b"\r" for line in lines]
+
+
+def _overflow(lines):
+    _set_token(lines, 2001, 1, b"head=" + _HUGE + b",-300.0")
+    _set_token(lines, 2001, 1 + list(JointId).index(JointId.LEFT_WRIST),
+               b"left_wrist=-" + _HUGE + b",-40.0")
+
+
+def _pooled_and_in_process(tmp_path, monkeypatch, caplog, capsys, command, edit):
+    """Run ``command`` on the edited pose file with two CPUs, then with one:
+    for each, its exit code, stdout and stderr, output bytes and log."""
+    coords = generate_frames(SynthConfig(seed=3, jitter_stddev_ratio=0.05,
+                                         frames_per_class=_POOL_FRAMES // 4)).coords
+    poses_path, labels_path = tmp_path / "poses.txt", tmp_path / "labels.txt"
+    write_poses(poses_path, coords)
+    write_labels(labels_path, ((i, LABEL_ORDER[i % 4]) for i in range(_POOL_FRAMES)))
+    lines = poses_path.read_bytes().split(b"\n")[:-1]
+    if edit is not None:
+        edit(lines)
+    poses_path.write_bytes(b"\n".join(lines) + b"\n")
+    out_dir = tmp_path / "out"
+    if command == "classify":
+        argv = ["classify", "--poses", str(poses_path), "--out", str(out_dir / "decisions.csv")]
+    else:
+        argv = ["run", "--poses", str(poses_path), "--labels", str(labels_path),
+                "--out-dir", str(out_dir)]
+    runs = []
+    for cpus in ({0, 1}, {0}):
+        shutil.rmtree(out_dir, ignore_errors=True)
+        out_dir.mkdir()
+        caplog.clear()
+        # The CPUs this process may run on decide the number of workers.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        with caplog.at_level("INFO", logger="htks"):
+            code = main(argv)
+        assert multiprocessing.active_children() == []
+        outputs = {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+        runs.append((code, capsys.readouterr(), outputs, caplog.messages))
+    return runs
+
+
+@pytest.mark.parametrize("command", ["classify", "run"])
+@pytest.mark.parametrize("edit, expected, decided", [
+    (None, 0, 4),
+    (_bad_token, 2, None),
+    (_bad_byte, 2, None),
+    (_repeated_id_at_chunk_edge, 2, None),
+    (_exponent_and_confidence, 0, 3),
+    (_crlf, 0, 4),
+    (_overflow, 4, None),
+], ids=lambda value: getattr(value, "__name__", str(value)))
+def test_worker_processes_change_nothing_but_the_log(tmp_path, monkeypatch, caplog, capsys,
+                                                      command, edit, expected, decided):
+    pooled, in_process = _pooled_and_in_process(tmp_path, monkeypatch, caplog, capsys,
+                                                command, edit)
+    assert pooled[0] == expected
+    assert pooled[:3] == in_process[:3]
+    # The pool says how many of the five chunks its workers decided; a
+    # chunk they cannot read as written is read here, and so is one whose
+    # error they meet. The log is otherwise the one-CPU log.
+    said = [message for message in pooled[3] if message.startswith("decided ")]
+    assert said == ([] if decided is None else
+                    [f"decided {decided} of 5 chunks in 2 worker processes"])
+    assert [message for message in pooled[3] if message not in said] == in_process[3]
 
 
 @pytest.fixture(scope="module")

@@ -37,7 +37,7 @@ from htks.formats import (
     _content_lines,
     _float_text,
     _frame_id,
-    _pose_chunks,
+    _PoseFile,
     _rows_text,
     _shortest,
     _text_lines,
@@ -228,7 +228,7 @@ def read_chunks(path):
     """``(ids, coords, error)`` of the chunk reader, chunks concatenated."""
     chunks, error = [], None
     try:
-        for chunk in _pose_chunks(path):
+        for chunk in _PoseFile(path):
             chunks.append(chunk)
     except ParseError as exc:
         error = exc
@@ -364,7 +364,7 @@ class TestPoseChunks:
         frames = generate_frames(SynthConfig(seed=2, jitter_stddev_ratio=0.05,
                                              frames_per_class=CHUNK // 2 + 22))
         write_poses(path, frames.coords)
-        chunks = list(_pose_chunks(path))
+        chunks = list(_PoseFile(path))
         # Chunks count lines from the header, the first chunk's first line.
         assert [len(ids) for ids, _ in chunks] == [CHUNK - 1, CHUNK, 89]
         assert np.concatenate([c for _, c in chunks]).tobytes() == frames.coords.tobytes()
@@ -381,7 +381,7 @@ class TestPoseChunks:
             lines.insert(at, comment)
         write_lines(path, lines)
         with mock.patch.object(htks.formats, "_parse_pose_line", side_effect=AssertionError):
-            chunks = list(_pose_chunks(path))
+            chunks = list(_PoseFile(path))
         assert np.concatenate([c for _, c in chunks]).tobytes() == frames.coords.tobytes()
         assert_same_reading(path)
 
@@ -390,7 +390,7 @@ class TestPoseChunks:
         path = tmp_path / "poses.txt"
         write_poses(path, generate_frames(SynthConfig(seed=2, frames_per_class=10)).coords)
         with caplog.at_level("INFO", logger="htks"):
-            list(_pose_chunks(path))
+            list(_PoseFile(path))
         assert caplog.messages == []
         lines = path.read_text(encoding="utf-8").splitlines()
         for at in (5, 30):
@@ -437,7 +437,7 @@ class TestPoseChunks:
                                              frames_per_class=CHUNK // 2 + 22))
         write_poses(path, frames.coords)
         path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
-        chunks = list(_pose_chunks(path))
+        chunks = list(_PoseFile(path))
         assert [len(ids) for ids, _ in chunks] == [CHUNK - 1, CHUNK, 89]
         assert np.concatenate([c for _, c in chunks]).tobytes() == frames.coords.tobytes()
 
@@ -573,7 +573,7 @@ class TestExactDecimals:
 
         with mock.patch.object(htks.formats, "_canonical_arrays", counting), \
                 mock.patch.object(htks.formats, "_parse_pose_line", parsing):
-            chunks = list(_pose_chunks(path))
+            chunks = list(_PoseFile(path))
         # A block is read as a whole unless it holds the header or a line
         # with an exponent token such as 1e-05. Such a block is tried whole,
         # then each run of lines between those lines is read as a whole,

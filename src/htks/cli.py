@@ -31,7 +31,6 @@ from .formats import (
     write_report_json,
     write_report_text,
     write_session_json,
-    _PoseFile,
     _all_or_none,
     _check_files,
 )
@@ -39,7 +38,7 @@ from .game import score_session
 from .pipeline import (
     REPORT_FORMATS,
     RunConfig,
-    _classify_chunks,
+    _classify_pose_file,
     _run_outputs,
     evaluate_decisions,
     load_run_settings,
@@ -142,7 +141,7 @@ def classify(poses_path, out_path, config_path, **overrides):
     """Classify every frame of a pose file."""
     config = _merge_classifier(_load_classifier(config_path), overrides)
     _check_files([("pose file", poses_path), ("config file", config_path)], [out_path])
-    with closing(_classify_chunks(_PoseFile(poses_path), config)) as rows:
+    with closing(_classify_pose_file(poses_path, config)) as rows:
         write_decisions(out_path, rows)
     click.echo(f"wrote decisions to {out_path}")
 

@@ -34,7 +34,6 @@ defaults.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import re
 from contextlib import contextmanager, suppress
@@ -516,67 +515,40 @@ def _canonical_arrays(lines: list[str], prev_frame_id: int | None):
     return ids, values.reshape(n, len(JointId), 2)
 
 
-class _PoseFile:
-    """A pose file as ``(ids int64 (n,), coords float64 (n, 12, 2))``
-    chunks, one per block of ``_line_blocks``, with the frames and errors
-    of ``iter_poses``.
+def _pose_block(path, block: tuple[int, list[str], ParseError | None], prev_frame_id: int | None):
+    """``(ids int64 (n,), coords float64 (n, 12, 2), strict, error)``: the
+    frames of one ``_line_blocks`` block of a pose file, after the frame
+    ``prev_frame_id``, with the frames and errors of ``iter_poses``; how
+    many of its lines were parsed line by line; and the ParseError that
+    follows those frames, if any.
 
-    A chunk of canonical lines is parsed as a whole; in any other, so is
+    A block of canonical lines is parsed as a whole; in any other, so is
     each run of lines that are canonical less their numbers. Other lines
     (comments, exponents, confidences) and runs the array check refuses go
-    through the strict per-line parser, in file order, and are counted in
-    one INFO line. On an error the frames before it are yielded first, then
-    its ParseError, kept in ``error``, is raised. ``chunk`` reads one of
-    the ``blocks`` not read yet so, and ``took`` counts one read elsewhere.
+    through the strict per-line parser, in file order.
     """
-
-    def __init__(self, path):
-        self.path, self.blocks = path, _line_blocks(path)
-        self.prev_frame_id, self.error, self.frames, self.chunks, self.strict = None, None, 0, 0, 0
-
-    def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for block in self.blocks:
-            yield from self.chunk(*block)
-        self.log()
-
-    def chunk(self, first: int, block: list[str], error: ParseError | None):
-        """Yield the ``(ids, coords)`` of one block, if it has frames, then raise its error."""
-        arrays = _canonical_arrays(block, self.prev_frame_id)
-        pieces, poses = [] if arrays is None else [arrays], []
-        if arrays is None:
-            prev_frame_id = self.prev_frame_id
-            try:
-                for canonical, run in groupby(enumerate(block, first), _on_template):
-                    run = list(run)
-                    arrays = _canonical_arrays([line for _, line in run],
-                                               prev_frame_id) if canonical else None
-                    if arrays is not None:
-                        pieces += [_pose_arrays(poses), arrays]
-                        poses, prev_frame_id = [], int(arrays[0][-1])
-                        continue
-                    for line_no, line in _content(run):
-                        self.strict += 1
-                        poses.append(_parse_pose_line(line, self.path, line_no, prev_frame_id))
-                        prev_frame_id = poses[-1].frame_id
-            except ParseError as exc:
-                error = exc
-            pieces.append(_pose_arrays(poses))
-        ids, coords = pieces[0] if len(pieces) == 1 else map(np.concatenate, zip(*pieces))
-        self.error = error
-        if len(ids):
-            self.took(ids)
-            yield ids, coords
-        if error is not None:
-            raise error
-
-    def took(self, ids: np.ndarray) -> None:
-        self.prev_frame_id = int(ids[-1])
-        self.frames, self.chunks = self.frames + len(ids), self.chunks + 1
-
-    def log(self) -> None:
-        if self.strict:
-            logging.getLogger("htks").info("%d of %d pose lines parsed line by line",
-                                           self.strict, self.frames)
+    first, lines, error = block
+    arrays = _canonical_arrays(lines, prev_frame_id)
+    if arrays is not None:
+        return (*arrays, 0, error)
+    pieces, poses, strict = [], [], 0
+    try:
+        for canonical, run in groupby(enumerate(lines, first), _on_template):
+            run = list(run)
+            arrays = _canonical_arrays([line for _, line in run],
+                                       prev_frame_id) if canonical else None
+            if arrays is not None:
+                pieces += [_pose_arrays(poses), arrays]
+                poses, prev_frame_id = [], int(arrays[0][-1])
+                continue
+            for line_no, line in _content(run):
+                strict += 1
+                poses.append(_parse_pose_line(line, path, line_no, prev_frame_id))
+                prev_frame_id = poses[-1].frame_id
+    except ParseError as exc:
+        error = exc
+    pieces.append(_pose_arrays(poses))
+    return (*map(np.concatenate, zip(*pieces)), strict, error)
 
 
 def _on_template(numbered: tuple[int, str]) -> bool:
@@ -797,8 +769,10 @@ def write_decisions(path, chunks: Iterable[tuple[np.ndarray, tuple]]) -> int:
 
     Each chunk is ``(frame_ids, (labels, rule1_fired, rule2_applied,
     tie_broken, profiles))`` as the classifier core returns it: LABEL_ORDER
-    indices, three boolean arrays and the ``(n, 4)`` distances; or
-    ``(frame_ids, (labels, text))``, the rows spelled by ``_decisions_text``.
+    indices, three boolean arrays and the ``(n, 4)`` distances. The
+    pipeline passes ``(frame_ids, (labels, text))`` instead, the rows
+    already spelled by ``_decisions_text``, as its worker processes spell
+    them.
     """
     written = 0
     with _output(path) as write:

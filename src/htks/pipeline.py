@@ -8,12 +8,12 @@ and never reads ``decisions.csv`` back; ``htks evaluate`` and ``htks
 score`` read it with ``load_decisions`` into the same arrays.
 
 Pose files and pose streams are classified by one generator,
-``_classify_chunks``: it calibrates on the opening frames of
-``(frame_ids, coords)`` chunks and hands each chunk to the classifier
-core. ``run_pipeline`` and ``htks classify`` feed it a pose file's chunks,
-reading the file once, and with more than one CPU the blocks after the
-calibration window are parsed, decided and spelled in worker processes;
-``classify_sequence`` feeds it blocks of poses. It
+``_classify_chunks``: it calibrates on the opening frames of a stream's
+blocks and hands each block to the classifier core. ``run_pipeline`` and
+``htks classify`` feed it a pose file's blocks of lines through
+``_classify_pose_file``, reading the file once; in a long file, with more
+than one CPU, worker processes parse, decide and spell the blocks after
+the calibration window. ``classify_sequence`` feeds it blocks of poses. It
 stays here, not in ``classifier``, because it looks up
 ``calibration_scale`` here, where the benchmark's tracer
 (``bench/spans.py``) wraps it, as it wraps ``load_labels`` and ``report``.
@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import logging
 import os
+import sys
 from collections import deque
 from contextlib import closing
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
@@ -41,7 +43,7 @@ from .classifier import (
     _frame_decisions,
     calibration_scale,
 )
-from .errors import ConfigError, EmptyInput, HtksError, ParseError
+from .errors import ConfigError, EmptyInput, HtksError
 from .evaluation import EvalReport, _tally, report
 from .formats import (
     load_labels,
@@ -51,13 +53,14 @@ from .formats import (
     write_report_text,
     write_session_json,
     classifier_config_from_dict,
-    _PoseFile,
     _all_or_none,
     _canonical_arrays,
     _check_files,
     _decisions_text,
     _known_keys,
+    _line_blocks,
     _load_yaml,
+    _pose_block,
     _writing,
 )
 from .game import SessionResult, score_session
@@ -77,6 +80,11 @@ log = logging.getLogger("htks")
 REPORT_FORMATS = ("table", "delimited")
 # Decided frames joined per step, so the join's only per-frame index is the truth's sort order.
 _JOIN_FRAMES = 4096
+# Pose-file blocks in flight per worker process.
+_READ_AHEAD = 2
+# Pose-file bytes per worker process. On 2 CPUs two workers gain nothing up
+# to about 5,000 frames of the layout ``write_poses`` writes, 3 MB.
+_WORKER_BYTES = 1_500_000
 
 
 @dataclass(frozen=True)
@@ -121,35 +129,49 @@ def classify_sequence(
     """
     poses = iter(poses)
     blocks = iter(lambda: list(islice(poses, CALIBRATION_WINDOW)), [])
-    chunks = (([pose.frame_id for pose in block], _joint_array(block)) for block in blocks)
-    for frame_ids, decisions in _classify_chunks(chunks, config):
+    read = lambda block, _: ([pose.frame_id for pose in block], _joint_array(block), 0, None)
+    for frame_ids, decisions in _classify_chunks(blocks, read, _decide, config):
         yield from zip(frame_ids, _frame_decisions(decisions))
 
 
-def _classify_chunks(chunks: Iterable, config: ClassifierConfig, kept: Optional[list] = None):
-    """Classify ``(frame_ids, coords)`` chunks, yielding ``(frame_ids, decisions)``
-    as ``write_decisions`` takes them; ``kept`` gets each ``(frame_ids, labels)``.
+def _classify_pose_file(path, config: ClassifierConfig, kept: Optional[list] = None):
+    """``_classify_chunks`` on a pose file, yielding ``(frame_ids, (labels,
+    text))``, the text its decisions rows, with ``_workers(path)``."""
+    return _classify_chunks(_line_blocks(path), partial(_pose_block, path), _spelled,
+                            config, kept, _workers(path))
 
-    The scale comes from the first ``CALIBRATION_WINDOW`` frames of the
-    chunks, read before any chunk is decided (under fixed pixels it is 1.0
-    and only the first chunk is read ahead); a ParseError among them is
-    raised after the frames before it, in file order. A stream with no
-    frames raises EmptyInput under either normalization. The blocks of a
-    ``_PoseFile`` after those chunks are decided by ``_decided_blocks``.
+
+def _classify_chunks(blocks: Iterable, parse, decide, config: ClassifierConfig,
+                     kept: Optional[list] = None, workers: int = 1):
+    """Classify ``blocks`` in order, yielding ``(frame_ids, decide(frame_ids,
+    coords, config, scale))`` for each with frames; ``kept`` gets each
+    ``(frame_ids, labels)``. ``parse(block, prev_frame_id)`` gives a block's
+    ``(frame_ids, coords, strict, error)``: frames after ``prev_frame_id``,
+    its lines parsed line by line (counted in one INFO line) and a
+    ParseError raised after those frames.
+
+    The scale comes from the first ``CALIBRATION_WINDOW`` frames, read
+    before any block is decided (under fixed pixels it is 1.0 and only the
+    first block with frames is read ahead). A stream with no frames raises
+    EmptyInput under either normalization.
+
+    With ``workers`` above one, the blocks are ``_line_blocks`` and a pool
+    of ``workers`` processes runs ``_decided_lines`` on those after the
+    calibration window, ``_READ_AHEAD`` per worker in flight. A block it
+    gives None for, whose ids do not follow the frames before it, cut short
+    by a byte that is not UTF-8 or left by a dead worker is read and
+    decided here.
     """
-    source, chunks = chunks, iter(chunks)
     fixed = config.normalization is Normalization.FIXED_PIXELS
-    opening, frames, error = [], 0, None
-    try:
-        for chunk in chunks:
-            opening.append(chunk)
-            frames += len(chunk[0])
-            if frames >= (1 if fixed else CALIBRATION_WINDOW):
-                break
-        else:
-            source = None  # no block is left
-    except ParseError as exc:
-        error, chunks = exc, ()
+    blocks, opening, prev, frames, strict, error = iter(blocks), [], None, 0, 0, None
+    for block in blocks:
+        ids, coords, lines, error = parse(block, prev)
+        strict += lines
+        if len(ids):
+            opening.append((ids, coords))
+            prev, frames = int(ids[-1]), frames + len(ids)
+        if error is not None or frames >= (1 if fixed else CALIBRATION_WINDOW):
+            break
     if not frames:
         raise error or EmptyInput("pose sequence contains no frames")
     if fixed:
@@ -158,73 +180,89 @@ def _classify_chunks(chunks: Iterable, config: ClassifierConfig, kept: Optional[
         window = np.concatenate([coords for _, coords in opening])[:CALIBRATION_WINDOW]
         scale = calibration_scale(window)
         log.info("calibration scale: %.3f px over first %d frames", scale, len(window))
-    rest = ()
-    if isinstance(source, _PoseFile) and source.error is None:
-        chunks.close()  # which frees the block it holds
-        rest = _decided_blocks(source, config, scale)
-    decided = ((ids, _decide(ids, coords, config, scale)) for ids, coords in chain(opening, chunks))
-    for frame_ids, decisions in chain(decided, rest):
-        if kept is not None:
-            kept.append((frame_ids, decisions[0]))
-        yield frame_ids, decisions
+    for ids, coords in opening:
+        yield _kept(kept, ids, decide(ids, coords, config, scale))
     if error is not None:
         raise error
-
-
-def _decided_blocks(source: _PoseFile, config: ClassifierConfig, scale: float):
-    """Decide the blocks ``source`` has not read, as ``_classify_chunks`` does,
-    with more than one CPU in forked worker processes, one per CPU and at
-    most two blocks each in flight. A block that ``_decided_lines`` returns
-    None for, whose ids do not follow the frames before it, or that ends in
-    a byte that is not UTF-8 is read and decided here, in file order."""
-    # ``os.sched_getaffinity`` is only found where processes fork.
-    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    window, pool, pending, pooled = 2 * workers if workers > 1 else 0, None, deque(), 0
+    ahead = _READ_AHEAD * workers if workers > 1 else 0
+    pending, pool, pooled, chunks = deque(), None, 0, len(opening)
     try:
-        for block in chain(source.blocks, [None]):
+        for block in chain(blocks, [None]):
             if block is not None:
-                job = None
-                if window and block[1] and block[2] is None:
-                    if pool is None:
-                        import multiprocessing
-                        import signal
-                        from concurrent.futures import ProcessPoolExecutor
-                        # Ctrl-C reaches the whole process group; the parent alone handles it.
-                        pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                                   signal.signal, (signal.SIGINT, signal.SIG_IGN))
-                    job = pool.submit(_decided_lines, block[1], config, scale)
-                pending.append((block, job))
-            while len(pending) > (0 if block is None else window):
-                done, job = pending.popleft()
-                result = job and job.result()
-                if result is None or result[0][0] <= source.prev_frame_id:
-                    for ids, coords in source.chunk(*done):
-                        yield ids, _decide(ids, coords, config, scale)
-                else:
-                    source.took(result[0])
+                if pool is None and ahead:
+                    import multiprocessing
+                    import signal
+                    from concurrent.futures import ProcessPoolExecutor
+                    # Ctrl-C reaches the whole process group; the parent alone handles it.
+                    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                               signal.signal, (signal.SIGINT, signal.SIG_IGN))
+                pending.append((block, pool and _unbroken(pool.submit, _decided_lines, block[1],
+                                                          config, scale)))
+            while len(pending) > (0 if block is None else ahead):
+                done, future = pending.popleft()
+                result = future and _unbroken(future.result)
+                if result is not None and done[2] is None and result[0][0] > prev:
+                    (ids, decisions), error = result, None
                     pooled += 1
-                    yield result
-        source.log()
+                else:
+                    ids, coords, lines, error = parse(done, prev)
+                    strict += lines
+                    decisions = len(ids) and decide(ids, coords, config, scale)
+                if len(ids):
+                    prev, frames, chunks = int(ids[-1]), frames + len(ids), chunks + 1
+                    yield _kept(kept, ids, decisions)
+                if error is not None:
+                    raise error
+        if strict:
+            log.info("%d of %d pose lines parsed line by line", strict, frames)
         if pool is not None:
-            log.info("decided %d of %d chunks in %d worker processes",
-                     pooled, source.chunks, workers)
+            log.info("decided %d of %d chunks in %d worker processes", pooled, chunks, workers)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
 
+def _kept(kept: Optional[list], frame_ids, decisions: tuple):
+    if kept is not None:
+        kept.append((frame_ids, decisions[0]))
+    return frame_ids, decisions
+
+
+def _spelled(frame_ids: np.ndarray, coords: np.ndarray, config: ClassifierConfig, scale: float):
+    """``(labels, text)``: the labels ``_decide`` gives the frames and their decisions rows."""
+    decisions = _decide(frame_ids, coords, config, scale)
+    return decisions[0], _decisions_text(frame_ids, decisions)
+
+
 def _decided_lines(lines: list[str], config: ClassifierConfig, scale: float):
-    """A worker's job: ``(ids, (labels, text))`` of pose ``lines`` exactly as
-    ``write_poses`` writes them, with the rows ``write_decisions`` writes for
-    them; else None."""
+    """A worker's job: ``(frame_ids, _spelled(...))`` of pose ``lines`` exactly
+    as ``write_poses`` writes them; else, or on an error the parent raises
+    in file order, None."""
     arrays = _canonical_arrays(lines, None)
-    if arrays is None:
-        return None
     try:
-        decisions = _decide(*arrays, config, scale)
-    except HtksError:  # the parent decides the block again and raises it in file order
+        return arrays and (arrays[0], _spelled(*arrays, config, scale))
+    except HtksError:
         return None
-    return arrays[0], (decisions[0], _decisions_text(arrays[0], decisions))
+
+
+def _workers(path) -> int:
+    """Worker processes for the pose file ``path``: one per CPU this process
+    may run on and per ``_WORKER_BYTES`` of the file; one or none means no
+    pool, as where no fork is found or, from Python 3.12 on, fork warns of
+    threads, which numpy's BLAS starts at import. A CPU quota is not read."""
+    if sys.version_info >= (3, 12) or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), os.path.getsize(path) // _WORKER_BYTES)
+
+
+def _unbroken(call, *args):
+    """``call(*args)`` on a process pool, or None once one of its workers died."""
+    from concurrent.futures import BrokenExecutor
+
+    try:
+        return call(*args)
+    except BrokenExecutor:
+        return None
 
 
 def evaluate_decisions(
@@ -311,7 +349,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
 
     _writing(out_dir, out_dir.mkdir, parents=True, exist_ok=True)
     kept = None if truth is None and script is None else []
-    rows = _classify_chunks(_PoseFile(config.poses_path), config.classifier, kept)
+    rows = _classify_pose_file(config.poses_path, config.classifier, kept)
     with _all_or_none() as output, closing(rows):
         frames = output(write_decisions, decisions_path, rows)
         if kept is not None:

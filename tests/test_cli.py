@@ -954,9 +954,13 @@ def _overflow(lines):
                b"left_wrist=-" + _HUGE + b",-40.0")
 
 
-def _pooled_and_in_process(tmp_path, monkeypatch, caplog, capsys, command, edit):
-    """Run ``command`` on the edited pose file with two CPUs, then with one:
-    for each, its exit code, stdout and stderr, output bytes and log."""
+def _pooled_and_in_process(tmp_path, monkeypatch, caplog, capsys, command, edit,
+                           worker_bytes=1):
+    """Run ``command`` on the edited pose file with two CPUs, then with one,
+    and ``worker_bytes`` of the file to each worker (by default any file is
+    large enough for two): for each, its exit code, stdout and stderr,
+    output bytes and log."""
+    monkeypatch.setattr(htks.pipeline, "_WORKER_BYTES", worker_bytes)
     coords = generate_frames(SynthConfig(seed=3, jitter_stddev_ratio=0.05,
                                          frames_per_class=_POOL_FRAMES // 4)).coords
     poses_path, labels_path = tmp_path / "poses.txt", tmp_path / "labels.txt"
@@ -987,6 +991,17 @@ def _pooled_and_in_process(tmp_path, monkeypatch, caplog, capsys, command, edit)
     return runs
 
 
+def _assert_pool_said(pooled, in_process, decided):
+    """The pooled run logs the one-CPU log and, where its pool ran, how many
+    of the five chunks its workers decided."""
+    said = [message for message in pooled[3] if message.startswith("decided ")]
+    if sys.version_info >= (3, 12):
+        decided = None  # where fork warns of threads, no pool starts
+    assert said == ([] if decided is None else
+                    [f"decided {decided} of 5 chunks in 2 worker processes"])
+    assert [message for message in pooled[3] if message not in said] == in_process[3]
+
+
 @pytest.mark.parametrize("command", ["classify", "run"])
 @pytest.mark.parametrize("edit, expected, decided", [
     (None, 0, 4),
@@ -1003,13 +1018,48 @@ def test_worker_processes_change_nothing_but_the_log(tmp_path, monkeypatch, capl
                                                 command, edit)
     assert pooled[0] == expected
     assert pooled[:3] == in_process[:3]
-    # The pool says how many of the five chunks its workers decided; a
-    # chunk they cannot read as written is read here, and so is one whose
-    # error they meet. The log is otherwise the one-CPU log.
-    said = [message for message in pooled[3] if message.startswith("decided ")]
-    assert said == ([] if decided is None else
-                    [f"decided {decided} of 5 chunks in 2 worker processes"])
-    assert [message for message in pooled[3] if message not in said] == in_process[3]
+    # A chunk the workers cannot read as written is read here, and so is
+    # one whose error they meet.
+    _assert_pool_said(pooled, in_process, decided)
+
+
+def test_no_pool_starts_for_a_short_file(tmp_path, monkeypatch, caplog, capsys):
+    # 2,400 frames take less time to decide than forking two workers costs.
+    pooled, in_process = _pooled_and_in_process(tmp_path, monkeypatch, caplog, capsys,
+                                                "run", None, htks.pipeline._WORKER_BYTES)
+    assert pooled == in_process
+
+
+@pytest.mark.parametrize("cpus, size, workers", [
+    ({0, 1}, 1_000, 0), ({0, 1}, 2_999_999, 1), ({0, 1}, 3_000_000, 2), ({0, 1}, 10**9, 2),
+    ({0, 1, 2, 3}, 4_500_000, 3), ({0}, 10**9, 1),
+])
+def test_workers_come_from_the_cpus_and_the_file_size(tmp_path, monkeypatch, cpus, size,
+                                                      workers):
+    # One worker per CPU and per 1.5 MB of pose file: a pool only pays for
+    # its forks with enough of the file for each worker.
+    assert htks.pipeline._WORKER_BYTES == 1_500_000
+    path = tmp_path / "poses.txt"
+    with open(path, "wb") as fh:
+        fh.truncate(size)  # sparse: no data is written
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    assert htks.pipeline._workers(path) == (workers if sys.version_info < (3, 12) else 1)
+    # From Python 3.12 on fork warns in a threaded process: no workers.
+    monkeypatch.setattr(sys, "version_info", (3, 12, 0))
+    assert htks.pipeline._workers(path) == 1
+
+
+def _dying_job(lines, config, scale):
+    os._exit(1)
+
+
+def test_blocks_of_a_dead_worker_are_decided_here(tmp_path, monkeypatch, caplog, capsys):
+    monkeypatch.setattr(htks.pipeline, "_decided_lines", _dying_job)
+    pooled, in_process = _pooled_and_in_process(tmp_path, monkeypatch, caplog, capsys,
+                                                "run", None)
+    assert pooled[0] == 0
+    assert pooled[:3] == in_process[:3]
+    _assert_pool_said(pooled, in_process, 0)
 
 
 @pytest.fixture(scope="module")

@@ -37,7 +37,8 @@ from htks.formats import (
     _content_lines,
     _float_text,
     _frame_id,
-    _PoseFile,
+    _line_blocks,
+    _pose_block,
     _rows_text,
     _shortest,
     _text_lines,
@@ -57,6 +58,7 @@ from htks.formats import (
     write_report_json,
     write_script,
 )
+from htks.pipeline import _classify_pose_file
 from htks.synth import SynthFrames, generate_frames
 
 H, S, K, T = TouchLabel.HEAD, TouchLabel.SHOULDERS, TouchLabel.KNEES, TouchLabel.TOES
@@ -224,11 +226,24 @@ def read_strict(path):
             np.array(coords, dtype=np.float64).reshape(-1, 12, 2), error)
 
 
+def pose_chunks(path):
+    """The ``(ids, coords)`` chunks ``_pose_block`` reads from each block of
+    a pose file, as the pipeline reads them, then the ParseError met."""
+    prev_frame_id = None
+    for block in _line_blocks(path):
+        ids, coords, _, error = _pose_block(path, block, prev_frame_id)
+        if len(ids):
+            prev_frame_id = int(ids[-1])
+            yield ids, coords
+        if error is not None:
+            raise error
+
+
 def read_chunks(path):
     """``(ids, coords, error)`` of the chunk reader, chunks concatenated."""
     chunks, error = [], None
     try:
-        for chunk in _PoseFile(path):
+        for chunk in pose_chunks(path):
             chunks.append(chunk)
     except ParseError as exc:
         error = exc
@@ -364,7 +379,7 @@ class TestPoseChunks:
         frames = generate_frames(SynthConfig(seed=2, jitter_stddev_ratio=0.05,
                                              frames_per_class=CHUNK // 2 + 22))
         write_poses(path, frames.coords)
-        chunks = list(_PoseFile(path))
+        chunks = list(pose_chunks(path))
         # Chunks count lines from the header, the first chunk's first line.
         assert [len(ids) for ids, _ in chunks] == [CHUNK - 1, CHUNK, 89]
         assert np.concatenate([c for _, c in chunks]).tobytes() == frames.coords.tobytes()
@@ -381,7 +396,7 @@ class TestPoseChunks:
             lines.insert(at, comment)
         write_lines(path, lines)
         with mock.patch.object(htks.formats, "_parse_pose_line", side_effect=AssertionError):
-            chunks = list(_PoseFile(path))
+            chunks = list(pose_chunks(path))
         assert np.concatenate([c for _, c in chunks]).tobytes() == frames.coords.tobytes()
         assert_same_reading(path)
 
@@ -389,16 +404,21 @@ class TestPoseChunks:
     def test_lines_read_line_by_line_are_logged(self, tmp_path, caplog):
         path = tmp_path / "poses.txt"
         write_poses(path, generate_frames(SynthConfig(seed=2, frames_per_class=10)).coords)
-        with caplog.at_level("INFO", logger="htks"):
-            list(_PoseFile(path))
-        assert caplog.messages == []
+
+        def logged():
+            # The pipeline, which reads the blocks, counts them in one line.
+            caplog.clear()
+            with caplog.at_level("INFO", logger="htks"):
+                list(_classify_pose_file(path, ClassifierConfig()))
+            return [message for message in caplog.messages if "line by line" in message]
+
+        assert logged() == []
         lines = path.read_text(encoding="utf-8").splitlines()
         for at in (5, 30):
             lines[at] = re.sub("hip=[^,]*", "hip=1e-05", lines[at])
         write_lines(path, lines)
-        with caplog.at_level("INFO", logger="htks"):
-            assert_same_reading(path)
-        assert caplog.messages == ["2 of 40 pose lines parsed line by line"]
+        assert_same_reading(path)
+        assert logged() == ["2 of 40 pose lines parsed line by line"]
 
     @pytest.mark.parametrize("old, new", [
         ("head=320.5", "he1ad=320.5"), ("head=320.5,80.25", "he1ad=,80.25"),
@@ -437,7 +457,7 @@ class TestPoseChunks:
                                              frames_per_class=CHUNK // 2 + 22))
         write_poses(path, frames.coords)
         path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
-        chunks = list(_PoseFile(path))
+        chunks = list(pose_chunks(path))
         assert [len(ids) for ids, _ in chunks] == [CHUNK - 1, CHUNK, 89]
         assert np.concatenate([c for _, c in chunks]).tobytes() == frames.coords.tobytes()
 
@@ -573,7 +593,7 @@ class TestExactDecimals:
 
         with mock.patch.object(htks.formats, "_canonical_arrays", counting), \
                 mock.patch.object(htks.formats, "_parse_pose_line", parsing):
-            chunks = list(_PoseFile(path))
+            chunks = list(pose_chunks(path))
         # A block is read as a whole unless it holds the header or a line
         # with an exponent token such as 1e-05. Such a block is tried whole,
         # then each run of lines between those lines is read as a whole,

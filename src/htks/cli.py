@@ -11,7 +11,7 @@ import dataclasses
 import logging
 import sys
 from contextlib import closing
-from itertools import chain, repeat, starmap
+from itertools import starmap
 from pathlib import Path
 
 import click
@@ -33,12 +33,15 @@ from .formats import (
     write_session_json,
     _all_or_none,
     _check_files,
+    _labels_text,
+    _pose_chunks,
 )
 from .game import score_session
 from .pipeline import (
     REPORT_FORMATS,
     RunConfig,
     _classify_pose_file,
+    _pose_texts,
     _run_outputs,
     evaluate_decisions,
     load_run_settings,
@@ -113,21 +116,26 @@ def generate(out_poses, out_labels, seed, frames_per_class, torso_length, jitter
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     _check_files((), [out_poses, out_labels])
-    written = []  # (label, frame count) of each block, as write_poses takes it
+    written = []  # (first frame id, label, frame count) of each block
 
-    def coords():
+    def chunks():  # ``_pose_chunks`` of every block
         try:
+            start = 0
+            # Chunks are copies and a block is dropped before the next is drawn,
+            # so chunks in worker processes keep no block but the one in hand.
             for label, block in synth_generate(config, confusable=confusable):
-                written.append((label, len(block)))
-                yield block
+                yield from ((first, rows.copy()) for first, rows in _pose_chunks(block, start))
+                written.append((start, label, len(block)))
+                start += len(block)
+                del block
         except ValueError as exc:  # a coordinate that overflows a float64
             raise ConfigError(str(exc)) from None
 
+    frames = frames_per_class * (1 if confusable else len(LABEL_ORDER))
     with _all_or_none() as output:
-        output(write_poses, out_poses, coords())
-        output(write_labels, out_labels, enumerate(chain.from_iterable(starmap(repeat, written))))
-    click.echo(f"wrote {sum(n for _, n in written)} frames to {out_poses} "
-               f"and labels to {out_labels}")
+        output(write_poses, out_poses, _pose_texts(chunks(), frames))
+        output(write_labels, out_labels, starmap(_labels_text, written))
+    click.echo(f"wrote {frames} frames to {out_poses} and labels to {out_labels}")
 
 
 @cli.command()

@@ -341,23 +341,33 @@ _POSE_SEPARATORS = [np.frombuffer(text.encode(), np.uint8)[:, None]
 
 
 def write_poses(path, poses: Iterable[BodyPose] | Iterable[np.ndarray] | np.ndarray) -> None:
-    """Write a pose file from BodyPose objects, or from ``(n, 12, 2)`` coordinate
-    blocks (or one array) in JointId order whose rows are frame ids 0, 1, ..."""
+    """Write a pose file from BodyPose objects, from ``(n, 12, 2)`` coordinate
+    blocks (or one array) in JointId order whose rows are frame ids 0, 1, ...,
+    or from the text ``_poses_text`` spells for such blocks' chunks."""
     with _output(path) as write:
         write("# pose frames: frame_id joint=x,y[,confidence] x12; head = head center\n")
         start = 0
         for block in [poses] if isinstance(poses, np.ndarray) else poses:
-            if isinstance(block, BodyPose):
-                write(_pose_line(block))
+            if isinstance(block, (BodyPose, str)):
+                write(block if isinstance(block, str) else _pose_line(block))
                 continue
-            block = np.asarray(block, np.float64).reshape(len(block), 24)
-            for at in range(0, len(block), _CHUNK_FRAMES):
-                chunk = block[at:at + _CHUNK_FRAMES]
-                numbers = np.split(_float_text(chunk.T.ravel()), chunk.shape[1], axis=1)
-                fields = [field for pair in zip(_POSE_SEPARATORS, numbers) for field in pair]
-                write(_rows_text([_int_text(np.arange(start, start + len(chunk))), *fields,
-                                  _NEWLINE]))
-                start += len(chunk)
+            for chunk in _pose_chunks(block, start):
+                write(_poses_text(chunk))
+            start += len(block)
+
+
+def _pose_chunks(block, start: int) -> list[tuple[int, np.ndarray]]:
+    """``(first frame id, frames)`` of each chunk of ``block``, whose frames are ``start`` on."""
+    return [(start + i, block[i:i + _CHUNK_FRAMES]) for i in range(0, len(block), _CHUNK_FRAMES)]
+
+
+def _poses_text(chunk: tuple[int, np.ndarray]) -> str:
+    """The pose-file lines of a ``_pose_chunks`` chunk of ``(n, 12, 2)`` coordinates."""
+    first, coords = chunk
+    coords = np.asarray(coords, np.float64).reshape(len(coords), 24)
+    numbers = np.split(_float_text(coords.T.ravel()), 24, axis=1)
+    fields = [field for pair in zip(_POSE_SEPARATORS, numbers) for field in pair]
+    return _rows_text([_int_text(np.arange(first, first + len(coords))), *fields, _NEWLINE])
 
 
 def _pose_line(pose: BodyPose) -> str:
@@ -564,14 +574,25 @@ def _pose_arrays(poses: list[BodyPose]) -> tuple[np.ndarray, np.ndarray]:
 # labels
 
 
-def write_labels(path, pairs: Iterable[tuple[int, TouchLabel]]) -> None:
-    """Write a labels file from (frame_id, label) pairs."""
+def write_labels(path, pairs: Iterable[tuple[int, TouchLabel]] | Iterable[str]) -> None:
+    """Write a labels file from (frame_id, label) pairs, or from the text
+    ``_labels_text`` spells for runs of frames."""
     pairs = iter(pairs)
     with _output(path) as write:
         write("# ground truth: frame_id class\n")
-        while block := list(islice(pairs, _CHUNK_FRAMES)):
+        for pair in pairs:
+            if isinstance(pair, str):  # lines ``_labels_text`` spelled
+                write(pair)
+                continue
+            block = [pair, *islice(pairs, _CHUNK_FRAMES - 1)]
             # A TouchLabel is a str, so ``+`` adds its value.
             write("".join([f"{frame_id} " + truth + "\n" for frame_id, truth in block]))
+
+
+def _labels_text(first: int, label: TouchLabel, frames: int) -> str:
+    """The labels-file lines giving ``label`` to the ``frames`` frames from ``first`` on."""
+    return _rows_text([_int_text(np.arange(first, first + frames)),
+                       np.frombuffer(f" {label.value}\n".encode(), np.uint8)[:, None]])
 
 
 _LABEL_INDEX = {label.value: index for index, label in enumerate(LABEL_ORDER)}

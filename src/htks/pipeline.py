@@ -13,19 +13,24 @@ blocks and hands each block to the classifier core. ``run_pipeline`` and
 ``htks classify`` feed it a pose file's blocks of lines through
 ``_classify_pose_file``, reading the file once; in a long file, with more
 than one CPU, worker processes parse, decide and spell the blocks after
-the calibration window. ``classify_sequence`` feeds it blocks of poses. It
-stays here, not in ``classifier``, because it looks up
+the calibration window. ``classify_sequence`` feeds it blocks of poses.
+It stays here, not in ``classifier``, because it looks up
 ``calibration_scale`` here, where the benchmark's tracer
 (``bench/spans.py``) wraps it, as it wraps ``load_labels`` and ``report``.
+``_pooled`` runs those worker processes, and those that spell ``htks
+generate``'s pose file for ``_pose_texts``.
 """
 
 from __future__ import annotations
 
 import logging
 import os
+import pickle
+import shutil
 import sys
+import tempfile
 from collections import deque
-from contextlib import closing
+from contextlib import closing, suppress
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, islice
@@ -61,6 +66,7 @@ from .formats import (
     _line_blocks,
     _load_yaml,
     _pose_block,
+    _poses_text,
     _writing,
 )
 from .game import SessionResult, score_session
@@ -85,6 +91,8 @@ _READ_AHEAD = 2
 # Pose-file bytes per worker process. On 2 CPUs two workers gain nothing up
 # to about 5,000 frames of the layout ``write_poses`` writes, 3 MB.
 _WORKER_BYTES = 1_500_000
+# The CPU quota of this process's cgroup, where cgroup v2 is mounted.
+_CPU_MAX = "/sys/fs/cgroup/cpu.max"
 
 
 @dataclass(frozen=True)
@@ -136,9 +144,9 @@ def classify_sequence(
 
 def _classify_pose_file(path, config: ClassifierConfig, kept: Optional[list] = None):
     """``_classify_chunks`` on a pose file, yielding ``(frame_ids, (labels,
-    text))``, the text its decisions rows, with ``_workers(path)``."""
+    text))``, the text its decisions rows, with ``_workers`` for its size."""
     return _classify_chunks(_line_blocks(path), partial(_pose_block, path), _spelled,
-                            config, kept, _workers(path))
+                            config, kept, _workers(os.path.getsize(path)))
 
 
 def _classify_chunks(blocks: Iterable, parse, decide, config: ClassifierConfig,
@@ -155,12 +163,12 @@ def _classify_chunks(blocks: Iterable, parse, decide, config: ClassifierConfig,
     first block with frames is read ahead). A stream with no frames raises
     EmptyInput under either normalization.
 
-    With ``workers`` above one, the blocks are ``_line_blocks`` and a pool
-    of ``workers`` processes runs ``_decided_lines`` on those after the
-    calibration window, ``_READ_AHEAD`` per worker in flight. A block it
-    gives None for, whose ids do not follow the frames before it, cut short
-    by a byte that is not UTF-8 or left by a dead worker is read and
-    decided here.
+    With ``workers`` above one, the blocks are ``_line_blocks`` and
+    ``_pooled`` runs ``_decided_lines`` on those after the calibration
+    window in ``workers`` processes. A block it gives None for (for one
+    off the layout, or where a worker or its result file failed), whose
+    ids do not follow the frames before it or cut short by a byte that is
+    not UTF-8 is read and decided here.
     """
     fixed = config.normalization is Normalization.FIXED_PIXELS
     blocks, opening, prev, frames, strict, error = iter(blocks), [], None, 0, 0, None
@@ -184,42 +192,25 @@ def _classify_chunks(blocks: Iterable, parse, decide, config: ClassifierConfig,
         yield _kept(kept, ids, decide(ids, coords, config, scale))
     if error is not None:
         raise error
-    ahead = _READ_AHEAD * workers if workers > 1 else 0
-    pending, pool, pooled, chunks = deque(), None, 0, len(opening)
-    try:
-        for block in chain(blocks, [None]):
-            if block is not None:
-                if pool is None and ahead:
-                    import multiprocessing
-                    import signal
-                    from concurrent.futures import ProcessPoolExecutor
-                    # Ctrl-C reaches the whole process group; the parent alone handles it.
-                    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                               signal.signal, (signal.SIGINT, signal.SIG_IGN))
-                pending.append((block, pool and _unbroken(pool.submit, _decided_lines, block[1],
-                                                          config, scale)))
-            while len(pending) > (0 if block is None else ahead):
-                done, future = pending.popleft()
-                result = future and _unbroken(future.result)
-                if result is not None and done[2] is None and result[0][0] > prev:
-                    (ids, decisions), error = result, None
-                    pooled += 1
-                else:
-                    ids, coords, lines, error = parse(done, prev)
-                    strict += lines
-                    decisions = len(ids) and decide(ids, coords, config, scale)
-                if len(ids):
-                    prev, frames, chunks = int(ids[-1]), frames + len(ids), chunks + 1
-                    yield _kept(kept, ids, decisions)
-                if error is not None:
-                    raise error
-        if strict:
-            log.info("%d of %d pose lines parsed line by line", strict, frames)
-        if pool is not None:
-            log.info("decided %d of %d chunks in %d worker processes", pooled, chunks, workers)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    pooled, chunks, sent = 0, len(opening), 0
+    with closing(_pooled(workers, _decided_lines, blocks, config, scale)) as results:
+        for sent, (block, result) in enumerate(results, 1):
+            if result is not None and block[2] is None and result[0][0] > prev:
+                (ids, decisions), error = result, None
+                pooled += 1
+            else:
+                ids, coords, lines, error = parse(block, prev)
+                strict += lines
+                decisions = len(ids) and decide(ids, coords, config, scale)
+            if len(ids):
+                prev, frames, chunks = int(ids[-1]), frames + len(ids), chunks + 1
+                yield _kept(kept, ids, decisions)
+            if error is not None:
+                raise error
+    if strict:
+        log.info("%d of %d pose lines parsed line by line", strict, frames)
+    if workers > 1 and sent:
+        log.info("decided %d of %d chunks in %d worker processes", pooled, chunks, workers)
 
 
 def _kept(kept: Optional[list], frame_ids, decisions: tuple):
@@ -234,35 +225,105 @@ def _spelled(frame_ids: np.ndarray, coords: np.ndarray, config: ClassifierConfig
     return decisions[0], _decisions_text(frame_ids, decisions)
 
 
-def _decided_lines(lines: list[str], config: ClassifierConfig, scale: float):
-    """A worker's job: ``(frame_ids, _spelled(...))`` of pose ``lines`` exactly
-    as ``write_poses`` writes them; else, or on an error the parent raises
-    in file order, None."""
-    arrays = _canonical_arrays(lines, None)
+def _decided_lines(block: tuple, config: ClassifierConfig, scale: float):
+    """A worker's job: ``(frame_ids, _spelled(...))`` of a ``_line_blocks``
+    block whose lines are exactly as ``write_poses`` writes them; else, or
+    on an error the parent raises in file order, None."""
+    arrays = _canonical_arrays(block[1], None)
     try:
         return arrays and (arrays[0], _spelled(*arrays, config, scale))
     except HtksError:
         return None
 
 
-def _workers(path) -> int:
-    """Worker processes for the pose file ``path``: one per CPU this process
-    may run on and per ``_WORKER_BYTES`` of the file; one or none means no
-    pool, as where no fork is found or, from Python 3.12 on, fork warns of
-    threads, which numpy's BLAS starts at import. A CPU quota is not read."""
-    if sys.version_info >= (3, 12) or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(len(os.sched_getaffinity(0)), os.path.getsize(path) // _WORKER_BYTES)
+def _pose_texts(chunks: Iterable[tuple[int, np.ndarray]], frames: int) -> Iterator[str]:
+    """The ``_poses_text`` of each of ``chunks``, ``frames`` frames in all, in
+    order: the first spelled here, its bytes per frame sizing the file for
+    ``_workers``, and the others in worker processes."""
+    chunks = iter(chunks)
+    for first in islice(chunks, 1):
+        yield (text := _poses_text(first))
+        workers = _workers(len(text) * frames // len(first[1]))
+        for chunk, text in _pooled(workers, _poses_text, chunks):
+            yield _poses_text(chunk) if text is None else text
+
+
+def _pooled(workers: int, call, jobs: Iterable, *args) -> Iterator[tuple]:
+    """Yield ``(job, call(job, *args))`` for each of ``jobs`` in order, the
+    calls made in a pool of ``workers`` forked processes started at the
+    first job, with ``_READ_AHEAD`` jobs per worker in flight. A worker
+    pickles each result to a file of a private temporary directory, read
+    here only as it is yielded, so results done ahead wait on disk, not in
+    this process. The result is None, for the caller to compute, where no
+    pool runs (one worker or none, no temporary directory) or a worker or
+    its file failed. The pool and directory go when the generator ends."""
+    spill = None
+    with suppress(OSError):  # no writable temporary directory: no pool
+        spill = workers > 1 and tempfile.mkdtemp(prefix="htks-")
+    if not spill:
+        yield from ((job, None) for job in jobs)
+        return
+    pending, pool = deque(), None
+    try:
+        for index, job in enumerate(chain(jobs, [None])):
+            if job is not None:
+                if pool is None:
+                    import multiprocessing
+                    import signal
+                    from concurrent.futures import ProcessPoolExecutor
+                    # Ctrl-C reaches the whole process group; the parent alone handles it.
+                    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                               signal.signal, (signal.SIGINT, signal.SIG_IGN))
+                path = os.path.join(spill, str(index))
+                pending.append((job, path, _unbroken(pool.submit, _spilled, path, call, job,
+                                                     *args)))
+            while len(pending) > (0 if job is None else _READ_AHEAD * workers):
+                done, path, future = pending.popleft()
+                yield done, future and _unbroken(_unspilled, future, path)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+        shutil.rmtree(spill, ignore_errors=True)
+
+
+def _spilled(path: str, call, *args) -> None:
+    """A worker's job: ``call(*args)`` pickled to the file ``path``."""
+    with open(path, "wb") as fh:
+        pickle.dump(call(*args), fh)
+
+
+def _unspilled(future, path: str):
+    """What ``_spilled`` wrote to ``path`` once ``future`` is done; the file goes."""
+    future.result()
+    with open(path, "rb") as fh:
+        os.unlink(path)
+        return pickle.load(fh)
 
 
 def _unbroken(call, *args):
-    """``call(*args)`` on a process pool, or None once one of its workers died."""
+    """``call(*args)``, or None where a worker of its process pool or a file failed."""
     from concurrent.futures import BrokenExecutor
 
     try:
         return call(*args)
-    except BrokenExecutor:
+    except (BrokenExecutor, OSError):
         return None
+
+
+def _workers(size: int) -> int:
+    """Worker processes for ``size`` bytes of pose file: one per CPU this
+    process may run on, up to the ceiling of a cgroup v2 CPU quota, and
+    per ``_WORKER_BYTES``; one or none means no pool, as where no fork is
+    found or, from Python 3.12 on, fork warns of threads, which numpy's
+    BLAS starts at import."""
+    if sys.version_info >= (3, 12) or not hasattr(os, "sched_getaffinity"):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    # cgroup v2 spells no quota "max"; where it is not mounted there is no file.
+    with suppress(OSError, ValueError), open(_CPU_MAX, encoding="ascii") as fh:
+        quota, period = fh.read().split()
+        cpus = min(cpus, -(-int(quota) // int(period)))
+    return min(cpus, size // _WORKER_BYTES)
 
 
 def evaluate_decisions(

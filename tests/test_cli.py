@@ -14,6 +14,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from itertools import islice
@@ -708,18 +709,23 @@ def test_yaml_is_loaded_only_for_a_yaml_file():
 
 
 def test_worker_pool_is_loaded_only_for_a_pool(corpus, tmp_path):
-    # A one-chunk pose file is read for calibration and decided at once.
+    # A one-chunk pose file is read for calibration and decided at once, and
+    # 2,000 generated frames (1.2 MB) are spelled here; each argument is a command.
     poses_path, _ = corpus
     code = ("import sys, htks.cli\n"
             "pool = lambda: {'concurrent.futures', 'multiprocessing'} & set(sys.modules)\n"
             "assert not pool(), pool()\n"
-            "assert htks.cli.main(sys.argv[1:]) == 0\n"
-            "assert not pool(), pool()\n")
+            "for argv in map(str.split, sys.argv[1:]):\n"
+            "    assert htks.cli.main(argv) == 0\n"
+            "    assert not pool(), pool()\n")
     env = {**os.environ, "PYTHONPATH": str(Path(htks.formats.__file__).parents[1])}
-    argv = ["run", "--poses", str(poses_path), "--out-dir", str(tmp_path / "out")]
-    result = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+    commands = [f"run --poses {poses_path} --out-dir {tmp_path / 'out'}",
+                f"generate --out-poses {tmp_path / 'p.txt'} --out-labels {tmp_path / 'l.txt'} "
+                "--frames-per-class 500 --jitter 0.05"]
+    result = subprocess.run([sys.executable, "-c", code, *commands], env=env,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+    assert len((tmp_path / "l.txt").read_text(encoding="utf-8").splitlines()) == 2_001
 
 
 def test_outputs_that_are_not_regular_files_may_repeat(corpus, tmp_path, capsys):
@@ -961,6 +967,10 @@ def _pooled_and_in_process(tmp_path, monkeypatch, caplog, capsys, command, edit,
     large enough for two): for each, its exit code, stdout and stderr,
     output bytes and log."""
     monkeypatch.setattr(htks.pipeline, "_WORKER_BYTES", worker_bytes)
+    monkeypatch.setattr(htks.pipeline, "_CPU_MAX", str(tmp_path / "cpu.max"))  # no CPU quota
+    spill_root = tmp_path / "tmp"
+    spill_root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spill_root))  # the pool's result files
     coords = generate_frames(SynthConfig(seed=3, jitter_stddev_ratio=0.05,
                                          frames_per_class=_POOL_FRAMES // 4)).coords
     poses_path, labels_path = tmp_path / "poses.txt", tmp_path / "labels.txt"
@@ -986,6 +996,7 @@ def _pooled_and_in_process(tmp_path, monkeypatch, caplog, capsys, command, edit,
         with caplog.at_level("INFO", logger="htks"):
             code = main(argv)
         assert multiprocessing.active_children() == []
+        assert list(spill_root.iterdir()) == []
         outputs = {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
         runs.append((code, capsys.readouterr(), outputs, caplog.messages))
     return runs
@@ -1039,14 +1050,26 @@ def test_workers_come_from_the_cpus_and_the_file_size(tmp_path, monkeypatch, cpu
     # One worker per CPU and per 1.5 MB of pose file: a pool only pays for
     # its forks with enough of the file for each worker.
     assert htks.pipeline._WORKER_BYTES == 1_500_000
-    path = tmp_path / "poses.txt"
-    with open(path, "wb") as fh:
-        fh.truncate(size)  # sparse: no data is written
+    monkeypatch.setattr(htks.pipeline, "_CPU_MAX", str(tmp_path / "cpu.max"))  # no CPU quota
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    assert htks.pipeline._workers(path) == (workers if sys.version_info < (3, 12) else 1)
+    assert htks.pipeline._workers(size) == (workers if sys.version_info < (3, 12) else 1)
     # From Python 3.12 on fork warns in a threaded process: no workers.
     monkeypatch.setattr(sys, "version_info", (3, 12, 0))
-    assert htks.pipeline._workers(path) == 1
+    assert htks.pipeline._workers(size) == 1
+
+
+@pytest.mark.parametrize("cpu_max, workers", [
+    ("max 100000\n", 4), ("400000 100000\n", 4), ("150000 100000\n", 2),
+    ("100000 100000\n", 1), ("50000 100000\n", 1), ("1000 1000\n", 1), ("max\n", 4),
+])
+def test_workers_are_capped_by_the_cgroup_cpu_quota(tmp_path, monkeypatch, cpu_max, workers):
+    # cgroup v2's cpu.max holds "<quota> <period>" in microseconds, or "max
+    # <period>" for none; a quota of 1.5 periods runs at most two workers.
+    path = tmp_path / "cpu.max"
+    path.write_text(cpu_max, encoding="ascii")
+    monkeypatch.setattr(htks.pipeline, "_CPU_MAX", str(path))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert htks.pipeline._workers(10**9) == (workers if sys.version_info < (3, 12) else 1)
 
 
 def _dying_job(lines, config, scale):
@@ -1060,6 +1083,116 @@ def test_blocks_of_a_dead_worker_are_decided_here(tmp_path, monkeypatch, caplog,
     assert pooled[0] == 0
     assert pooled[:3] == in_process[:3]
     _assert_pool_said(pooled, in_process, 0)
+
+
+_PYTEST_PID = os.getpid()
+_SPELLED_HERE = []  # first frame ids of the pose chunks this process spelled
+
+
+def _spelled_here(chunk):
+    """``_poses_text``, noting the chunk in this process's ``_SPELLED_HERE``."""
+    _SPELLED_HERE.append(chunk[0])
+    return htks.formats._poses_text(chunk)
+
+
+def _dying_at_3512(chunk):
+    """``_spelled_here``, but a worker given the chunk of frame 3512 dies."""
+    if chunk[0] == 3512 and os.getpid() != _PYTEST_PID:
+        os._exit(1)
+    return _spelled_here(chunk)
+
+
+def _generated_pooled_and_on_one_cpu(tmp_path, monkeypatch, capsys, args,
+                                     speller=_spelled_here):
+    """Run ``generate`` with ``args`` on two CPUs, any file large enough for
+    two workers, then on one: for each, its exit code, stdout and stderr,
+    the files in its output directory, and the chunks the parent spelled."""
+    monkeypatch.setattr(htks.pipeline, "_WORKER_BYTES", 1)
+    monkeypatch.setattr(htks.pipeline, "_CPU_MAX", str(tmp_path / "cpu.max"))  # no CPU quota
+    monkeypatch.setattr(htks.pipeline, "_poses_text", speller)
+    spill_root = tmp_path / "tmp"
+    spill_root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spill_root))  # the pool's result files
+    out = tmp_path / "out"
+    runs = []
+    for cpus in ({0, 1}, {0}):
+        shutil.rmtree(out, ignore_errors=True)
+        out.mkdir()
+        _SPELLED_HERE.clear()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        code = main(["generate", "--out-poses", str(out / "poses.txt"),
+                     "--out-labels", str(out / "labels.txt"), *args])
+        assert multiprocessing.active_children() == []
+        assert list(spill_root.iterdir()) == []
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        runs.append((code, capsys.readouterr(), files, list(_SPELLED_HERE)))
+    return runs
+
+
+@pytest.mark.parametrize("args", [
+    [],
+    ["--frames-per-class", "1500", "--jitter", "0.05", "--confusable"],
+    ["--frames-per-class", "1500", "--jitter", "0"],
+    # Coordinates of 1e16 and more are spelled by ``repr``.
+    ["--frames-per-class", "1500", "--jitter", "0.05", "--torso-length", "1e16"],
+    # Two generator blocks per class, neither of whole chunks.
+    ["--frames-per-class", "4500", "--jitter", "0.05", "--seed", "3"],
+], ids=["default", "confusable", "no-jitter", "repr", "two-blocks"])
+def test_pooled_generate_writes_the_bytes_of_one_cpu(tmp_path, monkeypatch, capsys, args):
+    pooled, one_cpu = _generated_pooled_and_on_one_cpu(tmp_path, monkeypatch, capsys, args)
+    assert pooled[0] == 0
+    assert pooled[:3] == one_cpu[:3]
+    # The parent spells the first chunk and the workers all others.
+    assert pooled[3] == (one_cpu[3][:1] if sys.version_info < (3, 12) else one_cpu[3])
+
+
+def test_chunks_of_a_dead_generate_worker_are_spelled_here(tmp_path, monkeypatch, capsys):
+    pooled, one_cpu = _generated_pooled_and_on_one_cpu(
+        tmp_path, monkeypatch, capsys, ["--frames-per-class", "3000", "--jitter", "0.05"],
+        _dying_at_3512)
+    assert pooled[0] == 0
+    assert pooled[:3] == one_cpu[:3]
+    # A worker died on the chunk of frame 3512, which is spelled here. The
+    # broken pool takes no later chunk, so all after those already in
+    # flight, at most two per worker and one more, are spelled here too.
+    chunks, here = one_cpu[3], set(pooled[3])
+    assert 3512 in here
+    assert set(chunks[chunks.index(3512) + 2 * 2 + 1:]) <= here
+    if sys.version_info < (3, 12):  # from 3.12 on no pool starts
+        assert here < set(chunks)
+
+
+def _unwritable_spill(path, call, *args):
+    raise PermissionError(13, "Permission denied", path)
+
+
+@pytest.mark.parametrize("fault", ["no-temporary-directory", "unwritable-result-file"])
+def test_generate_without_result_files_spells_every_chunk_here(tmp_path, monkeypatch, capsys,
+                                                                fault):
+    # Workers hand results back through files of a temporary directory; with
+    # no such directory no pool starts, and a result file that cannot be
+    # written leaves its chunk to the parent.
+    if fault == "no-temporary-directory":
+        monkeypatch.setattr(tempfile, "mkdtemp", mock.Mock(side_effect=FileNotFoundError))
+    else:
+        monkeypatch.setattr(htks.pipeline, "_spilled", _unwritable_spill)
+    pooled, one_cpu = _generated_pooled_and_on_one_cpu(
+        tmp_path, monkeypatch, capsys, ["--frames-per-class", "700", "--jitter", "0.05"])
+    assert pooled[0] == 0
+    assert pooled == one_cpu
+
+
+def test_generate_overflow_under_a_pool_leaves_no_file_and_no_process(tmp_path, monkeypatch,
+                                                                        capsys):
+    # With seed 0, the toes block overflows after three blocks went to the pool.
+    args = ["--seed", "0", "--frames-per-class", "600", "--torso-length", "1.5e308",
+            "--jitter", "0.05"]
+    pooled, one_cpu = _generated_pooled_and_on_one_cpu(tmp_path, monkeypatch, capsys, args)
+    assert pooled[0] == 3
+    assert "overflows a coordinate" in pooled[1].err
+    assert pooled[:3] == one_cpu[:3]
+    assert pooled[2] == {}
+    assert pooled[3] == ([0] if sys.version_info < (3, 12) else one_cpu[3])
 
 
 @pytest.fixture(scope="module")

@@ -187,18 +187,52 @@ def _distances(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ``(n, 4)`` distance profiles (LABEL_ORDER) and the ``(n,)``
     head-to-hip distances of ``(n, 12, 2)`` JointId-ordered coordinates.
 
-    Each distance is ``math.hypot``: ``np.hypot`` rounds differently in
-    the last bit on some inputs, which would change written decisions.
+    Each distance is ``math.hypot`` (as ``_hypot``): ``np.hypot`` rounds
+    differently in the last bit on some inputs, which would change written
+    decisions.
     """
     # Overflow to inf is caught by the caller, as a distance that overflows.
     with np.errstate(over="ignore"):
         delta = coords[:, _DISTANCE_PAIRS[:, 0]] - coords[:, _DISTANCE_PAIRS[:, 1]]
-        dist = np.fromiter(
-            map(math.hypot, delta[..., 0].ravel().tolist(), delta[..., 1].ravel().tolist()),
-            np.float64,
-            delta.shape[0] * delta.shape[1],
-        ).reshape(-1, len(_DISTANCE_PAIRS))
+        dist = _hypot(delta[..., 0], delta[..., 1])
         return (dist[:, 0:4] + dist[:, 4:8]) / 2.0, dist[:, 8]
+
+
+def _exact_square(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(hi, lo)``, ``hi + lo == x * x`` exactly: Dekker's product of the
+    halves of Veltkamp's split by 2**27 + 1."""
+    t = x * 134217729.0
+    hi = t - (t - x)
+    lo = x - hi
+    square, cross = hi * hi, hi * lo + lo * hi
+    total = square + cross
+    return total, square - total + cross + lo * lo
+
+
+def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``math.hypot`` of each pair, bit for bit, as CPython 3.11 computes it
+    for two coordinates: scaled by a power of two below 1, squared exactly,
+    summed in three compensated sums, then a square root with one
+    differential correction. ``math.hypot`` takes pairs whose larger
+    magnitude is zero, below the normal range, infinite or NaN."""
+    x, y = np.abs(x), np.abs(y)
+    larger = np.maximum(x, y)
+    slow = ~((larger >= np.finfo(np.float64).tiny) & (larger < np.inf))
+    pairs = x[slow].tolist(), y[slow].tolist()
+    x[slow] = y[slow] = larger[slow] = 1.0
+    scale = np.ldexp(1.0, -np.frexp(larger)[1])
+    total, low, carries = np.ones_like(larger), np.zeros_like(larger), np.zeros_like(larger)
+    for coordinate in (x, y):
+        hi, lo = _exact_square(coordinate * scale)
+        low, carries, total = low + lo, carries + (total - (total + hi) + hi), total + hi
+    h = np.sqrt(total - 1.0 + (low + carries))
+    hi, lo = (-part for part in _exact_square(h))
+    low, carries, total = low + lo, carries + (total - (total + hi) + hi), total + hi
+    h += (total - 1.0 + (low + carries)) / (2.0 * h)
+    with np.errstate(over="ignore"):
+        h /= scale
+    h[slow] = list(map(math.hypot, *pairs))
+    return h
 
 
 def _argmin(values: np.ndarray, order: Sequence[TouchLabel]) -> tuple[np.ndarray, np.ndarray]:

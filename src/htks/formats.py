@@ -33,13 +33,15 @@ defaults.
 
 from __future__ import annotations
 
+import codecs
+import io
 import json
 import os
 import re
 from contextlib import contextmanager, suppress
 from dataclasses import fields
 from functools import partial
-from itertools import count, groupby, islice
+from itertools import groupby, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -436,26 +438,88 @@ def iter_poses(path) -> Iterator[BodyPose]:
 
 
 def _line_blocks(path) -> Iterator[tuple[int, list[str], ParseError | None]]:
-    """``(line_no, block, error)``: the lines of ``path`` in lists ``block``
-    of up to ``_CHUNK_FRAMES``, the number of each list's first line, and
-    a byte that is not UTF-8 that ends the last list early, so no earlier
-    line's error is skipped."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no in count(1, _CHUNK_FRAMES):
-            block, error = [], None
-            try:
-                # ``extend`` keeps the lines read before a decode error.
-                block.extend(islice(fh, _CHUNK_FRAMES))
-            except UnicodeDecodeError:
-                error = _not_utf8(path)
-            yield line_no, block, error
-            if error or len(block) < _CHUNK_FRAMES:
-                return
+    """``(line_no, lines, error)`` of each ``_line_ranges`` range of ``path``."""
+    with open(path, "rb") as fh:
+        for line_no, offset, length, _, error in _line_ranges(fh, path):
+            yield line_no, _range_lines(_range_bytes(fh, offset, length)), error
 
 
 def _data_lines(block: list[str]) -> list[str]:
     """The lines of ``block`` that ``_content`` keeps, unchanged."""
     return [line for line in block if (text := line.strip()) and not text.startswith("#")]
+
+
+# Files are scanned for line ends ``_SCAN_BYTES`` at a time. Text mode
+# decodes 8 KiB at a time, so a byte that is not UTF-8 also hides the lines
+# before it in those 8 KiB: a range is handed out only once the bytes
+# ``_DECODE_AHEAD`` past its end are known to decode.
+_SCAN_BYTES, _DECODE_AHEAD = 1 << 18, 1 << 16
+
+
+@contextmanager
+def _pose_file(path) -> Iterator[tuple[Iterator[tuple], Callable]]:
+    """Open the pose file ``path`` once for ``(ranges, parse)``: its
+    ``_line_ranges``, and ``parse(range, prev_frame_id)``, its
+    ``_pose_block``."""
+    with open(path, "rb") as fh:
+        yield _line_ranges(fh, path), partial(_pose_block, fh, path)
+
+
+def _line_ranges(fh, path) -> Iterator[tuple[int, int, int, int, ParseError | None]]:
+    """``(line_no, offset, length, lines, error)``: the byte ranges of the
+    file ``path``, open as ``fh``, of ``_CHUNK_FRAMES`` lines each (the last
+    fewer), each range's first line number and, on the last, the
+    ParseError of a byte that is not UTF-8. Lines end where text mode ends
+    them, at ``\\n``, ``\\r\\n`` or a lone ``\\r``; the ranges stop where text
+    mode stops before such a byte."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    window = bytearray(_SCAN_BYTES)
+    byte, is_end = np.frombuffer(window, np.uint8), np.empty(_SCAN_BYTES, np.bool_)
+    line_no, start, ends, offset, error = 1, 0, np.empty(0, np.int64), 0, None
+    while error is None:
+        fh.seek(offset)  # ``fh`` is read between ranges too
+        size = fh.readinto(window)
+        last = size < _SCAN_BYTES
+        size -= not last and window[-1] == ord("\r")  # a \r\n may start here: read it next
+        end = np.equal(byte[:size], ord("\n"), out=is_end[:size])
+        if window.find(b"\r", 0, size) >= 0:
+            lone = byte[:size] == ord("\r")
+            np.greater(lone[:-1], end[1:], out=lone[:-1])  # not a \r\n
+            end |= lone
+        ends = np.concatenate([ends, offset + 1 + np.flatnonzero(end)])
+        offset += size
+        try:
+            if decoder.getstate()[0] or not window.isascii():
+                decoder.decode(memoryview(window)[:size], last)
+        except UnicodeDecodeError:
+            error, read = _not_utf8(path), 0
+            with open(path, "r", encoding="utf-8") as text, suppress(UnicodeDecodeError):
+                for read, _ in enumerate(text, 1):  # the lines text mode reads before it
+                    pass
+            ends = ends[:read - line_no + 1]
+        while len(ends) >= _CHUNK_FRAMES and (
+                last or error or ends[_CHUNK_FRAMES - 1] + _DECODE_AHEAD <= offset):
+            stop = int(ends[_CHUNK_FRAMES - 1])
+            yield line_no, start, stop - start, _CHUNK_FRAMES, None
+            line_no, start, ends = line_no + _CHUNK_FRAMES, stop, ends[_CHUNK_FRAMES:]
+        if last:
+            break
+    if error is None and offset > (ends[-1] if len(ends) else start):
+        ends = np.append(ends, offset)  # a last line with no line end
+    yield line_no, start, int(ends[-1]) - start if len(ends) else 0, len(ends), error
+
+
+def _range_lines(data: bytes) -> list[str]:
+    """The lines of ``_range_bytes`` ``data``."""
+    return list(io.StringIO(data.decode(), newline="\n"))
+
+
+def _range_bytes(fh, offset: int, length: int) -> bytes:
+    """``length`` bytes of the binary file ``fh`` from ``offset``, line
+    ends as text mode reads them: ``\\r\\n`` and a lone ``\\r`` as ``\\n``."""
+    fh.seek(offset)
+    data = fh.read(length)
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
 
 
 # A line exactly as ``write_poses`` writes it from an array is its numbers,
@@ -473,21 +537,27 @@ _POSE_GAPS = np.array([gap for joint in JointId for gap in (len(joint.value) + 2
 # lands on a midpoint. ``_EXTENDED`` checks by arithmetic that
 # ``np.longdouble`` has such a significand (an x87 precision-control
 # setting can narrow it below its type) and is not a pair of doubles.
+# ``_X87`` adds that it is the x87 format, its significand the low 8 of 16
+# bytes: there a midpoint is a quotient whose 11 bits below a float64's
+# significand are ``0x400``.
 _POWERS = np.cumprod([1] + [10] * 27, dtype=np.longdouble)
 _EXTENDED = bool(np.longdouble(1) + 2.0**-63 != 1 and np.longdouble(1) + 2.0**-120 == 1)
+_X87 = _EXTENDED and np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
 
 
-def _canonical_arrays(lines: list[str], prev_frame_id: int | None):
-    """``(ids, coords)`` of lines exactly as ``write_poses`` writes them from
-    an array, ids of up to 18 digits increasing after ``prev_frame_id`` and
-    numbers ``[-]digits.digits``, else None. Coordinates equal ``float()``."""
-    data, n = "".join(lines).encode(), len(lines)
+def _canonical_arrays(data: bytes, lines: int, prev_frame_id: int | None):
+    """``(ids, coords)`` of the ``lines`` lines ``data`` if they are exactly
+    as ``write_poses`` writes them from an array, ids of up to 18 digits
+    increasing after ``prev_frame_id`` and numbers ``[-]digits.digits``,
+    else None. Coordinates equal ``float()``."""
+    n = lines
     if n == 0 or data.translate(None, _NUMERIC) != _POSE_TEMPLATE * n:
         return None
     # The numbers must fill the slots exactly, so no digit hides in a name.
     byte = np.frombuffer(data, np.uint8)
-    numeric = np.frombuffer(data.translate(_NUMERIC_FLAGS), np.bool_)
-    starts, ends = np.flatnonzero(np.diff(numeric, prepend=False, append=False)).reshape(-1, 2).T
+    # After a newline, each number's first byte and the byte after its last flip the flag.
+    numeric = np.frombuffer((b"\n" + data).translate(_NUMERIC_FLAGS), np.bool_)
+    starts, ends = np.flatnonzero(np.diff(numeric)).reshape(-1, 2).T
     del numeric
     if (len(starts) != len(_POSE_GAPS) * n
             or (np.append(starts[1:], len(data)) - ends != np.tile(_POSE_GAPS, n)).any()):
@@ -512,11 +582,16 @@ def _canonical_arrays(lines: list[str], prev_frame_id: int | None):
     mantissas[long] = places[long] = 0
     quotients = mantissas.astype(np.longdouble) / _POWERS[places]
     values = quotients.astype(np.float64)
-    # A midpoint q between values r and r' has 2q - r = r', a float64. Those
-    # are divided again as Python ints, which round correctly.
-    mirrored = 2 * quotients - values
-    ties = (quotients != values) & (mirrored.astype(np.float64) == mirrored)
-    for i in np.flatnonzero(ties) if _EXTENDED else range(len(values)):
+    # Midpoints are divided again as Python ints, which round correctly.
+    if not _EXTENDED:
+        ties = range(len(values))
+    elif _X87:
+        ties = np.flatnonzero((quotients.view(np.uint64)[::2] & 0x7FF) == 0x400)
+    else:
+        # A midpoint q between values r and r' has 2q - r = r', a float64.
+        mirrored = 2 * quotients - values
+        ties = np.flatnonzero((quotients != values) & (mirrored.astype(np.float64) == mirrored))
+    for i in ties:
         values[i] = int(mantissas[i]) / 10 ** int(places[i])
     np.negative(values, out=values, where=negative)
     values[long] = [float(data[starts[i]:ends[i]]) for i in long]
@@ -525,27 +600,29 @@ def _canonical_arrays(lines: list[str], prev_frame_id: int | None):
     return ids, values.reshape(n, len(JointId), 2)
 
 
-def _pose_block(path, block: tuple[int, list[str], ParseError | None], prev_frame_id: int | None):
+def _pose_block(fh, path, block: tuple[int, int, int, int, ParseError | None],
+                prev_frame_id: int | None):
     """``(ids int64 (n,), coords float64 (n, 12, 2), strict, error)``: the
-    frames of one ``_line_blocks`` block of a pose file, after the frame
-    ``prev_frame_id``, with the frames and errors of ``iter_poses``; how
-    many of its lines were parsed line by line; and the ParseError that
-    follows those frames, if any.
+    frames of one ``_line_ranges`` range of the pose file ``path``, open as
+    ``fh``, after the frame ``prev_frame_id``, with the frames and errors
+    of ``iter_poses``; how many of its lines were parsed line by line; and
+    the ParseError that follows those frames, if any.
 
-    A block of canonical lines is parsed as a whole; in any other, so is
-    each run of lines that are canonical less their numbers. Other lines
-    (comments, exponents, confidences) and runs the array check refuses go
-    through the strict per-line parser, in file order.
+    A range of canonical lines is parsed as a whole, as bytes; in any
+    other, so is each run of lines that are canonical less their numbers.
+    Other lines (comments, exponents, confidences) and runs the array check
+    refuses go through the strict per-line parser, in file order.
     """
-    first, lines, error = block
-    arrays = _canonical_arrays(lines, prev_frame_id)
+    first, offset, length, lines, error = block
+    data = _range_bytes(fh, offset, length)
+    arrays = _canonical_arrays(data, lines, prev_frame_id)
     if arrays is not None:
         return (*arrays, 0, error)
     pieces, poses, strict = [], [], 0
     try:
-        for canonical, run in groupby(enumerate(lines, first), _on_template):
+        for canonical, run in groupby(enumerate(_range_lines(data), first), _on_template):
             run = list(run)
-            arrays = _canonical_arrays([line for _, line in run],
+            arrays = _canonical_arrays("".join([line for _, line in run]).encode(), len(run),
                                        prev_frame_id) if canonical else None
             if arrays is not None:
                 pieces += [_pose_arrays(poses), arrays]

@@ -10,10 +10,10 @@ score`` read it with ``load_decisions`` into the same arrays.
 Pose files and pose streams are classified by one generator,
 ``_classify_chunks``: it calibrates on the opening frames of a stream's
 blocks and hands each block to the classifier core. ``run_pipeline`` and
-``htks classify`` feed it a pose file's blocks of lines through
-``_classify_pose_file``, reading the file once; in a long file, with more
-than one CPU, worker processes parse, decide and spell the blocks after
-the calibration window. ``classify_sequence`` feeds it blocks of poses.
+``htks classify`` feed it a pose file's byte ranges of lines through
+``_classify_pose_file``; in a long file, with more than one CPU, worker
+processes read, parse, decide and spell the ranges after the calibration
+window. ``classify_sequence`` feeds it blocks of poses.
 It stays here, not in ``classifier``, because it looks up
 ``calibration_scale`` here, where the benchmark's tracer
 (``bench/spans.py``) wraps it, as it wraps ``load_labels`` and ``report``.
@@ -32,7 +32,6 @@ import tempfile
 from collections import deque
 from contextlib import closing, suppress
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
@@ -63,10 +62,10 @@ from .formats import (
     _check_files,
     _decisions_text,
     _known_keys,
-    _line_blocks,
     _load_yaml,
-    _pose_block,
+    _pose_file,
     _poses_text,
+    _range_bytes,
     _writing,
 )
 from .game import SessionResult, score_session
@@ -93,6 +92,8 @@ _READ_AHEAD = 2
 _WORKER_BYTES = 1_500_000
 # The CPU quota of this process's cgroup, where cgroup v2 is mounted.
 _CPU_MAX = "/sys/fs/cgroup/cpu.max"
+# glibc's ``mallopt`` parameters; a worker keeps up to 16 MiB of free heap.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _HEAP_KEPT = -1, -3, 16 << 20
 
 
 @dataclass(frozen=True)
@@ -145,12 +146,13 @@ def classify_sequence(
 def _classify_pose_file(path, config: ClassifierConfig, kept: Optional[list] = None):
     """``_classify_chunks`` on a pose file, yielding ``(frame_ids, (labels,
     text))``, the text its decisions rows, with ``_workers`` for its size."""
-    return _classify_chunks(_line_blocks(path), partial(_pose_block, path), _spelled,
-                            config, kept, _workers(os.path.getsize(path)))
+    with _pose_file(path) as (ranges, parse):
+        yield from _classify_chunks(ranges, parse, _spelled, config, kept,
+                                    _workers(os.path.getsize(path)), path)
 
 
 def _classify_chunks(blocks: Iterable, parse, decide, config: ClassifierConfig,
-                     kept: Optional[list] = None, workers: int = 1):
+                     kept: Optional[list] = None, workers: int = 1, path=None):
     """Classify ``blocks`` in order, yielding ``(frame_ids, decide(frame_ids,
     coords, config, scale))`` for each with frames; ``kept`` gets each
     ``(frame_ids, labels)``. ``parse(block, prev_frame_id)`` gives a block's
@@ -163,12 +165,12 @@ def _classify_chunks(blocks: Iterable, parse, decide, config: ClassifierConfig,
     first block with frames is read ahead). A stream with no frames raises
     EmptyInput under either normalization.
 
-    With ``workers`` above one, the blocks are ``_line_blocks`` and
-    ``_pooled`` runs ``_decided_lines`` on those after the calibration
-    window in ``workers`` processes. A block it gives None for (for one
-    off the layout, or where a worker or its result file failed), whose
-    ids do not follow the frames before it or cut short by a byte that is
-    not UTF-8 is read and decided here.
+    With ``workers`` above one, the blocks are the ``_line_ranges`` of the
+    pose file ``path`` and ``_pooled`` runs ``_decided_range`` on those
+    after the calibration window in ``workers`` processes. A range it gives
+    None for (for one off the layout, or where a worker or its result file
+    failed), whose ids do not follow the frames before it or cut short by a
+    byte that is not UTF-8 is read and decided here.
     """
     fixed = config.normalization is Normalization.FIXED_PIXELS
     blocks, opening, prev, frames, strict, error = iter(blocks), [], None, 0, 0, None
@@ -193,9 +195,9 @@ def _classify_chunks(blocks: Iterable, parse, decide, config: ClassifierConfig,
     if error is not None:
         raise error
     pooled, chunks, sent = 0, len(opening), 0
-    with closing(_pooled(workers, _decided_lines, blocks, config, scale)) as results:
+    with closing(_pooled(workers, _decided_range, blocks, path, config, scale)) as results:
         for sent, (block, result) in enumerate(results, 1):
-            if result is not None and block[2] is None and result[0][0] > prev:
+            if result is not None and block[-1] is None and result[0][0] > prev:
                 (ids, decisions), error = result, None
                 pooled += 1
             else:
@@ -225,11 +227,14 @@ def _spelled(frame_ids: np.ndarray, coords: np.ndarray, config: ClassifierConfig
     return decisions[0], _decisions_text(frame_ids, decisions)
 
 
-def _decided_lines(block: tuple, config: ClassifierConfig, scale: float):
-    """A worker's job: ``(frame_ids, _spelled(...))`` of a ``_line_blocks``
-    block whose lines are exactly as ``write_poses`` writes them; else, or
-    on an error the parent raises in file order, None."""
-    arrays = _canonical_arrays(block[1], None)
+def _decided_range(block: tuple, path, config: ClassifierConfig, scale: float):
+    """A worker's job: ``(frame_ids, _spelled(...))`` of a ``_line_ranges``
+    range of the pose file ``path`` whose lines are exactly as
+    ``write_poses`` writes them; else, or on an error the parent raises in
+    file order, None. It reads the range itself, as bytes."""
+    _, offset, length, lines, _ = block
+    with open(path, "rb") as fh:
+        arrays = _canonical_arrays(_range_bytes(fh, offset, length), lines, None)
     try:
         return arrays and (arrays[0], _spelled(*arrays, config, scale))
     except HtksError:
@@ -269,11 +274,9 @@ def _pooled(workers: int, call, jobs: Iterable, *args) -> Iterator[tuple]:
             if job is not None:
                 if pool is None:
                     import multiprocessing
-                    import signal
                     from concurrent.futures import ProcessPoolExecutor
-                    # Ctrl-C reaches the whole process group; the parent alone handles it.
                     pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                               signal.signal, (signal.SIGINT, signal.SIG_IGN))
+                                               _worker_started)
                 path = os.path.join(spill, str(index))
                 pending.append((job, path, _unbroken(pool.submit, _spilled, path, call, job,
                                                      *args)))
@@ -284,6 +287,22 @@ def _pooled(workers: int, call, jobs: Iterable, *args) -> Iterator[tuple]:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
         shutil.rmtree(spill, ignore_errors=True)
+
+
+def _worker_started() -> None:
+    """A worker's initializer. Ctrl-C reaches the whole process group; the
+    parent alone handles it. Fixed glibc thresholds keep the heap's free
+    top, which it would hand back after each job, for the next job to
+    reuse without faulting its pages in again."""
+    import ctypes
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)  # glibc only
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_TRIM_THRESHOLD, _HEAP_KEPT)
+        mallopt(_M_MMAP_THRESHOLD, _HEAP_KEPT)
 
 
 def _spilled(path: str, call, *args) -> None:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -25,6 +27,7 @@ from htks import (
     distance_profile,
     generate,
 )
+from htks.classifier import _hypot
 from htks.pose import _joint_array
 
 from conftest import head_hip, make_pose, random_pose, scale_pose, translate_pose
@@ -438,3 +441,43 @@ def test_baseline_label_attains_minimum(values):
     profile = DistanceProfile(*values)
     decision = classify_baseline(profile, ClassifierConfig())
     assert profile.value(decision.label) == min(values)
+
+
+# Magnitudes at the edges of float64: signed zeros, subnormals, the
+# smallest normal, the largest finite value, infinities and NaN.
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+          1.7976931348623157e308, -1e308, math.inf, -math.inf, math.nan, 1.0, -3.0]
+
+
+def assert_hypot_is_math_hypot(x, y):
+    x, y = np.asarray(x, np.float64), np.asarray(y, np.float64)
+    expected = np.array(list(map(math.hypot, x.tolist(), y.tolist())), np.float64)
+    assert _hypot(x, y).view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+
+class TestHypot:
+    """``_hypot`` is ``math.hypot``, bit for bit, with no numpy warning."""
+
+    @given(st.lists(st.tuples(st.one_of(st.floats(), st.sampled_from(_EDGES)),
+                              st.one_of(st.floats(), st.sampled_from(_EDGES))), min_size=1))
+    def test_any_pair(self, pairs):
+        assert_hypot_is_math_hypot(*zip(*pairs))
+
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.integers(-3, 3))
+    def test_near_equal_pairs(self, value, steps):
+        other = value
+        for _ in range(abs(steps)):
+            other = math.nextafter(other, math.copysign(math.inf, steps))
+        assert_hypot_is_math_hypot([value, -value, value], [other, other, value])
+
+    def test_every_binary_exponent(self):
+        rng = np.random.default_rng(11)
+        x = np.ldexp(rng.uniform(0.5, 1.0, 200_000), rng.integers(-1074, 1024, 200_000))
+        far = np.ldexp(rng.uniform(-1.0, 1.0, len(x)), rng.integers(-1074, 1024, len(x)))
+        # A product above the largest float is inf, and hypot of it too.
+        with np.errstate(over="ignore"):
+            near = x * (1 + rng.normal(size=len(x)) * 1e-9)
+            assert_hypot_is_math_hypot(np.concatenate([x, -x]), np.concatenate([near, far]))
+        decimal = rng.uniform(-1, 1, (2, 200_000)) * 10.0 ** rng.integers(-300, 300, (2, 200_000))
+        assert_hypot_is_math_hypot(*decimal)
+        assert_hypot_is_math_hypot(*(rng.normal(size=(2, 200_000)) * 300))

@@ -2,6 +2,7 @@ import ast
 import builtins
 import contextlib
 import csv
+import ctypes
 import dataclasses
 import importlib.util
 import io
@@ -10,6 +11,7 @@ import multiprocessing
 import os
 import pkgutil
 import re
+import resource
 import shutil
 import stat
 import subprocess
@@ -17,6 +19,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from itertools import islice
 from pathlib import Path
 from unittest import mock
@@ -954,6 +957,18 @@ def _crlf(lines):
     lines[:] = [line + b"\r" for line in lines]
 
 
+def _lone_cr(lines):
+    return b"\r".join(lines) + b"\r"
+
+
+def _no_last_newline(lines):
+    return b"\n".join(lines)
+
+
+def _comment_and_blank_lines(lines):
+    lines[1100:1100] = [b"# a note", b"", b"   "]
+
+
 def _overflow(lines):
     _set_token(lines, 2001, 1, b"head=" + _HUGE + b",-300.0")
     _set_token(lines, 2001, 1 + list(JointId).index(JointId.LEFT_WRIST),
@@ -961,25 +976,25 @@ def _overflow(lines):
 
 
 def _pooled_and_in_process(tmp_path, monkeypatch, caplog, capsys, command, edit,
-                           worker_bytes=1):
-    """Run ``command`` on the edited pose file with two CPUs, then with one,
-    and ``worker_bytes`` of the file to each worker (by default any file is
-    large enough for two): for each, its exit code, stdout and stderr,
-    output bytes and log."""
+                           worker_bytes=1, frames=_POOL_FRAMES):
+    """Run ``command`` on a pose file of ``frames`` frames, edited, with two
+    CPUs, then with one, and ``worker_bytes`` of the file to each worker (by
+    default any file is large enough for two): for each, its exit code,
+    stdout and stderr, output bytes and log. ``edit`` changes the file's
+    lines in place or returns the file's bytes."""
     monkeypatch.setattr(htks.pipeline, "_WORKER_BYTES", worker_bytes)
     monkeypatch.setattr(htks.pipeline, "_CPU_MAX", str(tmp_path / "cpu.max"))  # no CPU quota
     spill_root = tmp_path / "tmp"
     spill_root.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(spill_root))  # the pool's result files
     coords = generate_frames(SynthConfig(seed=3, jitter_stddev_ratio=0.05,
-                                         frames_per_class=_POOL_FRAMES // 4)).coords
+                                         frames_per_class=frames // 4)).coords
     poses_path, labels_path = tmp_path / "poses.txt", tmp_path / "labels.txt"
     write_poses(poses_path, coords)
-    write_labels(labels_path, ((i, LABEL_ORDER[i % 4]) for i in range(_POOL_FRAMES)))
+    write_labels(labels_path, ((i, LABEL_ORDER[i % 4]) for i in range(frames)))
     lines = poses_path.read_bytes().split(b"\n")[:-1]
-    if edit is not None:
-        edit(lines)
-    poses_path.write_bytes(b"\n".join(lines) + b"\n")
+    data = None if edit is None else edit(lines)
+    poses_path.write_bytes(data or b"\n".join(lines) + b"\n")
     out_dir = tmp_path / "out"
     if command == "classify":
         argv = ["classify", "--poses", str(poses_path), "--out", str(out_dir / "decisions.csv")]
@@ -1021,6 +1036,9 @@ def _assert_pool_said(pooled, in_process, decided):
     (_repeated_id_at_chunk_edge, 2, None),
     (_exponent_and_confidence, 0, 3),
     (_crlf, 0, 4),
+    (_lone_cr, 0, 4),
+    (_no_last_newline, 0, 3),
+    (_comment_and_blank_lines, 0, 3),
     (_overflow, 4, None),
 ], ids=lambda value: getattr(value, "__name__", str(value)))
 def test_worker_processes_change_nothing_but_the_log(tmp_path, monkeypatch, caplog, capsys,
@@ -1032,6 +1050,86 @@ def test_worker_processes_change_nothing_but_the_log(tmp_path, monkeypatch, capl
     # A chunk the workers cannot read as written is read here, and so is
     # one whose error they meet.
     _assert_pool_said(pooled, in_process, decided)
+
+
+def test_a_non_utf8_byte_a_worker_would_read_is_reported_at_its_line(tmp_path, monkeypatch,
+                                                                     caplog, capsys):
+    def bad_byte_on_line_3001(lines):
+        lines[3000] += b"\xff"
+
+    pooled, in_process = _pooled_and_in_process(tmp_path, monkeypatch, caplog, capsys, "run",
+                                                bad_byte_on_line_3001, frames=4_000)
+    assert pooled[:3] == in_process[:3]
+    assert pooled[0] == 2
+    assert pooled[1].err == f"parse error: {tmp_path / 'poses.txt'}:3001: not valid UTF-8\n"
+
+
+def test_lone_cr_lines_are_read_a_range_at_a_time(tmp_path):
+    # A reader that split only at \n would hold a lone-CR file as one line.
+    peaks = []
+    for newline in (b"\n", b"\r"):
+        poses = tmp_path / "poses.txt"
+        write_poses(poses, generate_frames(SynthConfig(seed=3, jitter_stddev_ratio=0.05,
+                                                       frames_per_class=4_000)).coords)
+        poses.write_bytes(poses.read_bytes().replace(b"\n", newline))
+        tracemalloc.start()
+        try:
+            code = main(["classify", "--poses", str(poses), "--out", str(tmp_path / "d.csv")])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert poses.stat().st_size > 9_000_000
+    assert peaks[1] - peaks[0] < 1_000_000
+
+
+def test_a_range_job_needs_nothing_forked(tmp_path):
+    # A spawned process starts from a fresh import: what the job reads
+    # comes from its arguments, so it decides the range as this process does.
+    path = tmp_path / "poses.txt"
+    write_poses(path, generate_frames(SynthConfig(seed=3, jitter_stddev_ratio=0.05,
+                                                  frames_per_class=300)).coords)
+    with htks.formats._pose_file(path) as (ranges, _):
+        ranges = list(ranges)
+    job = (ranges[1], str(path), htks.ClassifierConfig(), 300.0)
+    here = htks.pipeline._decided_range(*job)
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(1, mp_context=context) as pool:
+        spawned = pool.submit(htks.pipeline._decided_range, *job).result(timeout=300)
+    assert len(here[0]) == htks.formats._CHUNK_FRAMES
+    assert here[0].tolist() == spawned[0].tolist()
+    assert here[1][0].tolist() == spawned[1][0].tolist()
+    assert here[1][1] == spawned[1][1]
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="libc has no mallopt")
+@pytest.mark.parametrize("command", ["run", "generate"])
+def test_workers_keep_their_heap_between_jobs(tmp_path, command):
+    # Without fixed thresholds glibc may hand a worker's free heap back to
+    # the kernel after each job, and the next job faults it in again: about
+    # 450 minor faults a chunk for ``generate`` in a fresh process. Forking
+    # costs about 1,500 a worker.
+    poses, labels = tmp_path / "poses.txt", tmp_path / "labels.txt"
+    generate = ["generate", "--out-poses", str(poses), "--out-labels", str(labels),
+                "--seed", "3", "--frames-per-class", "12000", "--jitter", "0.05"]
+    assert main(generate) == 0
+    run = ["run", "--poses", str(poses), "--labels", str(labels), "--out-dir", str(tmp_path)]
+    code = ("import os, resource, sys, htks.pipeline\n"
+            "from htks.cli import main\n"
+            "htks.pipeline._WORKER_BYTES = 1\n"
+            f"htks.pipeline._CPU_MAX = {str(tmp_path / 'cpu.max')!r}\n"  # no CPU quota
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(htks.formats.__file__).parents[1])}
+    # The workers are shut down when the command returns, so all are counted.
+    result = subprocess.run([sys.executable, "-c", code, *(run if command == "run" else generate)],
+                            env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    if sys.version_info < (3, 12):  # from 3.12 on no pool starts
+        if command == "run":
+            assert "decided 93 of 94 chunks in 2 worker processes" in result.stderr
+        assert int(result.stdout.split()[-1]) <= 100 * 94
 
 
 def test_no_pool_starts_for_a_short_file(tmp_path, monkeypatch, caplog, capsys):
@@ -1072,17 +1170,43 @@ def test_workers_are_capped_by_the_cgroup_cpu_quota(tmp_path, monkeypatch, cpu_m
     assert htks.pipeline._workers(10**9) == (workers if sys.version_info < (3, 12) else 1)
 
 
-def _dying_job(lines, config, scale):
+def _dying_job(block, path, config, scale):
     os._exit(1)
 
 
 def test_blocks_of_a_dead_worker_are_decided_here(tmp_path, monkeypatch, caplog, capsys):
-    monkeypatch.setattr(htks.pipeline, "_decided_lines", _dying_job)
+    monkeypatch.setattr(htks.pipeline, "_decided_range", _dying_job)
     pooled, in_process = _pooled_and_in_process(tmp_path, monkeypatch, caplog, capsys,
                                                 "run", None)
     assert pooled[0] == 0
     assert pooled[:3] == in_process[:3]
     _assert_pool_said(pooled, in_process, 0)
+
+
+_DECIDED_RANGE = htks.pipeline._decided_range
+
+
+def _dying_at_line_1537(block, path, config, scale):
+    """``_decided_range``, but a worker given the range of line 1537 dies."""
+    if block[0] == 1537:
+        os._exit(1)
+    return _DECIDED_RANGE(block, path, config, scale)
+
+
+def test_ranges_after_a_worker_killed_mid_run_are_decided_here(tmp_path, monkeypatch, caplog,
+                                                                capsys):
+    # Ranges finished before the kill are taken; that range and the later
+    # ones no worker finished are decided here.
+    monkeypatch.setattr(htks.pipeline, "_decided_range", _dying_at_line_1537)
+    pooled, in_process = _pooled_and_in_process(tmp_path, monkeypatch, caplog, capsys,
+                                                "run", None)
+    assert pooled[0] == 0
+    assert pooled[:3] == in_process[:3]
+    said = [message for message in pooled[3] if message.startswith("decided ")]
+    assert [message for message in pooled[3] if message not in said] == in_process[3]
+    if sys.version_info < (3, 12):
+        assert len(said) == 1
+        assert re.fullmatch("decided [0-2] of 5 chunks in 2 worker processes", said[0])
 
 
 _PYTEST_PID = os.getpid()

@@ -37,8 +37,7 @@ from htks.formats import (
     _content_lines,
     _float_text,
     _frame_id,
-    _line_blocks,
-    _pose_block,
+    _pose_file,
     _rows_text,
     _shortest,
     _text_lines,
@@ -227,16 +226,17 @@ def read_strict(path):
 
 
 def pose_chunks(path):
-    """The ``(ids, coords)`` chunks ``_pose_block`` reads from each block of
+    """The ``(ids, coords)`` chunks ``_pose_block`` reads from each range of
     a pose file, as the pipeline reads them, then the ParseError met."""
     prev_frame_id = None
-    for block in _line_blocks(path):
-        ids, coords, _, error = _pose_block(path, block, prev_frame_id)
-        if len(ids):
-            prev_frame_id = int(ids[-1])
-            yield ids, coords
-        if error is not None:
-            raise error
+    with _pose_file(path) as (ranges, parse):
+        for block in ranges:
+            ids, coords, _, error = parse(block, prev_frame_id)
+            if len(ids):
+                prev_frame_id = int(ids[-1])
+                yield ids, coords
+            if error is not None:
+                raise error
 
 
 def read_chunks(path):
@@ -461,6 +461,27 @@ class TestPoseChunks:
         assert [len(ids) for ids, _ in chunks] == [CHUNK - 1, CHUNK, 89]
         assert np.concatenate([c for _, c in chunks]).tobytes() == frames.coords.tobytes()
 
+    @pytest.mark.parametrize("bad_line", [CHUNK + 1, CHUNK + 2, CHUNK + 9, 2 * CHUNK + 40])
+    @pytest.mark.parametrize("chunk_frames", [3, CHUNK])
+    @pytest.mark.parametrize("scan_bytes", [1 << 12, htks.formats._SCAN_BYTES])
+    def test_lines_text_mode_drops_before_a_non_utf8_byte(self, tmp_path, bad_line,
+                                                           chunk_frames, scan_bytes):
+        # Text mode decodes 8 KiB at a time, so it never reads the lines
+        # just before such a byte, even in an earlier block or scan window,
+        # nor the bad token among them: its error is the byte's.
+        path = tmp_path / "poses.txt"
+        write_poses(path, generate_frames(SynthConfig(seed=2, jitter_stddev_ratio=0.05,
+                                                      frames_per_class=300)).coords)
+        lines = path.read_bytes().split(b"\n")
+        lines[bad_line - 1] = lines[bad_line - 1].replace(b"hip=", b"hip=\xff", 1)
+        lines[bad_line - 3] = lines[bad_line - 3].replace(b"hip=", b"hip=x", 1)
+        path.write_bytes(b"\n".join(lines))
+        with mock.patch.object(htks.formats, "_CHUNK_FRAMES", chunk_frames), \
+                mock.patch.object(htks.formats, "_SCAN_BYTES", scan_bytes):
+            ids, error = assert_same_reading(path)
+        assert error.line_no == bad_line and "UTF-8" in str(error)
+        assert len(ids) < bad_line - 3
+
     @pytest.mark.parametrize("bad_line", [3, 300, 601])
     def test_non_utf8_byte_inside_a_canonical_block(self, tmp_path, bad_line):
         # The frames decoded before the byte are read, as iter_poses reads
@@ -485,7 +506,7 @@ def read_numbers(tokens):
         " ".join([str(i), *(f"{joint.value}={next(padded)},{next(padded)}" for joint in JointId)])
         for i in range((len(tokens) + 23) // 24)
     ]
-    arrays = _canonical_arrays([line + "\n" for line in lines], None)
+    arrays = _canonical_arrays("".join(line + "\n" for line in lines).encode(), len(lines), None)
     return None if arrays is None else arrays[1].ravel()[:len(tokens)]
 
 
@@ -561,12 +582,20 @@ class TestExactDecimals:
         assert sum(value != float(token) for value, token in zip(naive, tokens)) > 0
 
     def test_same_arrays_without_extended_precision(self, tmp_path):
+        self.assert_same_arrays_without(tmp_path, "_EXTENDED")
+
+    def test_same_arrays_without_the_x87_layout(self, tmp_path):
+        # Midpoints are then found by arithmetic, not by the quotient's bits.
+        self.assert_same_arrays_without(tmp_path, "_X87")
+
+    @staticmethod
+    def assert_same_arrays_without(tmp_path, flag):
         path = tmp_path / "poses.txt"
         write_poses(path, generate_frames(SynthConfig(seed=2, jitter_stddev_ratio=0.05,
                                                       frames_per_class=150)).coords)
         tokens = midpoint_decimals(count=40) + EXACT_MIDPOINTS
         with_extended = read_numbers(tokens), read_chunks(path)
-        with mock.patch.object(htks.formats, "_EXTENDED", False):
+        with mock.patch.object(htks.formats, flag, False):
             without = read_numbers(tokens), read_chunks(path)
         assert with_extended[0].tobytes() == without[0].tobytes()
         assert with_extended[1][0] == without[1][0]
@@ -582,9 +611,9 @@ class TestExactDecimals:
         read, parse = htks.formats._canonical_arrays, htks.formats._parse_pose_line
         calls, parsed = [], []
 
-        def counting(lines, prev_frame_id):
-            arrays = read(lines, prev_frame_id)
-            calls.append((len(lines), arrays is not None))
+        def counting(data, lines, prev_frame_id):
+            arrays = read(data, lines, prev_frame_id)
+            calls.append((lines, arrays is not None))
             return arrays
 
         def parsing(line, path, line_no, prev_frame_id):

@@ -1195,8 +1195,8 @@ def _dying_at_line_1537(block, path, config, scale):
 
 def test_ranges_after_a_worker_killed_mid_run_are_decided_here(tmp_path, monkeypatch, caplog,
                                                                 capsys):
-    # Ranges finished before the kill are taken; that range and the later
-    # ones no worker finished are decided here.
+    # The ranges a worker finished are taken; the killed worker's range and
+    # every later one no worker finished are decided here.
     monkeypatch.setattr(htks.pipeline, "_decided_range", _dying_at_line_1537)
     pooled, in_process = _pooled_and_in_process(tmp_path, monkeypatch, caplog, capsys,
                                                 "run", None)
@@ -1206,7 +1206,7 @@ def test_ranges_after_a_worker_killed_mid_run_are_decided_here(tmp_path, monkeyp
     assert [message for message in pooled[3] if message not in said] == in_process[3]
     if sys.version_info < (3, 12):
         assert len(said) == 1
-        assert re.fullmatch("decided [0-2] of 5 chunks in 2 worker processes", said[0])
+        assert re.fullmatch("decided [0-3] of 5 chunks in 2 worker processes", said[0])
 
 
 _PYTEST_PID = os.getpid()

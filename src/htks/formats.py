@@ -11,11 +11,13 @@ within a line never matters::
 
 Frame ids must be strictly increasing. The head entry is expected to be
 the head *center*; adapt estimator output that reports the head top.
-Pose and labels files are read, and pose, labels and decisions files
-written, in chunks of ``_CHUNK_FRAMES`` (512) lines, counted from the
-first line of the file. Lines exactly as ``write_poses`` (from an array)
-or ``write_labels`` writes them are parsed as a whole, a chunk or, for
-poses, a run between other lines at a time; any other goes line by line.
+Pose and labels files are read in chunks of ``_CHUNK_FRAMES`` (512)
+lines, counted from the first line of the file. Each writer writes its
+header, then text that one function spells by chunk: ``_poses_text`` of
+``_CHUNK_FRAMES`` frames, ``_labels_text`` of a run of frames with one
+label, ``_decisions_text`` of the frames of a chunk read. Lines exactly as
+those spell them are parsed as a whole, a chunk or, for poses, a run
+between other lines at a time; any other goes line by line.
 
 Labels file: ``<frame_id> <class>`` with class one of head, shoulders,
 knees, toes. Frame ids are unique and in any order.
@@ -41,7 +43,7 @@ import re
 from contextlib import contextmanager, suppress
 from dataclasses import fields
 from functools import partial
-from itertools import groupby, islice
+from itertools import groupby
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -55,15 +57,11 @@ from .pose import BodyPose, JointId, Point2, TouchLabel, LABEL_ORDER, _joint_arr
 
 __all__ = [
     "write_poses",
-    "iter_poses",
     "write_labels",
     "load_labels",
-    "write_script",
     "load_script",
-    "classifier_config_to_dict",
     "classifier_config_from_dict",
     "load_classifier_config",
-    "write_classifier_config",
     "write_decisions",
     "load_decisions",
     "report_to_dict",
@@ -335,27 +333,17 @@ def _rows_text(fields: list[np.ndarray]) -> str:
 # poses
 
 
-# ``%r`` of a Python float is its shortest repr, which the parser reads
-# back to the same float; ``_float_text`` spells the same bytes.
-_JOINT_ENTRIES = tuple(f"{joint.value}=%r,%r" for joint in JointId)
 _POSE_SEPARATORS = [np.frombuffer(text.encode(), np.uint8)[:, None]
                     for joint in JointId for text in (f" {joint.value}=", ",")]
 
 
-def write_poses(path, poses: Iterable[BodyPose] | Iterable[np.ndarray] | np.ndarray) -> None:
-    """Write a pose file from BodyPose objects, from ``(n, 12, 2)`` coordinate
-    blocks (or one array) in JointId order whose rows are frame ids 0, 1, ...,
-    or from the text ``_poses_text`` spells for such blocks' chunks."""
+def write_poses(path, texts: Iterable[str]) -> None:
+    """Write a pose file: its header, then each of ``texts``, the lines
+    ``_poses_text`` spells for the ``_pose_chunks`` of the frames."""
     with _output(path) as write:
         write("# pose frames: frame_id joint=x,y[,confidence] x12; head = head center\n")
-        start = 0
-        for block in [poses] if isinstance(poses, np.ndarray) else poses:
-            if isinstance(block, (BodyPose, str)):
-                write(block if isinstance(block, str) else _pose_line(block))
-                continue
-            for chunk in _pose_chunks(block, start):
-                write(_poses_text(chunk))
-            start += len(block)
+        for text in texts:
+            write(text)
 
 
 def _pose_chunks(block, start: int) -> list[tuple[int, np.ndarray]]:
@@ -370,16 +358,6 @@ def _poses_text(chunk: tuple[int, np.ndarray]) -> str:
     numbers = np.split(_float_text(coords.T.ravel()), 24, axis=1)
     fields = [field for pair in zip(_POSE_SEPARATORS, numbers) for field in pair]
     return _rows_text([_int_text(np.arange(first, first + len(coords))), *fields, _NEWLINE])
-
-
-def _pose_line(pose: BodyPose) -> str:
-    confidence = pose.confidence or {}
-    parts = [str(pose.frame_id)]
-    for joint, entry in zip(JointId, _JOINT_ENTRIES):
-        point = pose.joints[joint]
-        conf = f",{confidence[joint]!r}" if joint in confidence else ""
-        parts.append(entry % (point.x, point.y) + conf)
-    return " ".join(parts) + "\n"
 
 
 def _parse_pose_line(line: str, path, line_no: int, prev_frame_id: int | None) -> BodyPose:
@@ -426,22 +404,6 @@ def _parse_pose_line(line: str, path, line_no: int, prev_frame_id: int | None) -
         )
     except ValueError as exc:
         raise ParseError(str(exc), path, line_no) from None
-
-
-def iter_poses(path) -> Iterator[BodyPose]:
-    """Stream poses from a file, validating as frames are read."""
-    prev_frame_id = None
-    for line_no, line in _content_lines(path):
-        pose = _parse_pose_line(line, path, line_no, prev_frame_id)
-        prev_frame_id = pose.frame_id
-        yield pose
-
-
-def _line_blocks(path) -> Iterator[tuple[int, list[str], ParseError | None]]:
-    """``(line_no, lines, error)`` of each ``_line_ranges`` range of ``path``."""
-    with open(path, "rb") as fh:
-        for line_no, offset, length, _, error in _line_ranges(fh, path):
-            yield line_no, _range_lines(_range_bytes(fh, offset, length)), error
 
 
 def _data_lines(block: list[str]) -> list[str]:
@@ -522,7 +484,7 @@ def _range_bytes(fh, offset: int, length: int) -> bytes:
     return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
 
 
-# A line exactly as ``write_poses`` writes it from an array is its numbers,
+# A line exactly as ``_poses_text`` spells it is its numbers,
 # runs of ``_NUMERIC`` bytes, in the slots of ``_POSE_TEMPLATE``: the frame
 # id, then x,y of every joint in JointId order. ``_POSE_GAPS`` are the
 # lengths of the slots' separators, the last one the newline.
@@ -547,7 +509,7 @@ _X87 = _EXTENDED and np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdou
 
 def _canonical_arrays(data: bytes, lines: int, prev_frame_id: int | None):
     """``(ids, coords)`` of the ``lines`` lines ``data`` if they are exactly
-    as ``write_poses`` writes them from an array, ids of up to 18 digits
+    as ``_poses_text`` spells them, ids of up to 18 digits
     increasing after ``prev_frame_id`` and numbers ``[-]digits.digits``,
     else None. Coordinates equal ``float()``."""
     n = lines
@@ -605,8 +567,9 @@ def _pose_block(fh, path, block: tuple[int, int, int, int, ParseError | None],
     """``(ids int64 (n,), coords float64 (n, 12, 2), strict, error)``: the
     frames of one ``_line_ranges`` range of the pose file ``path``, open as
     ``fh``, after the frame ``prev_frame_id``, with the frames and errors
-    of ``iter_poses``; how many of its lines were parsed line by line; and
-    the ParseError that follows those frames, if any.
+    of ``_parse_pose_line`` on each line; how many of its lines were
+    parsed line by line; and the ParseError that follows those frames, if
+    any.
 
     A range of canonical lines is parsed as a whole, as bytes; in any
     other, so is each run of lines that are canonical less their numbers.
@@ -651,19 +614,13 @@ def _pose_arrays(poses: list[BodyPose]) -> tuple[np.ndarray, np.ndarray]:
 # labels
 
 
-def write_labels(path, pairs: Iterable[tuple[int, TouchLabel]] | Iterable[str]) -> None:
-    """Write a labels file from (frame_id, label) pairs, or from the text
+def write_labels(path, texts: Iterable[str]) -> None:
+    """Write a labels file: its header, then each of ``texts``, the lines
     ``_labels_text`` spells for runs of frames."""
-    pairs = iter(pairs)
     with _output(path) as write:
         write("# ground truth: frame_id class\n")
-        for pair in pairs:
-            if isinstance(pair, str):  # lines ``_labels_text`` spelled
-                write(pair)
-                continue
-            block = [pair, *islice(pairs, _CHUNK_FRAMES - 1)]
-            # A TouchLabel is a str, so ``+`` adds its value.
-            write("".join([f"{frame_id} " + truth + "\n" for frame_id, truth in block]))
+        for text in texts:
+            write(text)
 
 
 def _labels_text(first: int, label: TouchLabel, frames: int) -> str:
@@ -673,43 +630,49 @@ def _labels_text(first: int, label: TouchLabel, frames: int) -> str:
 
 
 _LABEL_INDEX = {label.value: index for index, label in enumerate(LABEL_ORDER)}
-# Lines as ``write_labels`` writes them, ids of up to 18 digits (no overflow).
+# Lines as ``_labels_text`` spells them, ids of up to 18 digits (no overflow).
 _CANONICAL_LABELS = re.compile(f"(?:[0-9]{{1,18}} (?:{'|'.join(_LABEL_INDEX)})\n)*", re.ASCII)
 
 
 def load_labels(path) -> tuple[np.ndarray, np.ndarray]:
     """Ground truth as ``(frame_ids int64, labels int8)`` arrays in file
-    order, each label a LABEL_ORDER index. The file is read in blocks of
-    ``_CHUNK_FRAMES`` lines: a block whose lines, less its comment and
-    blank lines, are as ``write_labels`` writes them is parsed as a whole,
-    any other line by line. Ids are sorted once at the end."""
+    order, each label a LABEL_ORDER index. The file is read in
+    ``_line_ranges`` of ``_CHUNK_FRAMES`` lines: a range whose text, or
+    failing that whose lines less its comment and blank lines, is as
+    ``_labels_text`` spells it is parsed as a whole, any other line by
+    line. Ids are sorted once at the end."""
     ids, labels, error = [np.empty(0, np.int64)], [np.empty(0, np.int8)], None
-    for first, block, error in _line_blocks(path):
-        text = "".join(block)
-        if not _CANONICAL_LABELS.fullmatch(text):
-            text = "".join(_data_lines(block))
-        if _CANONICAL_LABELS.fullmatch(text):
-            for name, index in _LABEL_INDEX.items():
-                text = text.replace(name, str(index))
-            rows = np.fromstring(text, np.int64, sep=" ").reshape(-1, 2)
-        else:
-            pairs = []
-            try:
-                for line_no, line in _content(enumerate(block, first)):
-                    tokens = line.split()
-                    if len(tokens) != 2:
-                        raise ParseError(f"expected 'frame_id class', got {line!r}", path, line_no)
-                    frame_id = _frame_id(tokens[0], path, line_no)
-                    if tokens[1] not in _LABEL_INDEX:
-                        raise ParseError(f"unknown class name: {tokens[1]!r}", path, line_no)
-                    pairs.append((frame_id, _LABEL_INDEX[tokens[1]]))
-            except ParseError as exc:
-                error = exc
-            rows = np.array(pairs, np.int64).reshape(-1, 2)
-        ids.append(rows[:, 0].copy())
-        labels.append(rows[:, 1].astype(np.int8))
-        if error is not None:
-            break
+    with open(path, "rb") as fh:
+        for first, offset, length, _, error in _line_ranges(fh, path):
+            data = _range_bytes(fh, offset, length)
+            text, lines = data.decode(), []
+            if not _CANONICAL_LABELS.fullmatch(text):  # only then split into lines
+                lines = _range_lines(data)
+                if _CANONICAL_LABELS.fullmatch(kept := "".join(_data_lines(lines))):
+                    text, lines = kept, []
+            if not lines:
+                for name, index in _LABEL_INDEX.items():
+                    text = text.replace(name, str(index))
+                rows = np.fromstring(text, np.int64, sep=" ").reshape(-1, 2)
+            else:
+                pairs = []
+                try:
+                    for line_no, line in _content(enumerate(lines, first)):
+                        tokens = line.split()
+                        if len(tokens) != 2:
+                            raise ParseError(f"expected 'frame_id class', got {line!r}",
+                                             path, line_no)
+                        frame_id = _frame_id(tokens[0], path, line_no)
+                        if tokens[1] not in _LABEL_INDEX:
+                            raise ParseError(f"unknown class name: {tokens[1]!r}", path, line_no)
+                        pairs.append((frame_id, _LABEL_INDEX[tokens[1]]))
+                except ParseError as exc:
+                    error = exc
+                rows = np.array(pairs, np.int64).reshape(-1, 2)
+            ids.append(rows[:, 0].copy())
+            labels.append(rows[:, 1].astype(np.int8))
+            if error is not None:
+                break
     ids = np.concatenate(ids)
     if (np.diff(np.sort(ids)) == 0).any():
         # An id repeats before any ``error``, so every line up to the first
@@ -727,17 +690,6 @@ def load_labels(path) -> tuple[np.ndarray, np.ndarray]:
 
 # ---------------------------------------------------------------------------
 # session scripts
-
-
-def write_script(path, script: SessionScript) -> None:
-    with _output(path) as write:
-        write("# session script\n")
-        for stated in LABEL_ORDER:
-            write(f"map {stated.value} {script.mapping.required_for(stated).value}\n")
-        for trial in script.trials:
-            write(
-                f"trial {trial.stated_part.value} {trial.start_frame} {trial.end_frame}\n"
-            )
 
 
 def load_script(path) -> SessionScript:
@@ -790,17 +742,6 @@ def load_script(path) -> SessionScript:
 # classifier configuration (YAML)
 
 
-def classifier_config_to_dict(config: ClassifierConfig) -> dict:
-    return {
-        "rule1_threshold_ratio": config.rule1_threshold_ratio,
-        "rule2_bias_ratio": config.rule2_bias_ratio,
-        "enable_rule1": config.enable_rule1,
-        "enable_rule2": config.enable_rule2,
-        "tie_break_order": [label.value for label in config.tie_break_order],
-        "normalization": config.normalization.value,
-    }
-
-
 def classifier_config_from_dict(data: dict) -> ClassifierConfig:
     _known_keys(data, "classifier config", [f.name for f in fields(ClassifierConfig)])
     return ClassifierConfig(**data)
@@ -813,12 +754,6 @@ def load_classifier_config(path) -> ClassifierConfig:
     if isinstance(data, dict) and set(data) == {"classifier"}:
         data = data["classifier"]
     return classifier_config_from_dict(data)
-
-
-def write_classifier_config(path, config: ClassifierConfig) -> None:
-    import yaml
-    with _output(path) as write:
-        write(yaml.safe_dump({"classifier": classifier_config_to_dict(config)}, sort_keys=True))
 
 
 def _known_keys(data, name: str, known, keys_name: str | None = None) -> None:
@@ -862,30 +797,23 @@ _DECISION_TEXT = np.array([f",{fields}," for fields in _DECISION_FIELDS], "S")
 _DECISION_TEXT = _DECISION_TEXT.view(np.uint8).reshape(len(_DECISION_FIELDS), -1).T
 
 
-def write_decisions(path, chunks: Iterable[tuple[np.ndarray, tuple]]) -> int:
-    """Write a decisions CSV; returns the number of rows written.
-
-    Each chunk is ``(frame_ids, (labels, rule1_fired, rule2_applied,
-    tie_broken, profiles))`` as the classifier core returns it: LABEL_ORDER
-    indices, three boolean arrays and the ``(n, 4)`` distances. The
-    pipeline passes ``(frame_ids, (labels, text))`` instead, the rows
-    already spelled by ``_decisions_text``, as its worker processes spell
-    them.
-    """
+def write_decisions(path, chunks: Iterable[tuple[np.ndarray, tuple[np.ndarray, str]]]) -> int:
+    """Write a decisions CSV: its header, then the rows of each chunk
+    ``(frame_ids, (labels, text))``, ``text`` the rows ``_decisions_text``
+    spells for the frames, as the pipeline's ``_spelled`` gives them in
+    worker processes and in the parent alike. Returns the number of rows."""
     written = 0
     with _output(path) as write:
         write(DECISIONS_HEADER + "\n")
-        for frame_ids, decisions in chunks:
-            if not len(frame_ids):
-                continue  # ``_rows_text`` would stretch the separators to one line
-            text = decisions[-1]
-            write(text if isinstance(text, str) else _decisions_text(frame_ids, decisions))
+        for frame_ids, (_, text) in chunks:
+            write(text)
             written += len(frame_ids)
     return written
 
 
 def _decisions_text(frame_ids: np.ndarray, decisions: tuple) -> str:
-    """The decisions CSV rows of ``frame_ids`` and the ``_decide`` result ``decisions``."""
+    """The decisions CSV rows of ``frame_ids``, one or more, and the
+    ``_decide`` result ``decisions``."""
     labels, rule1, rule2, tied, profiles = decisions
     fields = ((labels * 2 + rule1) * 2 + rule2) * 2 + tied
     head, shoulders, knees, ankles = np.split(_float_text(profiles.T.ravel()), 4, axis=1)

@@ -35,30 +35,41 @@ from htks.formats import (
     _NEWLINE,
     _canonical_arrays,
     _content_lines,
+    _decisions_text,
     _float_text,
     _frame_id,
+    _labels_text,
+    _pose_chunks,
     _pose_file,
+    _poses_text,
     _rows_text,
     _shortest,
     _text_lines,
     classifier_config_from_dict,
-    classifier_config_to_dict,
-    iter_poses,
     load_classifier_config,
     load_decisions,
     load_labels,
     load_report_json,
     load_script,
     report_to_dict,
-    write_classifier_config,
     write_decisions,
     write_labels,
     write_poses,
     write_report_json,
-    write_script,
 )
 from htks.pipeline import _classify_pose_file
 from htks.synth import SynthFrames, generate_frames
+
+from conftest import (
+    classifier_config_dict,
+    make_pose,
+    read_poses,
+    save_classifier_config,
+    save_labels,
+    save_pose_array,
+    save_poses,
+    save_script,
+)
 
 H, S, K, T = TouchLabel.HEAD, TouchLabel.SHOULDERS, TouchLabel.KNEES, TouchLabel.TOES
 # Lines per block of the line readers and writers; a synth corpus of
@@ -91,27 +102,24 @@ class TestPoseFile:
         path = tmp_path / "poses.txt"
         write_lines(path, ["# comment", "", POSE_LINE.format(fid=0),
                            POSE_LINE.format(fid=1), POSE_LINE.format(fid=2)])
-        poses = list(iter_poses(path))
+        poses = list(read_poses(path))
         assert [p.frame_id for p in poses] == [0, 1, 2]
         assert poses[0].joints[list(poses[0].joints)[0]].x == 320.5
 
     def test_round_trip_synthetic_corpus(self, tmp_path):
         frames = generate(SynthConfig(seed=21, jitter_stddev_ratio=0.04, frames_per_class=100))
         path = tmp_path / "poses.txt"
-        write_poses(path, (pose for pose, _ in frames))
-        loaded = list(iter_poses(path))
+        save_poses(path, (pose for pose, _ in frames))
+        loaded = list(read_poses(path))
         assert loaded == [pose for pose, _ in frames]
 
     def test_confidence_round_trip(self, tmp_path):
-        from conftest import make_pose
-        from htks import JointId
-
         pose = make_pose(confidence={JointId.HEAD: 0.25, JointId.HIP: 1.0})
         path = tmp_path / "poses.txt"
-        write_poses(path, [pose])
-        assert list(iter_poses(path)) == [pose]
+        save_poses(path, [pose])
+        assert list(read_poses(path)) == [pose]
 
-    # 4,400 frames span nine of the array writer's row chunks; "odd" puts
+    # 4,400 frames span nine of ``_poses_text``'s chunks; "odd" puts
     # zeros, -0.0 and tiny, huge and negative coordinates in every chunk.
     @pytest.mark.parametrize("jitter, confusable, odd", [
         (0.0, False, False), (0.05, False, False), (0.05, True, False), (0.05, False, True),
@@ -124,8 +132,8 @@ class TestPoseFile:
             picks = np.random.default_rng(4).choice(coords.size, 3000, replace=False)
             coords.flat[picks] = np.resize(ODD_COORDINATES, len(picks))
             frames = SynthFrames(coords=coords, labels=frames.labels)
-        write_poses(tmp_path / "objects.txt", (pose for pose, _ in frames.pairs()))
-        write_poses(tmp_path / "array.txt", frames.coords)
+        save_poses(tmp_path / "objects.txt", (pose for pose, _ in frames.pairs()))
+        save_pose_array(tmp_path / "array.txt", frames.coords)
         assert (tmp_path / "objects.txt").read_bytes() == (tmp_path / "array.txt").read_bytes()
 
     def test_confidence_line_extends_the_array_line(self, tmp_path):
@@ -133,25 +141,30 @@ class TestPoseFile:
         pose, _ = frames.pairs()[0]
         pose = BodyPose(pose.frame_id, pose.joints,
                         confidence={JointId.HEAD: 0.25, JointId.RIGHT_ANKLE: 1.0})
-        write_poses(tmp_path / "objects.txt", [pose])
-        write_poses(tmp_path / "array.txt", frames.coords[:1])
-        assert list(iter_poses(tmp_path / "objects.txt")) == [pose]
+        save_poses(tmp_path / "objects.txt", [pose])
+        save_pose_array(tmp_path / "array.txt", frames.coords[:1])
+        assert list(read_poses(tmp_path / "objects.txt")) == [pose]
         with_confidence = (tmp_path / "objects.txt").read_text(encoding="utf-8")
         without = with_confidence.replace(",0.25 ", " ").replace(",1.0\n", "\n")
         assert without == (tmp_path / "array.txt").read_text(encoding="utf-8")
 
     def test_array_blocks_continue_the_frame_ids(self, tmp_path):
+        # ``htks generate`` chunks block after block, each block's ids going
+        # on from the last; empty blocks and ones of any length among them.
         coords = generate_frames(SynthConfig(seed=3, jitter_stddev_ratio=0.05,
                                              frames_per_class=300)).coords
-        write_poses(tmp_path / "whole.txt", coords)
-        write_poses(tmp_path / "blocks.txt", iter(np.split(coords, [0, 1, 700, 700, 1201])))
+        save_pose_array(tmp_path / "whole.txt", coords)
+        cuts = [0, 1, 700, 700, 1201]
+        blocks = zip([0, *cuts], np.split(coords, cuts))
+        write_poses(tmp_path / "blocks.txt", (_poses_text(chunk) for start, block in blocks
+                                              for chunk in _pose_chunks(block, start)))
         assert (tmp_path / "blocks.txt").read_bytes() == (tmp_path / "whole.txt").read_bytes()
 
     def test_empty_array_writes_the_header_and_a_bad_shape_raises(self, tmp_path):
-        write_poses(tmp_path / "empty.txt", np.empty((0, 12, 2)))
-        assert list(iter_poses(tmp_path / "empty.txt")) == []
+        save_pose_array(tmp_path / "empty.txt", np.empty((0, 12, 2)))
+        assert list(read_poses(tmp_path / "empty.txt")) == []
         with pytest.raises(ValueError):
-            write_poses(tmp_path / "bad.txt", np.zeros((2, 12, 3)))
+            save_pose_array(tmp_path / "bad.txt", np.zeros((2, 12, 3)))
         assert not (tmp_path / "bad.txt").exists()
 
     def test_joint_order_within_line_is_free(self, tmp_path):
@@ -160,7 +173,7 @@ class TestPoseFile:
         reordered = [tokens[0]] + list(reversed(tokens[1:]))
         write_lines(path, [" ".join(reordered)])
         from_line = load_poses_from_line(tmp_path, POSE_LINE.format(fid=0))
-        assert list(iter_poses(path))[0] == from_line
+        assert list(read_poses(path))[0] == from_line
 
     def test_missing_joint_named_with_line(self, tmp_path):
         path = tmp_path / "poses.txt"
@@ -168,7 +181,7 @@ class TestPoseFile:
             " left_knee=300.0,420.0", "")
         write_lines(path, ["# header", line])
         with pytest.raises(ParseError) as exc_info:
-            list(iter_poses(path))
+            list(read_poses(path))
         message = str(exc_info.value)
         assert "left_knee" in message and ":2:" in message
 
@@ -176,47 +189,47 @@ class TestPoseFile:
         path = tmp_path / "poses.txt"
         write_lines(path, [POSE_LINE.format(fid=0) + " nose=1.0,2.0"])
         with pytest.raises(ParseError, match="nose"):
-            list(iter_poses(path))
+            list(read_poses(path))
 
     def test_duplicate_joint_rejected(self, tmp_path):
         path = tmp_path / "poses.txt"
         write_lines(path, [POSE_LINE.format(fid=0) + " head=1.0,2.0"])
         with pytest.raises(ParseError, match="duplicate"):
-            list(iter_poses(path))
+            list(read_poses(path))
 
     def test_non_finite_coordinate_rejected(self, tmp_path):
         path = tmp_path / "poses.txt"
         write_lines(path, [POSE_LINE.format(fid=0).replace("320.5", "nan")])
         with pytest.raises(ParseError, match="head"):
-            list(iter_poses(path))
+            list(read_poses(path))
 
     def test_decreasing_frame_ids_rejected(self, tmp_path):
         path = tmp_path / "poses.txt"
         write_lines(path, [POSE_LINE.format(fid=5), POSE_LINE.format(fid=5)])
         with pytest.raises(ParseError, match="strictly increasing"):
-            list(iter_poses(path))
+            list(read_poses(path))
 
     def test_bad_confidence_rejected(self, tmp_path):
         path = tmp_path / "poses.txt"
         write_lines(path, [POSE_LINE.format(fid=0).replace("hip=320.0,300.0",
                                                            "hip=320.0,300.0,1.5")])
         with pytest.raises(ParseError, match="confidence"):
-            list(iter_poses(path))
+            list(read_poses(path))
 
     def test_streaming_is_lazy(self, tmp_path):
         path = tmp_path / "poses.txt"
         write_lines(path, [POSE_LINE.format(fid=i) for i in range(10)])
-        stream = iter_poses(path)
+        stream = read_poses(path)
         first = next(stream)
         assert first.frame_id == 0
 
 
 def read_strict(path):
-    """``(ids, coords, error)`` of ``iter_poses``: the frames it yields,
-    as arrays, and the ParseError that ends them, if any."""
+    """``(ids, coords, error)`` of the strict line reader ``read_poses``:
+    the frames it yields, as arrays, and the ParseError that ends them, if any."""
     poses, error = [], None
     try:
-        for pose in iter_poses(path):
+        for pose in read_poses(path):
             poses.append(pose)
     except ParseError as exc:
         error = exc
@@ -340,8 +353,8 @@ def pose_file_lines(draw):
 class TestPoseChunks:
     @given(lines=pose_file_lines(), chunk_frames=st.sampled_from([1, 2, 3, 5, CHUNK]),
            newline=st.sampled_from(["\n", "\n", "\r\n", "\r"]))
-    def test_same_frames_and_errors_as_iter_poses(self, scratch_dir, lines, chunk_frames,
-                                                  newline):
+    def test_same_frames_and_errors_as_the_line_reader(self, scratch_dir, lines, chunk_frames,
+                                                       newline):
         path = scratch_dir / "poses.txt"
         path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
         with mock.patch.object(htks.formats, "_CHUNK_FRAMES", chunk_frames):
@@ -355,7 +368,7 @@ class TestPoseChunks:
         path = tmp_path / "poses.txt"
         frames = generate_frames(SynthConfig(seed=2, jitter_stddev_ratio=0.05,
                                              frames_per_class=CHUNK // 2 + 22))
-        write_poses(path, frames.coords)
+        save_pose_array(path, frames.coords)
         lines = path.read_text(encoding="utf-8").splitlines()
         lines[1 + bad_frame] = lines[1 + bad_frame].replace(" hip=", " hip=1_0,nan ", 1)
         write_lines(path, lines)
@@ -378,7 +391,7 @@ class TestPoseChunks:
         path = tmp_path / "poses.txt"
         frames = generate_frames(SynthConfig(seed=2, jitter_stddev_ratio=0.05,
                                              frames_per_class=CHUNK // 2 + 22))
-        write_poses(path, frames.coords)
+        save_pose_array(path, frames.coords)
         chunks = list(pose_chunks(path))
         # Chunks count lines from the header, the first chunk's first line.
         assert [len(ids) for ids, _ in chunks] == [CHUNK - 1, CHUNK, 89]
@@ -390,7 +403,7 @@ class TestPoseChunks:
         path = tmp_path / "poses.txt"
         frames = generate_frames(SynthConfig(seed=2, jitter_stddev_ratio=0.05,
                                              frames_per_class=CHUNK // 2 + 22))
-        write_poses(path, frames.coords)
+        save_pose_array(path, frames.coords)
         lines = path.read_text(encoding="utf-8").splitlines()
         for at in range(len(lines) - len(lines) % 256, 0, -256):
             lines.insert(at, comment)
@@ -403,7 +416,7 @@ class TestPoseChunks:
 
     def test_lines_read_line_by_line_are_logged(self, tmp_path, caplog):
         path = tmp_path / "poses.txt"
-        write_poses(path, generate_frames(SynthConfig(seed=2, frames_per_class=10)).coords)
+        save_pose_array(path, generate_frames(SynthConfig(seed=2, frames_per_class=10)).coords)
 
         def logged():
             # The pipeline, which reads the blocks, counts them in one line.
@@ -455,7 +468,7 @@ class TestPoseChunks:
         path = tmp_path / "poses.txt"
         frames = generate_frames(SynthConfig(seed=2, jitter_stddev_ratio=0.05,
                                              frames_per_class=CHUNK // 2 + 22))
-        write_poses(path, frames.coords)
+        save_pose_array(path, frames.coords)
         path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
         chunks = list(pose_chunks(path))
         assert [len(ids) for ids, _ in chunks] == [CHUNK - 1, CHUNK, 89]
@@ -470,8 +483,8 @@ class TestPoseChunks:
         # just before such a byte, even in an earlier block or scan window,
         # nor the bad token among them: its error is the byte's.
         path = tmp_path / "poses.txt"
-        write_poses(path, generate_frames(SynthConfig(seed=2, jitter_stddev_ratio=0.05,
-                                                      frames_per_class=300)).coords)
+        save_pose_array(path, generate_frames(SynthConfig(seed=2, jitter_stddev_ratio=0.05,
+                                                          frames_per_class=300)).coords)
         lines = path.read_bytes().split(b"\n")
         lines[bad_line - 1] = lines[bad_line - 1].replace(b"hip=", b"hip=\xff", 1)
         lines[bad_line - 3] = lines[bad_line - 3].replace(b"hip=", b"hip=x", 1)
@@ -484,12 +497,12 @@ class TestPoseChunks:
 
     @pytest.mark.parametrize("bad_line", [3, 300, 601])
     def test_non_utf8_byte_inside_a_canonical_block(self, tmp_path, bad_line):
-        # The frames decoded before the byte are read, as iter_poses reads
+        # The frames decoded before the byte are read, as read_poses reads
         # them, and its error follows.
         path = tmp_path / "poses.txt"
         frames = generate_frames(SynthConfig(seed=2, jitter_stddev_ratio=0.05,
                                              frames_per_class=150))
-        write_poses(path, frames.coords)
+        save_pose_array(path, frames.coords)
         lines = path.read_bytes().split(b"\n")
         lines[bad_line - 1] = lines[bad_line - 1].replace(b"hip=", b"hip=\xff", 1)
         path.write_bytes(b"\n".join(lines))
@@ -591,8 +604,8 @@ class TestExactDecimals:
     @staticmethod
     def assert_same_arrays_without(tmp_path, flag):
         path = tmp_path / "poses.txt"
-        write_poses(path, generate_frames(SynthConfig(seed=2, jitter_stddev_ratio=0.05,
-                                                      frames_per_class=150)).coords)
+        save_pose_array(path, generate_frames(SynthConfig(seed=2, jitter_stddev_ratio=0.05,
+                                                          frames_per_class=150)).coords)
         tokens = midpoint_decimals(count=40) + EXACT_MIDPOINTS
         with_extended = read_numbers(tokens), read_chunks(path)
         with mock.patch.object(htks.formats, flag, False):
@@ -607,7 +620,7 @@ class TestExactDecimals:
         # ``float()`` of every token: 100k frames, 2.4M numbers.
         path = tmp_path / "poses.txt"
         coords = seed_1_coords
-        write_poses(path, coords)
+        save_pose_array(path, coords)
         read, parse = htks.formats._canonical_arrays, htks.formats._parse_pose_line
         calls, parsed = [], []
 
@@ -843,21 +856,23 @@ def label_file_lines(draw):
 def load_poses_from_line(tmp_path, line):
     path = tmp_path / "one.txt"
     write_lines(path, [line])
-    return list(iter_poses(path))[0]
+    return list(read_poses(path))[0]
 
 
 class TestLabelsFile:
     def test_round_trip(self, tmp_path):
         labels = [(7, K), (0, H), (3, T)]
         path = tmp_path / "labels.txt"
-        write_labels(path, labels)
+        save_labels(path, labels)
         assert label_pairs(path) == labels
 
-    def test_blocks_of_pairs_write_one_line_each(self, tmp_path):
-        # 1,300 pairs from a generator span three of the writer's blocks.
-        pairs = [(i * 7, LABEL_ORDER[i % 4]) for i in range(1300)]
+    def test_runs_of_labels_write_one_line_each(self, tmp_path):
+        # Runs of 1,300 frames in all with gaps between them, spanning three
+        # of the reader's blocks; ids widen from 1 to 3 digits in one run.
+        runs = [(5, H, 700), (705, S, 1), (900, K, 1), (950, T, 598)]
+        pairs = [(first + i, label) for first, label, frames in runs for i in range(frames)]
         path = tmp_path / "labels.txt"
-        write_labels(path, iter(pairs))
+        write_labels(path, (_labels_text(*run) for run in runs))
         assert path.read_text(encoding="utf-8") == "# ground truth: frame_id class\n" + "".join(
             f"{frame_id} {label.value}\n" for frame_id, label in pairs)
         assert label_pairs(path) == pairs
@@ -893,7 +908,7 @@ class TestLabelsFile:
     ))
     def test_round_trip_any_ids(self, scratch_dir, pairs):
         path = scratch_dir / "labels.txt"
-        write_labels(path, pairs)
+        save_labels(path, pairs)
         assert label_pairs(path) == pairs
 
     @given(lines=label_file_lines(), chunk_frames=st.sampled_from([1, 2, 3, 5, CHUNK]))
@@ -933,14 +948,14 @@ class TestLabelsFile:
     def test_canonical_file_read_as_arrays(self, tmp_path):
         path = tmp_path / "labels.txt"
         pairs = [(i * 7 % 600, LABEL_ORDER[i % 4]) for i in range(600)]
-        write_labels(path, pairs)
+        save_labels(path, pairs)
         assert label_pairs(path) == pairs
 
     @pytest.mark.parametrize("comment", ["# segment", "", "  # indented"])
     def test_comment_every_256_lines_keeps_the_block_path(self, tmp_path, comment):
         path = tmp_path / "labels.txt"
         pairs = [(i * 7 % 1200, LABEL_ORDER[i % 4]) for i in range(1200)]
-        write_labels(path, pairs)
+        save_labels(path, pairs)
         lines = path.read_text(encoding="utf-8").splitlines()
         for at in range(len(lines) - len(lines) % 256, 0, -256):
             lines.insert(at, comment)
@@ -996,13 +1011,13 @@ class TestScriptFile:
     def test_round_trip(self, tmp_path):
         script = SessionScript(trials=(Trial(H, 0, 9), Trial(K, 15, 30)))
         path = tmp_path / "script.txt"
-        write_script(path, script)
+        save_script(path, script)
         assert load_script(path) == script
 
     @given(script=session_scripts())
     def test_round_trip_any_script(self, scratch_dir, script):
         path = scratch_dir / "script.txt"
-        write_script(path, script)
+        save_script(path, script)
         assert load_script(path) == script
 
     def test_identity_mapping_rejected(self, tmp_path):
@@ -1047,7 +1062,7 @@ def classifier_config_from_dict_reference(data: dict) -> ClassifierConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"classifier config must be a mapping, got {type(data).__name__}")
     defaults = ClassifierConfig()
-    known = set(classifier_config_to_dict(defaults))
+    known = set(classifier_config_dict(defaults))
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown classifier config keys: {', '.join(sorted(unknown))}")
@@ -1104,12 +1119,12 @@ class TestClassifierConfigFile:
             normalization=Normalization.FIXED_PIXELS,
         )
         path = tmp_path / "classifier.yaml"
-        write_classifier_config(path, config)
+        save_classifier_config(path, config)
         assert load_classifier_config(path) == config
 
     def test_dict_round_trip(self):
         config = ClassifierConfig()
-        assert classifier_config_from_dict(classifier_config_to_dict(config)) == config
+        assert classifier_config_from_dict(classifier_config_dict(config)) == config
 
     def test_partial_file_keeps_defaults(self, tmp_path):
         path = tmp_path / "classifier.yaml"
@@ -1151,7 +1166,7 @@ class TestClassifierConfigFile:
     ))
     def test_round_trip_any_config(self, scratch_dir, config):
         path = scratch_dir / "classifier.yaml"
-        write_classifier_config(path, config)
+        save_classifier_config(path, config)
         assert load_classifier_config(path) == config
 
     # Junk in one of four draws per key, so that some dicts pass every type
@@ -1287,17 +1302,24 @@ def decisions_file_bytes(draw):
 DECISIONS_FILE_BYTES = st.one_of(st.binary(max_size=120), decisions_file_bytes())
 
 
+def spelled_chunk(frame_ids, decisions):
+    """The ``(frame_ids, (labels, text))`` chunk ``write_decisions`` takes
+    for a ``_decide`` result, as the pipeline's ``_spelled`` gives it; a
+    chunk of no frames, which the pipeline never yields, as no text."""
+    return frame_ids, (decisions[0], _decisions_text(frame_ids, decisions) if len(frame_ids)
+                       else "")
+
+
 def decision_chunk(rows):
-    """``(frame_id, FrameDecision)`` rows as the one chunk of arrays
-    ``write_decisions`` takes."""
+    """``(frame_id, FrameDecision)`` rows as the one chunk ``write_decisions`` takes."""
     decisions = [decision for _, decision in rows]
-    return np.array([frame_id for frame_id, _ in rows]), (
+    return spelled_chunk(np.array([frame_id for frame_id, _ in rows]), (
         np.array([LABEL_ORDER.index(d.label) for d in decisions]),
         np.array([d.rule1_fired for d in decisions]),
         np.array([d.rule2_applied for d in decisions]),
         np.array([d.tie_broken for d in decisions]),
         np.array([d.profile.as_tuple() for d in decisions]),
-    )
+    ))
 
 
 class TestDecisionsFile:
@@ -1331,15 +1353,15 @@ class TestDecisionsFile:
         profiles = rng.exponential(300.0, (rows, 4)) * 10.0 ** rng.integers(-4, 5, (rows, 4))
         profiles.flat[:9] = [0.0, 1e-7, 1e300, 0.01, 1e15, 5e-324, 123.5, 2.0**-6, 1e16][:rows * 4]
         path = tmp_path / "decisions.csv"
-        chunk = frame_ids, (labels, rule1, rule2, tied, profiles)
+        chunk = spelled_chunk(frame_ids, (labels, rule1, rule2, tied, profiles))
         assert write_decisions(path, [chunk]) == rows
         assert path.read_text(encoding="utf-8") == DECISIONS_HEADER + "\n" + "".join(
             "%d,%s,%r,%r,%r,%r\n" % (frame_id, htks.formats._DECISION_FIELDS[field], *profile)
             for frame_id, field, profile in zip(
                 frame_ids.tolist(), combinations.tolist(), profiles.tolist()))
 
-    # 256-row chunks, and uneven ones with an empty one, are each
-    # formatted as they arrive; an empty chunk writes nothing.
+    # 256-row chunks, and uneven ones with an empty one, each spelled on
+    # its own, write the bytes of one whole chunk; an empty one writes nothing.
     @pytest.mark.parametrize("sizes", [[256] * 5, [0, 1, 511, 3, 700, 2, 13]],
                              ids=["reader_chunks", "uneven"])
     def test_chunks_regrouped_into_full_matrices(self, tmp_path, sizes):
@@ -1348,11 +1370,11 @@ class TestDecisionsFile:
         frame_ids = np.arange(rows, dtype=np.int64) * 3
         flags = rng.integers(0, 2, (3, rows)) == 1
         whole = frame_ids, (rng.integers(0, 4, rows), *flags, rng.exponential(300.0, (rows, 4)))
-        write_decisions(tmp_path / "one.csv", [whole])
+        write_decisions(tmp_path / "one.csv", [spelled_chunk(*whole)])
         ends = np.cumsum(sizes)[:-1]
-        chunks = [(ids, (labels, rule1, rule2, tied, profiles)) for ids, labels, rule1, rule2,
-                  tied, profiles in zip(*(np.split(a, ends) for a in (frame_ids, *whole[1])))]
         with mock.patch.object(htks.formats, "_float_text", wraps=_float_text) as spy:
+            chunks = [spelled_chunk(ids, decisions) for ids, *decisions in
+                      zip(*(np.split(a, ends) for a in (frame_ids, *whole[1])))]
             assert write_decisions(tmp_path / "split.csv", chunks) == rows
         assert [len(call.args[0]) for call in spy.call_args_list] == [4 * n for n in sizes if n]
         assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
@@ -1447,7 +1469,7 @@ class TestFrameIdGrammar:
         path = tmp_path / "input.txt"
         if reader == "poses":
             write_lines(path, ["# poses", POSE_LINE.format(fid=token)])
-            load = lambda p: list(iter_poses(p))  # noqa: E731
+            load = lambda p: list(read_poses(p))  # noqa: E731
         elif reader == "labels":
             write_lines(path, ["0 head", f"{token} toes"])
             load = load_labels
@@ -1467,7 +1489,7 @@ class TestFrameIdGrammar:
 class TestNonUtf8Input:
     # Two lines that are valid in each format, then a byte that is not UTF-8.
     @pytest.mark.parametrize("loader, prefix", [
-        (lambda p: list(iter_poses(p)), "# poses\n\n"),
+        (lambda p: list(read_poses(p)), "# poses\n\n"),
         (load_labels, "# labels\n\n"),
         (load_script, "# script\n\n"),
         (load_decisions, DECISIONS_HEADER + "\n\n"),
@@ -1502,7 +1524,7 @@ class TestNonUtf8Input:
         assert (error.path, error.line_no) == (path, lines + 1)
         assert peak < 1 << 20
         with pytest.raises(ParseError) as exc_info:
-            list(iter_poses(path))
+            list(read_poses(path))
         assert exc_info.value.line_no == lines + 1
 
     # Text is decoded 8 KiB at a time, and the 65,535-byte line leaves one
@@ -1515,7 +1537,7 @@ class TestNonUtf8Input:
         path = tmp_path / "poses.txt"
         path.write_bytes(b"#" + b"x" * ((1 << 16) - 2) + tail.encode() + b"\xff\n")
         with pytest.raises(ParseError) as exc_info:
-            list(iter_poses(path))
+            list(read_poses(path))
         assert exc_info.value.line_no == line_no
 
     def test_file_ending_inside_a_character(self, tmp_path):
@@ -1527,5 +1549,5 @@ class TestNonUtf8Input:
         path = tmp_path / "poses.txt"
         path.write_bytes((b"# " + b"x" * 60 + b"\r\n") * 300 + b"# \xc3\n")
         with pytest.raises(ParseError) as exc_info:
-            list(iter_poses(path))
+            list(read_poses(path))
         assert exc_info.value.line_no == 301

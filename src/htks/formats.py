@@ -674,7 +674,7 @@ def load_labels(path) -> tuple[np.ndarray, np.ndarray]:
             if error is not None:
                 break
     ids = np.concatenate(ids)
-    if (np.diff(np.sort(ids)) == 0).any():
+    if ((sorted_ids := np.sort(ids))[1:] == sorted_ids[:-1]).any():
         # An id repeats before any ``error``, so every line up to the first
         # repeat is valid: find that line.
         seen: set[int] = set()

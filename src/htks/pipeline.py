@@ -13,22 +13,21 @@ blocks and hands each block to the classifier core. ``run_pipeline`` and
 ``htks classify`` feed it a pose file's byte ranges of lines through
 ``_classify_pose_file``; in a long file, with more than one CPU, worker
 processes read, parse, decide and spell the ranges after the calibration
-window. ``classify_sequence`` feeds it blocks of poses.
-It stays here, not in ``classifier``, because it looks up
-``calibration_scale`` here, where the benchmark's tracer
-(``bench/spans.py``) wraps it, as it wraps ``load_labels`` and ``report``.
-``_pooled`` runs those worker processes, and those that spell ``htks
-generate``'s pose file for ``_pose_texts``.
+window. ``classify_sequence`` feeds it blocks of poses. It stays here, not
+in ``classifier``, because it looks up ``calibration_scale`` here, where
+the benchmark's tracer (``bench/spans.py``) wraps it, as it wraps
+``load_labels`` and ``report``. ``_pooled`` forks those worker processes,
+and those that spell ``htks generate``'s pose file for ``_pose_texts``,
+and feeds them jobs and takes their results over pipes.
 """
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import os
 import pickle
-import shutil
 import sys
-import tempfile
 from collections import deque
 from contextlib import closing, suppress
 from dataclasses import dataclass, field
@@ -47,7 +46,7 @@ from .classifier import (
     _frame_decisions,
     calibration_scale,
 )
-from .errors import ConfigError, EmptyInput, HtksError
+from .errors import ConfigError, EmptyInput
 from .evaluation import EvalReport, _tally, report
 from .formats import (
     load_labels,
@@ -90,6 +89,7 @@ _READ_AHEAD = 2
 # Pose-file bytes per worker process. On 2 CPUs two workers gain nothing up
 # to about 5,000 frames of the layout ``write_poses`` writes, 3 MB.
 _WORKER_BYTES = 1_500_000
+_PIPE_BYTES = 1 << 20  # of each worker's job and result pipes; see ``_Pool``
 # The CPU quota of this process's cgroup, where cgroup v2 is mounted.
 _CPU_MAX = "/sys/fs/cgroup/cpu.max"
 # glibc's ``mallopt`` parameters; a worker keeps up to 16 MiB of free heap.
@@ -168,9 +168,9 @@ def _classify_chunks(blocks: Iterable, parse, decide, config: ClassifierConfig,
     With ``workers`` above one, the blocks are the ``_line_ranges`` of the
     pose file ``path`` and ``_pooled`` runs ``_decided_range`` on those
     after the calibration window in ``workers`` processes. A range it gives
-    None for (for one off the layout, or where a worker or its result file
-    failed), whose ids do not follow the frames before it or cut short by a
-    byte that is not UTF-8 is read and decided here.
+    None for (for one off the layout, or where a worker died), whose ids do
+    not follow the frames before it or cut short by a byte that is not
+    UTF-8 is read and decided here.
     """
     fixed = config.normalization is Normalization.FIXED_PIXELS
     blocks, opening, prev, frames, strict, error = iter(blocks), [], None, 0, 0, None
@@ -230,15 +230,12 @@ def _spelled(frame_ids: np.ndarray, coords: np.ndarray, config: ClassifierConfig
 def _decided_range(block: tuple, path, config: ClassifierConfig, scale: float):
     """A worker's job: ``(frame_ids, _spelled(...))`` of a ``_line_ranges``
     range of the pose file ``path`` whose lines are exactly as
-    ``write_poses`` writes them; else, or on an error the parent raises in
-    file order, None. It reads the range itself, as bytes."""
+    ``write_poses`` writes them, else None. It reads the range itself, as
+    bytes; an error ends the worker, and the parent raises it in order."""
     _, offset, length, lines, _ = block
     with open(path, "rb") as fh:
         arrays = _canonical_arrays(_range_bytes(fh, offset, length), lines, None)
-    try:
-        return arrays and (arrays[0], _spelled(*arrays, config, scale))
-    except HtksError:
-        return None
+    return arrays and (arrays[0], _spelled(*arrays, config, scale))
 
 
 def _pose_texts(chunks: Iterable[tuple[int, np.ndarray]], frames: int) -> Iterator[str]:
@@ -255,86 +252,109 @@ def _pose_texts(chunks: Iterable[tuple[int, np.ndarray]], frames: int) -> Iterat
 
 def _pooled(workers: int, call, jobs: Iterable, *args) -> Iterator[tuple]:
     """Yield ``(job, call(job, *args))`` for each of ``jobs`` in order, the
-    calls made in a pool of ``workers`` forked processes started at the
-    first job, with ``_READ_AHEAD`` jobs per worker in flight. A worker
-    pickles each result to a file of a private temporary directory, read
-    here only as it is yielded, so results done ahead wait on disk, not in
-    this process. The result is None, for the caller to compute, where no
-    pool runs (one worker or none, no temporary directory) or a worker or
-    its file failed. The pool and directory go when the generator ends."""
-    spill = None
-    with suppress(OSError):  # no writable temporary directory: no pool
-        spill = workers > 1 and tempfile.mkdtemp(prefix="htks-")
-    if not spill:
-        yield from ((job, None) for job in jobs)
-        return
-    pending, pool = deque(), None
+    calls made in a ``_Pool`` started at the first job, ``_READ_AHEAD`` jobs
+    per worker in flight; None, for the caller to compute, where no pool
+    runs or a worker died. Every worker is reaped when the generator ends."""
+    pool, pending = None, deque()
     try:
         for index, job in enumerate(chain(jobs, [None])):
             if job is not None:
-                if pool is None:
-                    import multiprocessing
-                    from concurrent.futures import ProcessPoolExecutor
-                    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                               _worker_started)
-                path = os.path.join(spill, str(index))
-                pending.append((job, path, _unbroken(pool.submit, _spilled, path, call, job,
-                                                     *args)))
+                if index == 0 and workers > 1:
+                    pool = _Pool(workers, call, args)
+                pending.append((job, pool and pool.sent(job)))
             while len(pending) > (0 if job is None else _READ_AHEAD * workers):
-                done, path, future = pending.popleft()
-                yield done, future and _unbroken(_unspilled, future, path)
+                done, worker = pending.popleft()
+                yield done, None if worker is None else pool.result(worker)
     finally:
         if pool is not None:
-            pool.shutdown(cancel_futures=True)
-        shutil.rmtree(spill, ignore_errors=True)
+            pool.close()
 
 
-def _worker_started() -> None:
-    """A worker's initializer. Ctrl-C reaches the whole process group; the
-    parent alone handles it. Fixed glibc thresholds keep the heap's free
-    top, which it would hand back after each job, for the next job to
-    reuse without faulting its pages in again."""
-    import ctypes
-    import signal
+class _Pool:
+    """Processes forked to run ``_work``, each with a job and a result pipe
+    of ``_PIPE_BYTES``, writing a byte per job done to one notice pipe. Each
+    job goes to the worker with the fewest unfinished, so a job pipe holds
+    at most ``_READ_AHEAD + 2`` (98 KB each for ``generate``): writing one
+    never blocks. No job is sent where a pipe cannot be enlarged, a fork
+    fails or a worker died; one sent before waits in the read end kept here."""
 
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)  # glibc only
-    if mallopt is not None:
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-        mallopt(_M_TRIM_THRESHOLD, _HEAP_KEPT)
-        mallopt(_M_MMAP_THRESHOLD, _HEAP_KEPT)
+    def __init__(self, workers: int, call, args: tuple):
+        import fcntl  # here, so that commands without a pool never load it
+        started = pickle.dumps((call, args))
+        notices, notify = os.pipe()
+        jobs, self.feeds, reads, outs = zip(*(os.pipe() + os.pipe() for _ in range(workers)))
+        self.fds = [notices, *jobs, *self.feeds, *reads]  # closed by close(), not the readers
+        self.results = [open(fd, "rb", closefd=False) for fd in reads]
+        self.notices = open(notices, "rb", buffering=0, closefd=False)
+        self.pids, self.unfinished, self.died = [], [0] * workers, True
+        with suppress(OSError):
+            for fd in self.feeds + reads:
+                fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+            for index, own in enumerate(zip(jobs, outs)):
+                os.write(self.feeds[index], started)
+                if not (pid := os.fork()):
+                    _work(index, *own, notify, {*self.fds, *outs} - set(own))
+                self.pids.append(pid)
+            self.died = False
+        for fd in (notify, *outs):
+            os.close(fd)
+        os.set_blocking(notices, False)
+
+    def sent(self, job) -> Optional[int]:
+        for worker in self.notices.read(1 << 12) or b"":  # None where none is waiting
+            self.unfinished[worker] -= 1
+        worker = self.unfinished.index(min(self.unfinished))
+        if self.died:
+            return None
+        os.write(self.feeds[worker], pickle.dumps(job))
+        self.unfinished[worker] += 1
+        return worker
+
+    def result(self, worker: int):
+        try:
+            return pickle.load(self.results[worker])
+        except (EOFError, pickle.UnpicklingError):  # the worker died writing it
+            self.died = True
+
+    def close(self) -> None:
+        for fd in self.fds:
+            os.close(fd)
+        for pid in self.pids:
+            os.waitpid(pid, 0)
 
 
-def _spilled(path: str, call, *args) -> None:
-    """A worker's job: ``call(*args)`` pickled to the file ``path``."""
-    with open(path, "wb") as fh:
-        pickle.dump(call(*args), fh)
-
-
-def _unspilled(future, path: str):
-    """What ``_spilled`` wrote to ``path`` once ``future`` is done; the file goes."""
-    future.result()
-    with open(path, "rb") as fh:
-        os.unlink(path)
-        return pickle.load(fh)
-
-
-def _unbroken(call, *args):
-    """``call(*args)``, or None where a worker of its process pool or a file failed."""
-    from concurrent.futures import BrokenExecutor
-
+def _work(index: int, jobs: int, results: int, notify: int, inherited=()) -> None:
+    """A worker: close ``inherited``, read ``(call, args)`` and then jobs from
+    the pipe ``jobs``, pickle ``call(job, *args)`` to ``results`` and write
+    ``index`` to ``notify``; exit at end of file or on any error, leaving the
+    job to the parent. Ctrl-C is the parent's. Fixed glibc thresholds keep
+    the heap's free top for the next job to reuse."""
     try:
-        return call(*args)
-    except (BrokenExecutor, OSError):
-        return None
+        import signal
+        for fd in inherited:
+            os.close(fd)
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)  # glibc only
+        if mallopt is not None:
+            mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+            mallopt(_M_TRIM_THRESHOLD, _HEAP_KEPT)
+            mallopt(_M_MMAP_THRESHOLD, _HEAP_KEPT)
+        with open(jobs, "rb") as reader, open(results, "wb") as writer:
+            call, args = pickle.load(reader)
+            while True:
+                pickle.dump(call(pickle.load(reader), *args), writer)
+                writer.flush()
+                os.write(notify, bytes([index]))
+    finally:
+        os._exit(0)
 
 
 def _workers(size: int) -> int:
     """Worker processes for ``size`` bytes of pose file: one per CPU this
-    process may run on, up to the ceiling of a cgroup v2 CPU quota, and
-    per ``_WORKER_BYTES``; one or none means no pool, as where no fork is
-    found or, from Python 3.12 on, fork warns of threads, which numpy's
-    BLAS starts at import."""
+    process may run on, up to the ceiling of a cgroup v2 CPU quota, per
+    ``_WORKER_BYTES`` and per notice byte value; one or none means no pool,
+    as where no fork is found or, from Python 3.12 on, fork warns of
+    threads, which numpy's BLAS starts at import."""
     if sys.version_info >= (3, 12) or not hasattr(os, "sched_getaffinity"):
         return 1
     cpus = len(os.sched_getaffinity(0))
@@ -342,7 +362,7 @@ def _workers(size: int) -> int:
     with suppress(OSError, ValueError), open(_CPU_MAX, encoding="ascii") as fh:
         quota, period = fh.read().split()
         cpus = min(cpus, -(-int(quota) // int(period)))
-    return min(cpus, size // _WORKER_BYTES)
+    return min(cpus, size // _WORKER_BYTES, 256)
 
 
 def evaluate_decisions(

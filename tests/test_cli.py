@@ -4,22 +4,25 @@ import contextlib
 import csv
 import ctypes
 import dataclasses
+import fcntl
+import functools
 import importlib.util
 import io
 import json
-import multiprocessing
 import os
+import pickle
 import pkgutil
 import re
 import resource
 import shutil
+import signal
 import stat
 import subprocess
 import sys
-import tempfile
+import threading
+import time
 import tracemalloc
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from itertools import islice
 from pathlib import Path
 from unittest import mock
@@ -714,14 +717,22 @@ def test_yaml_is_loaded_only_for_a_yaml_file():
 
 def test_worker_pool_is_loaded_only_for_a_pool(corpus, tmp_path):
     # A one-chunk pose file is read for calibration and decided at once, and
-    # 2,000 generated frames (1.2 MB) are spelled here; each argument is a command.
+    # 2,000 generated frames (1.2 MB) are spelled here; each argument is a
+    # command. Then, with a worker per byte on two CPUs, ``generate`` starts
+    # a pool, which loads ``fcntl`` to enlarge its pipes and neither
+    # ``multiprocessing`` nor ``concurrent.futures``.
     poses_path, _ = corpus
-    code = ("import sys, htks.cli\n"
-            "pool = lambda: {'concurrent.futures', 'multiprocessing'} & set(sys.modules)\n"
-            "assert not pool(), pool()\n"
+    code = ("import os, sys, htks.cli, htks.pipeline\n"
+            "loaded = lambda: {'concurrent.futures', 'fcntl', 'multiprocessing'} & set(sys.modules)\n"
+            "assert not loaded(), loaded()\n"
             "for argv in map(str.split, sys.argv[1:]):\n"
             "    assert htks.cli.main(argv) == 0\n"
-            "    assert not pool(), pool()\n")
+            "    assert not loaded(), loaded()\n"
+            "htks.pipeline._WORKER_BYTES = 1\n"
+            f"htks.pipeline._CPU_MAX = {str(tmp_path / 'cpu.max')!r}\n"  # no CPU quota
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "assert htks.cli.main(sys.argv[-1].split()) == 0\n"
+            "assert loaded() == ({'fcntl'} if sys.version_info < (3, 12) else set()), loaded()\n")
     env = {**os.environ, "PYTHONPATH": str(Path(htks.formats.__file__).parents[1])}
     commands = [f"run --poses {poses_path} --out-dir {tmp_path / 'out'}",
                 f"generate --out-poses {tmp_path / 'p.txt'} --out-labels {tmp_path / 'l.txt'} "
@@ -985,9 +996,6 @@ def _pooled_and_in_process(tmp_path, monkeypatch, caplog, capsys, command, edit,
     lines in place or returns the file's bytes."""
     monkeypatch.setattr(htks.pipeline, "_WORKER_BYTES", worker_bytes)
     monkeypatch.setattr(htks.pipeline, "_CPU_MAX", str(tmp_path / "cpu.max"))  # no CPU quota
-    spill_root = tmp_path / "tmp"
-    spill_root.mkdir()
-    monkeypatch.setattr(tempfile, "tempdir", str(spill_root))  # the pool's result files
     coords = generate_frames(SynthConfig(seed=3, jitter_stddev_ratio=0.05,
                                          frames_per_class=frames // 4)).coords
     poses_path, labels_path = tmp_path / "poses.txt", tmp_path / "labels.txt"
@@ -1011,8 +1019,6 @@ def _pooled_and_in_process(tmp_path, monkeypatch, caplog, capsys, command, edit,
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         with caplog.at_level("INFO", logger="htks"):
             code = main(argv)
-        assert multiprocessing.active_children() == []
-        assert list(spill_root.iterdir()) == []
         outputs = {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
         runs.append((code, capsys.readouterr(), outputs, caplog.messages))
     return runs
@@ -1085,18 +1091,23 @@ def test_lone_cr_lines_are_read_a_range_at_a_time(tmp_path):
 
 
 def test_a_range_job_needs_nothing_forked(tmp_path):
-    # A spawned process starts from a fresh import: what the job reads
-    # comes from its arguments, so it decides the range as this process does.
+    # A fresh interpreter runs the worker loop on its standard streams: the
+    # call, its arguments and the job come down the job pipe, so it decides
+    # the range as this process does and writes worker 0's notice byte.
     path = tmp_path / "poses.txt"
     save_pose_array(path, generate_frames(SynthConfig(seed=3, jitter_stddev_ratio=0.05,
                                                       frames_per_class=300)).coords)
     with htks.formats._pose_file(path) as (ranges, _):
         ranges = list(ranges)
-    job = (ranges[1], str(path), htks.ClassifierConfig(), 300.0)
-    here = htks.pipeline._decided_range(*job)
-    context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(1, mp_context=context) as pool:
-        spawned = pool.submit(htks.pipeline._decided_range, *job).result(timeout=300)
+    job, args = ranges[1], (str(path), htks.ClassifierConfig(), 300.0)
+    here = htks.pipeline._decided_range(job, *args)
+    env = {**os.environ, "PYTHONPATH": str(Path(htks.formats.__file__).parents[1])}
+    worker = subprocess.run(
+        [sys.executable, "-c", "import htks.pipeline; htks.pipeline._work(0, 0, 1, 2)"],
+        input=pickle.dumps((htks.pipeline._decided_range, args)) + pickle.dumps(job),
+        env=env, capture_output=True, timeout=300)
+    assert worker.stderr == b"\0"
+    spawned = pickle.loads(worker.stdout)
     assert len(here[0]) == htks.formats._CHUNK_FRAMES
     assert here[0].tolist() == spawned[0].tolist()
     assert here[1][0].tolist() == spawned[1][0].tolist()
@@ -1142,12 +1153,13 @@ def test_no_pool_starts_for_a_short_file(tmp_path, monkeypatch, caplog, capsys):
 
 @pytest.mark.parametrize("cpus, size, workers", [
     ({0, 1}, 1_000, 0), ({0, 1}, 2_999_999, 1), ({0, 1}, 3_000_000, 2), ({0, 1}, 10**9, 2),
-    ({0, 1, 2, 3}, 4_500_000, 3), ({0}, 10**9, 1),
+    ({0, 1, 2, 3}, 4_500_000, 3), ({0}, 10**9, 1), (set(range(300)), 10**12, 256),
 ])
 def test_workers_come_from_the_cpus_and_the_file_size(tmp_path, monkeypatch, cpus, size,
                                                       workers):
     # One worker per CPU and per 1.5 MB of pose file: a pool only pays for
-    # its forks with enough of the file for each worker.
+    # its forks with enough of the file for each worker. A worker's notice
+    # byte holds its index, so there are at most 256.
     assert htks.pipeline._WORKER_BYTES == 1_500_000
     monkeypatch.setattr(htks.pipeline, "_CPU_MAX", str(tmp_path / "cpu.max"))  # no CPU quota
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
@@ -1235,9 +1247,6 @@ def _generated_pooled_and_on_one_cpu(tmp_path, monkeypatch, capsys, args,
     monkeypatch.setattr(htks.pipeline, "_WORKER_BYTES", 1)
     monkeypatch.setattr(htks.pipeline, "_CPU_MAX", str(tmp_path / "cpu.max"))  # no CPU quota
     monkeypatch.setattr(htks.pipeline, "_poses_text", speller)
-    spill_root = tmp_path / "tmp"
-    spill_root.mkdir()
-    monkeypatch.setattr(tempfile, "tempdir", str(spill_root))  # the pool's result files
     out = tmp_path / "out"
     runs = []
     for cpus in ({0, 1}, {0}):
@@ -1247,8 +1256,6 @@ def _generated_pooled_and_on_one_cpu(tmp_path, monkeypatch, capsys, args,
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         code = main(["generate", "--out-poses", str(out / "poses.txt"),
                      "--out-labels", str(out / "labels.txt"), *args])
-        assert multiprocessing.active_children() == []
-        assert list(spill_root.iterdir()) == []
         files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
         runs.append((code, capsys.readouterr(), files, list(_SPELLED_HERE)))
     return runs
@@ -1271,15 +1278,13 @@ def test_pooled_generate_writes_the_bytes_of_one_cpu(tmp_path, monkeypatch, caps
     assert pooled[3] == (one_cpu[3][:1] if sys.version_info < (3, 12) else one_cpu[3])
 
 
-def test_chunks_of_a_dead_generate_worker_are_spelled_here(tmp_path, monkeypatch, capsys):
-    pooled, one_cpu = _generated_pooled_and_on_one_cpu(
-        tmp_path, monkeypatch, capsys, ["--frames-per-class", "3000", "--jitter", "0.05"],
-        _dying_at_3512)
+def _assert_spelled_here_from_3512(pooled, one_cpu):
+    """The pooled run wrote the bytes of the one-CPU run, and a worker lost
+    on the chunk of frame 3512 left that chunk to the parent. No later chunk
+    went to the pool, so all after those already in flight, at most two per
+    worker and one more, were spelled in the parent too."""
     assert pooled[0] == 0
     assert pooled[:3] == one_cpu[:3]
-    # A worker died on the chunk of frame 3512, which is spelled here. The
-    # broken pool takes no later chunk, so all after those already in
-    # flight, at most two per worker and one more, are spelled here too.
     chunks, here = one_cpu[3], set(pooled[3])
     assert 3512 in here
     assert set(chunks[chunks.index(3512) + 2 * 2 + 1:]) <= here
@@ -1287,20 +1292,100 @@ def test_chunks_of_a_dead_generate_worker_are_spelled_here(tmp_path, monkeypatch
         assert here < set(chunks)
 
 
-def _unwritable_spill(path, call, *args):
-    raise PermissionError(13, "Permission denied", path)
+def test_chunks_of_a_dead_generate_worker_are_spelled_here(tmp_path, monkeypatch, capsys):
+    pooled, one_cpu = _generated_pooled_and_on_one_cpu(
+        tmp_path, monkeypatch, capsys, ["--frames-per-class", "3000", "--jitter", "0.05"],
+        _dying_at_3512)
+    _assert_spelled_here_from_3512(pooled, one_cpu)
 
 
-@pytest.mark.parametrize("fault", ["no-temporary-directory", "unwritable-result-file"])
-def test_generate_without_result_files_spells_every_chunk_here(tmp_path, monkeypatch, capsys,
-                                                                fault):
-    # Workers hand results back through files of a temporary directory; with
-    # no such directory no pool starts, and a result file that cannot be
-    # written leaves its chunk to the parent.
-    if fault == "no-temporary-directory":
-        monkeypatch.setattr(tempfile, "mkdtemp", mock.Mock(side_effect=FileNotFoundError))
-    else:
-        monkeypatch.setattr(htks.pipeline, "_spilled", _unwritable_spill)
+class _DiesWhenPickled:
+    """Ends the worker that pickles it. With ``cut``, it first writes half
+    a pickle's first frame to the worker's result pipe, as a worker killed
+    while blocked writing a result larger than the pipe leaves it."""
+
+    def __init__(self, cut: bool):
+        self.cut = cut
+
+    def __reduce__(self):
+        if self.cut:
+            writer = sys._getframe(1).f_locals["writer"]  # ``_work``'s result pipe
+            writer.write(pickle.dumps(list(range(20_000)))[:50_000])
+            writer.flush()
+        os._exit(1)
+
+
+def _dying_while_writing_3512(cut: bool, chunk):
+    """``_spelled_here``, but a worker given the chunk of frame 3512 dies
+    once the chunk's text, about 290 KB, is down its result pipe."""
+    text = _spelled_here(chunk)
+    if chunk[0] == 3512 and os.getpid() != _PYTEST_PID:
+        return text, _DiesWhenPickled(cut)
+    return text
+
+
+@pytest.mark.parametrize("cut", [False, True], ids=["after-a-whole-item", "inside-a-frame"])
+def test_chunk_of_a_worker_dead_while_writing_is_spelled_here(tmp_path, monkeypatch, capsys,
+                                                              cut):
+    # The parent reads a result that ends early: end of file where the next
+    # item should start, or a truncated pickle.
+    pooled, one_cpu = _generated_pooled_and_on_one_cpu(
+        tmp_path, monkeypatch, capsys, ["--frames-per-class", "3000", "--jitter", "0.05"],
+        functools.partial(_dying_while_writing_3512, cut))
+    _assert_spelled_here_from_3512(pooled, one_cpu)
+
+
+_HUNG = None  # the file a worker given the chunk of frame 3512 writes its pid to
+
+
+def _hung_at_3512(chunk):
+    """``_spelled_here``, but a worker given the chunk of frame 3512 names
+    itself in ``_HUNG`` and waits."""
+    if chunk[0] == 3512 and os.getpid() != _PYTEST_PID:
+        _HUNG.with_suffix(".tmp").write_text(str(os.getpid()), encoding="ascii")
+        _HUNG.with_suffix(".tmp").rename(_HUNG)
+        time.sleep(300)
+    return _spelled_here(chunk)
+
+
+def test_chunks_of_a_generate_worker_killed_mid_run_are_spelled_here(tmp_path, monkeypatch,
+                                                                      capsys):
+    # A worker killed from outside, as by the OOM killer, while it spells a
+    # chunk: the parent reads end of file from its result pipe.
+    monkeypatch.setitem(globals(), "_HUNG", tmp_path / "hung")
+    finished = threading.Event()
+
+    def kill_the_hung_worker():
+        while not finished.wait(0.01):
+            with contextlib.suppress(FileNotFoundError):
+                os.kill(int(_HUNG.read_text(encoding="ascii")), signal.SIGKILL)
+                return
+
+    killer = threading.Thread(target=kill_the_hung_worker)
+    killer.start()
+    try:
+        pooled, one_cpu = _generated_pooled_and_on_one_cpu(
+            tmp_path, monkeypatch, capsys, ["--frames-per-class", "3000", "--jitter", "0.05"],
+            _hung_at_3512)
+    finally:
+        finished.set()
+        killer.join(timeout=60)
+    assert not killer.is_alive()
+    _assert_spelled_here_from_3512(pooled, one_cpu)
+
+
+def test_generate_without_large_pipes_spells_every_chunk_here(tmp_path, monkeypatch, capsys):
+    # The pool enlarges its job pipes so that the parent never blocks
+    # writing a job; where the kernel refuses, no worker is forked.
+    fcntl_call = fcntl.fcntl
+
+    def refused(fd, command, *args):
+        if command == fcntl.F_SETPIPE_SZ:
+            raise PermissionError(1, "Operation not permitted")
+        return fcntl_call(fd, command, *args)
+
+    monkeypatch.setattr(fcntl, "fcntl", refused)
+    monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError("forked")))
     pooled, one_cpu = _generated_pooled_and_on_one_cpu(
         tmp_path, monkeypatch, capsys, ["--frames-per-class", "700", "--jitter", "0.05"])
     assert pooled[0] == 0

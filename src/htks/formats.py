@@ -170,7 +170,8 @@ def _check_files(inputs: Iterable[tuple[str, object]], outputs: Iterable = ()) -
     for description, path in inputs:
         if path is not None:
             if not os.path.isfile(path):
-                raise ConfigError(f"{description} does not exist: {path}")
+                problem = "is not a regular file" if os.path.exists(path) else "does not exist"
+                raise ConfigError(f"{description} {problem}: {path}")
             named.setdefault(os.stat(path)[1:3], f"{description} {path}")
     for path in outputs:
         if path is not None and (os.path.isfile(path) or not os.path.exists(path)):

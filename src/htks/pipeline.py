@@ -12,10 +12,11 @@ Pose files and pose streams are classified by one generator,
 blocks and hands each block to the classifier core. ``run_pipeline`` and
 ``htks classify`` feed it a pose file's byte ranges of lines through
 ``_classify_pose_file``; in a long file, with more than one CPU, worker
-processes read, parse, decide and spell the ranges after the calibration
-window. ``classify_sequence`` feeds it blocks of poses. It stays here, not
-in ``classifier``, because it looks up ``calibration_scale`` here, where
-the benchmark's tracer (``bench/spans.py``) wraps it, as it wraps
+processes read the ranges after the calibration window with the parent's
+reader, ``formats._pose_block``, and decide and spell them.
+``classify_sequence`` feeds it blocks of poses. It stays here, not in
+``classifier``, because it looks up ``calibration_scale`` here, where the
+benchmark's tracer (``bench/spans.py``) wraps it, as it wraps
 ``load_labels`` and ``report``. ``_pooled`` forks those worker processes,
 and those that spell ``htks generate``'s pose file for ``_pose_texts``,
 and feeds them jobs and takes their results over pipes.
@@ -57,14 +58,12 @@ from .formats import (
     write_session_json,
     classifier_config_from_dict,
     _all_or_none,
-    _canonical_arrays,
     _check_files,
     _decisions_text,
     _known_keys,
     _load_yaml,
     _pose_file,
     _poses_text,
-    _range_bytes,
     _writing,
 )
 from .game import SessionResult, score_session
@@ -166,11 +165,11 @@ def _classify_chunks(blocks: Iterable, parse, decide, config: ClassifierConfig,
     EmptyInput under either normalization.
 
     With ``workers`` above one, the blocks are the ``_line_ranges`` of the
-    pose file ``path`` and ``_pooled`` runs ``_decided_range`` on those
-    after the calibration window in ``workers`` processes. A range it gives
-    None for (for one off the layout, or where a worker died), whose ids do
-    not follow the frames before it or cut short by a byte that is not
-    UTF-8 is read and decided here.
+    pose file ``path`` and ``_pooled`` runs ``_decided_range``, ``parse``
+    with no frame before, on those after the calibration window in
+    ``workers`` processes. A range is read here again only where its worker
+    died or its first frame line depends on the frames before: its id does
+    not follow them, or its error comes before any frame.
     """
     fixed = config.normalization is Normalization.FIXED_PIXELS
     blocks, opening, prev, frames, strict, error = iter(blocks), [], None, 0, 0, None
@@ -197,13 +196,13 @@ def _classify_chunks(blocks: Iterable, parse, decide, config: ClassifierConfig,
     pooled, chunks, sent = 0, len(opening), 0
     with closing(_pooled(workers, _decided_range, blocks, path, config, scale)) as results:
         for sent, (block, result) in enumerate(results, 1):
-            if result is not None and block[-1] is None and result[0][0] > prev:
-                (ids, decisions), error = result, None
-                pooled += 1
+            ids, decisions, lines, error = result or ((), None, 0, None)
+            if result is not None and (ids[0] > prev if len(ids) else error is None):
+                pooled += len(ids) > 0
             else:
                 ids, coords, lines, error = parse(block, prev)
-                strict += lines
                 decisions = len(ids) and decide(ids, coords, config, scale)
+            strict += lines
             if len(ids):
                 prev, frames, chunks = int(ids[-1]), frames + len(ids), chunks + 1
                 yield _kept(kept, ids, decisions)
@@ -228,14 +227,12 @@ def _spelled(frame_ids: np.ndarray, coords: np.ndarray, config: ClassifierConfig
 
 
 def _decided_range(block: tuple, path, config: ClassifierConfig, scale: float):
-    """A worker's job: ``(frame_ids, _spelled(...))`` of a ``_line_ranges``
-    range of the pose file ``path`` whose lines are exactly as
-    ``write_poses`` writes them, else None. It reads the range itself, as
-    bytes; an error ends the worker, and the parent raises it in order."""
-    _, offset, length, lines, _ = block
-    with open(path, "rb") as fh:
-        arrays = _canonical_arrays(_range_bytes(fh, offset, length), lines, None)
-    return arrays and (arrays[0], _spelled(*arrays, config, scale))
+    """A worker's job: ``(frame_ids, _spelled(...), strict, error)`` of the
+    ``_pose_block`` of ``block`` in the pose file ``path``, with no frame
+    before it. A ParseError is returned; any other error ends the worker."""
+    with _pose_file(path) as (_, parse):
+        ids, coords, strict, error = parse(block, None)
+    return ids, len(ids) and _spelled(ids, coords, config, scale), strict, error
 
 
 def _pose_texts(chunks: Iterable[tuple[int, np.ndarray]], frames: int) -> Iterator[str]:

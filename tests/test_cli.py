@@ -847,6 +847,25 @@ def test_pose_file_that_fails_on_read_is_config_error(tmp_path, capsys, command)
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize("kind", ["fifo", "directory"])
+@pytest.mark.parametrize("command", ["classify", "evaluate"])
+def test_an_input_that_is_not_a_regular_file_is_config_error(decisions_csv, tmp_path, capsys,
+                                                             command, kind):
+    # The inputs are checked before any is opened, so a FIFO that nothing
+    # writes to blocks nothing.
+    special = tmp_path / kind
+    os.mkfifo(special) if kind == "fifo" else special.mkdir()
+    argv = (["classify", "--poses", str(special), "--out", str(tmp_path / "d.csv")]
+            if command == "classify" else
+            ["evaluate", "--decisions", str(decisions_csv), "--labels", str(special)])
+    assert main(argv) == 3
+    description = "pose file" if command == "classify" else "labels file"
+    assert capsys.readouterr().err == (
+        f"config error: {description} is not a regular file: {special}\n")
+    assert [path.name for path in tmp_path.iterdir()] == [kind]
+
+
 @pytest.mark.parametrize("torso, jitter", [("300", "1e306"), ("1e308", "1.0")])
 def test_generate_settings_that_overflow_are_config_error(tmp_path, capsys, torso, jitter):
     argv = ["generate", "--out-poses", str(tmp_path / "p.txt"),
@@ -981,6 +1000,29 @@ def _comment_and_blank_lines(lines):
     lines[1100:1100] = [b"# a note", b"", b"   "]
 
 
+def _comment_only_range(lines):
+    lines[512:512] = [b"# a note"] * 600  # lines 513 to 1112: all of the second block
+
+
+def _with_confidence(line: bytes) -> bytes:
+    """A pose line with the confidence 0.9 after every joint."""
+    frame_id, *joints = line.split(b" ")
+    return b" ".join([frame_id, *(joint + b",0.9" for joint in joints)])
+
+
+def _confidence_on_every_joint(lines):
+    lines[1:] = map(_with_confidence, lines[1:])
+
+
+def _integer_coordinates(lines):
+    lines[1:] = [re.sub(rb"\.[0-9]+", b"", line) for line in lines[1:]]
+
+
+def _bad_joint_at_repeated_id_chunk_edge(lines):
+    _repeated_id_at_chunk_edge(lines)
+    _set_token(lines, 1025, 1, b"head=x,1.5")
+
+
 def _overflow(lines):
     _set_token(lines, 2001, 1, b"head=" + _HUGE + b",-300.0")
     _set_token(lines, 2001, 1 + list(JointId).index(JointId.LEFT_WRIST),
@@ -1041,11 +1083,15 @@ def _assert_pool_said(pooled, in_process, decided):
     (_bad_token, 2, None),
     (_bad_byte, 2, None),
     (_repeated_id_at_chunk_edge, 2, None),
-    (_exponent_and_confidence, 0, 3),
+    (_exponent_and_confidence, 0, 4),
     (_crlf, 0, 4),
     (_lone_cr, 0, 4),
-    (_no_last_newline, 0, 3),
-    (_comment_and_blank_lines, 0, 3),
+    (_no_last_newline, 0, 4),
+    (_comment_and_blank_lines, 0, 4),
+    (_comment_only_range, 0, 4),
+    (_confidence_on_every_joint, 0, 4),
+    (_integer_coordinates, 0, 4),
+    (_bad_joint_at_repeated_id_chunk_edge, 2, None),
     (_overflow, 4, None),
 ], ids=lambda value: getattr(value, "__name__", str(value)))
 def test_worker_processes_change_nothing_but_the_log(tmp_path, monkeypatch, caplog, capsys,
@@ -1054,8 +1100,8 @@ def test_worker_processes_change_nothing_but_the_log(tmp_path, monkeypatch, capl
                                                 command, edit)
     assert pooled[0] == expected
     assert pooled[:3] == in_process[:3]
-    # A chunk the workers cannot read as written is read here, and so is
-    # one whose error they meet.
+    # A chunk is read here again only where its first frame line depends on
+    # the frames before it; a chunk of comments alone is no chunk.
     _assert_pool_said(pooled, in_process, decided)
 
 
@@ -1092,26 +1138,41 @@ def test_lone_cr_lines_are_read_a_range_at_a_time(tmp_path):
 
 def test_a_range_job_needs_nothing_forked(tmp_path):
     # A fresh interpreter runs the worker loop on its standard streams: the
-    # call, its arguments and the job come down the job pipe, so it decides
-    # the range as this process does and writes worker 0's notice byte.
+    # call, its arguments and the jobs come down the job pipe, so it decides
+    # each range as this process does, hands back a ParseError whole and
+    # writes worker 0's notice byte for each. The ranges after the first:
+    # as ``write_poses`` writes them, a confidence on every joint, and one
+    # with a malformed line 1540.
     path = tmp_path / "poses.txt"
     save_pose_array(path, generate_frames(SynthConfig(seed=3, jitter_stddev_ratio=0.05,
-                                                      frames_per_class=300)).coords)
+                                                      frames_per_class=400)).coords)
+    lines = path.read_bytes().split(b"\n")[:-1]
+    lines[1024:1536] = map(_with_confidence, lines[1024:1536])
+    _set_token(lines, 1540, 1, b"head=x,1.5")
+    path.write_bytes(b"\n".join(lines) + b"\n")
     with htks.formats._pose_file(path) as (ranges, _):
-        ranges = list(ranges)
-    job, args = ranges[1], (str(path), htks.ClassifierConfig(), 300.0)
-    here = htks.pipeline._decided_range(job, *args)
+        jobs = list(ranges)[1:]
+    args = (str(path), htks.ClassifierConfig(), 300.0)
     env = {**os.environ, "PYTHONPATH": str(Path(htks.formats.__file__).parents[1])}
     worker = subprocess.run(
         [sys.executable, "-c", "import htks.pipeline; htks.pipeline._work(0, 0, 1, 2)"],
-        input=pickle.dumps((htks.pipeline._decided_range, args)) + pickle.dumps(job),
+        input=b"".join(map(pickle.dumps, [(htks.pipeline._decided_range, args), *jobs])),
         env=env, capture_output=True, timeout=300)
-    assert worker.stderr == b"\0"
-    spawned = pickle.loads(worker.stdout)
-    assert len(here[0]) == htks.formats._CHUNK_FRAMES
-    assert here[0].tolist() == spawned[0].tolist()
-    assert here[1][0].tolist() == spawned[1][0].tolist()
-    assert here[1][1] == spawned[1][1]
+    assert worker.stderr == b"\0" * 3
+    spawned, results = io.BytesIO(worker.stdout), []
+    for job in jobs:
+        here, there = htks.pipeline._decided_range(job, *args), pickle.load(spawned)
+        ids, (labels, text), strict, error = here
+        assert ids.tolist() == there[0].tolist()
+        assert labels.tolist() == there[1][0].tolist()
+        assert (text, strict) == (there[1][1], there[2])
+        assert type(error) is type(there[3])
+        if error is not None:
+            assert (str(error), error.path, error.line_no) == (
+                str(there[3]), there[3].path, there[3].line_no)
+        results.append((len(ids), strict, error and error.line_no))
+    assert results == [(512, 0, None), (512, 512, None), (3, 1, 1540)]
+    assert "bad coordinates for head" in str(error)
 
 
 @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="libc has no mallopt")

@@ -566,14 +566,15 @@ def _canonical_arrays(data: bytes, lines: int, prev_frame_id: int | None):
 def _pose_block(fh, path, block: tuple[int, int, int, int, ParseError | None],
                 prev_frame_id: int | None):
     """``(ids int64 (n,), coords float64 (n, 12, 2), strict, error)``: the
-    frames of one ``_line_ranges`` range of the pose file ``path``, open as
-    ``fh``, after the frame ``prev_frame_id``, with the frames and errors
-    of ``_parse_pose_line`` on each line; how many of its lines were
-    parsed line by line; and the ParseError that follows those frames, if
-    any.
+    frames of one ``_line_ranges`` range of the pose file ``path``, or of
+    consecutive ones merged, open as ``fh``, after the frame
+    ``prev_frame_id``, with the frames and errors of ``_parse_pose_line`` on
+    each line; how many of its lines were parsed line by line; and the
+    ParseError that follows those frames, if any.
 
-    A range of canonical lines is parsed as a whole, as bytes; in any
-    other, so is each run of lines that are canonical less their numbers.
+    A block of canonical lines is parsed as a whole, as bytes; in any
+    other, so is each run of lines in one range that are canonical less
+    their numbers.
     Other lines (comments, exponents, confidences) and runs the array check
     refuses go through the strict per-line parser, in file order.
     """
@@ -584,7 +585,7 @@ def _pose_block(fh, path, block: tuple[int, int, int, int, ParseError | None],
         return (*arrays, 0, error)
     pieces, poses, strict = [], [], 0
     try:
-        for canonical, run in groupby(enumerate(_range_lines(data), first), _on_template):
+        for (_, canonical), run in groupby(enumerate(_range_lines(data), first), _run_key):
             run = list(run)
             arrays = _canonical_arrays("".join([line for _, line in run]).encode(), len(run),
                                        prev_frame_id) if canonical else None
@@ -602,9 +603,13 @@ def _pose_block(fh, path, block: tuple[int, int, int, int, ParseError | None],
     return (*map(np.concatenate, zip(*pieces)), strict, error)
 
 
-def _on_template(numbered: tuple[int, str]) -> bool:
-    """Whether a ``(line_no, line)`` less its ``_NUMERIC`` bytes is ``_POSE_TEMPLATE``."""
-    return numbered[1].encode().translate(None, _NUMERIC) == _POSE_TEMPLATE
+def _run_key(numbered: tuple[int, str]) -> tuple[int, bool]:
+    """The ``_line_ranges`` range of a ``(line_no, line)`` and whether the
+    line less its ``_NUMERIC`` bytes is ``_POSE_TEMPLATE``: a run ends where
+    a range does, so a pool job of several ranges reads as they do."""
+    line_no, line = numbered
+    on_template = line.encode().translate(None, _NUMERIC) == _POSE_TEMPLATE
+    return (line_no - 1) // _CHUNK_FRAMES, on_template
 
 
 def _pose_arrays(poses: list[BodyPose]) -> tuple[np.ndarray, np.ndarray]:

@@ -12,8 +12,9 @@ Pose files and pose streams are classified by one generator,
 blocks and hands each block to the classifier core. ``run_pipeline`` and
 ``htks classify`` feed it a pose file's byte ranges of lines through
 ``_classify_pose_file``; in a long file, with more than one CPU, worker
-processes read the ranges after the calibration window with the parent's
-reader, ``formats._pose_block``, and decide and spell them.
+processes read the ranges after the calibration window, ``_JOB_RANGES`` to
+a job, with the parent's reader, ``formats._pose_block``, and decide and
+spell them.
 ``classify_sequence`` feeds it blocks of poses. It stays here, not in
 ``classifier``, because it looks up ``calibration_scale`` here, where the
 benchmark's tracer (``bench/spans.py``) wraps it, as it wraps
@@ -83,8 +84,11 @@ log = logging.getLogger("htks")
 REPORT_FORMATS = ("table", "delimited")
 # Decided frames joined per step, so the join's only per-frame index is the truth's sort order.
 _JOIN_FRAMES = 4096
-# Pose-file blocks in flight per worker process.
+# Pose-file jobs in flight per worker process.
 _READ_AHEAD = 2
+# ``_line_ranges`` ranges per pool job for ``run`` and ``classify``: over 512
+# lines numpy's fixed cost per call is about 15% of a worker's time.
+_JOB_RANGES = 4
 # Pose-file bytes per worker process. On 2 CPUs two workers gain nothing up
 # to about 5,000 frames of the layout ``write_poses`` writes, 3 MB.
 _WORKER_BYTES = 1_500_000
@@ -165,11 +169,12 @@ def _classify_chunks(blocks: Iterable, parse, decide, config: ClassifierConfig,
     EmptyInput under either normalization.
 
     With ``workers`` above one, the blocks are the ``_line_ranges`` of the
-    pose file ``path`` and ``_pooled`` runs ``_decided_range``, ``parse``
-    with no frame before, on those after the calibration window in
-    ``workers`` processes. A range is read here again only where its worker
-    died or its first frame line depends on the frames before: its id does
-    not follow them, or its error comes before any frame.
+    pose file ``path``; those after the calibration window are ``_merged``
+    into jobs of ``_JOB_RANGES``, and ``_pooled`` runs ``_decided_range``,
+    ``parse`` with no frame before, on each in ``workers`` processes. A job
+    is read here again only where its worker died or its first frame line
+    depends on the frames before: its id does not follow them, or its error
+    comes before any frame. One INFO line counts the frames workers decided.
     """
     fixed = config.normalization is Normalization.FIXED_PIXELS
     blocks, opening, prev, frames, strict, error = iter(blocks), [], None, 0, 0, None
@@ -193,25 +198,35 @@ def _classify_chunks(blocks: Iterable, parse, decide, config: ClassifierConfig,
         yield _kept(kept, ids, decide(ids, coords, config, scale))
     if error is not None:
         raise error
-    pooled, chunks, sent = 0, len(opening), 0
-    with closing(_pooled(workers, _decided_range, blocks, path, config, scale)) as results:
+    pooled, sent = 0, 0
+    jobs = _merged(blocks) if workers > 1 else blocks
+    with closing(_pooled(workers, _decided_range, jobs, path, config, scale)) as results:
         for sent, (block, result) in enumerate(results, 1):
             ids, decisions, lines, error = result or ((), None, 0, None)
             if result is not None and (ids[0] > prev if len(ids) else error is None):
-                pooled += len(ids) > 0
+                pooled += len(ids)
             else:
                 ids, coords, lines, error = parse(block, prev)
                 decisions = len(ids) and decide(ids, coords, config, scale)
             strict += lines
             if len(ids):
-                prev, frames, chunks = int(ids[-1]), frames + len(ids), chunks + 1
+                prev, frames = int(ids[-1]), frames + len(ids)
                 yield _kept(kept, ids, decisions)
             if error is not None:
                 raise error
     if strict:
         log.info("%d of %d pose lines parsed line by line", strict, frames)
     if workers > 1 and sent:
-        log.info("decided %d of %d chunks in %d worker processes", pooled, chunks, workers)
+        log.info("decided %d of %d frames in %d worker processes", pooled, frames, workers)
+
+
+def _merged(ranges: Iterator[tuple]) -> Iterator[tuple]:
+    """``_line_ranges`` ``ranges`` merged ``_JOB_RANGES`` at a time into one:
+    the first's line number and offset, the lengths and lines summed, the
+    last's error. Ranges are contiguous, and only the last can have one."""
+    for group in iter(lambda: list(islice(ranges, _JOB_RANGES)), []):
+        (line_no, offset, *_), error = group[0], group[-1][4]
+        yield line_no, offset, sum(r[2] for r in group), sum(r[3] for r in group), error
 
 
 def _kept(kept: Optional[list], frame_ids, decisions: tuple):
@@ -228,8 +243,9 @@ def _spelled(frame_ids: np.ndarray, coords: np.ndarray, config: ClassifierConfig
 
 def _decided_range(block: tuple, path, config: ClassifierConfig, scale: float):
     """A worker's job: ``(frame_ids, _spelled(...), strict, error)`` of the
-    ``_pose_block`` of ``block`` in the pose file ``path``, with no frame
-    before it. A ParseError is returned; any other error ends the worker."""
+    ``_pose_block`` of ``block``, a range or ranges ``_merged``, in the pose
+    file ``path``, with no frame before it. A ParseError is returned; any
+    other error ends the worker."""
     with _pose_file(path) as (_, parse):
         ids, coords, strict, error = parse(block, None)
     return ids, len(ids) and _spelled(ids, coords, config, scale), strict, error

@@ -9,6 +9,7 @@ import functools
 import importlib.util
 import io
 import json
+import logging
 import os
 import pickle
 import pkgutil
@@ -29,7 +30,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import htks.classifier
@@ -954,10 +955,12 @@ def test_errors_come_in_file_order(tmp_path, capsys, command, case, expected):
     assert not decisions.exists()
 
 
-# A pose file of five blocks: the first is read for calibration, the other
-# four go to worker processes where the pool runs. Line 1 is the header and
-# line i + 2 frame i; the third block starts at line 1025.
+# A pose file of five ranges: the first is read for calibration, the other
+# four, 1,889 frames, go to worker processes where the pool runs, in jobs of
+# one range or in one job of four. Line 1 is the header and line i + 2 frame
+# i; the second range starts at line 513, the third at line 1025.
 _POOL_FRAMES = 2_400
+_POOLED_FRAMES = _POOL_FRAMES - 511
 _HUGE = b"1" + b"0" * 308 + b".0"  # 1e308 in the layout write_poses uses for short numbers
 
 
@@ -977,6 +980,10 @@ def _bad_byte(lines):
 
 def _repeated_id_at_chunk_edge(lines):
     _set_token(lines, 1025, 0, lines[1023].split(b" ")[0])
+
+
+def _repeated_id_at_job_edge(lines):
+    _set_token(lines, 513, 0, lines[511].split(b" ")[0])
 
 
 def _exponent_and_confidence(lines):
@@ -1018,9 +1025,20 @@ def _integer_coordinates(lines):
     lines[1:] = [re.sub(rb"\.[0-9]+", b"", line) for line in lines[1:]]
 
 
+def _one_line_of_integers(lines):
+    # The array path refuses the whole run of lines around it, which must
+    # end where the range does, as on one CPU: 512 lines parsed line by line.
+    lines[1099] = re.sub(rb"\.[0-9]+", b"", lines[1099])
+
+
 def _bad_joint_at_repeated_id_chunk_edge(lines):
     _repeated_id_at_chunk_edge(lines)
     _set_token(lines, 1025, 1, b"head=x,1.5")
+
+
+def _bad_joint_at_repeated_id_job_edge(lines):
+    _repeated_id_at_job_edge(lines)
+    _set_token(lines, 513, 1, b"head=x,1.5")
 
 
 def _overflow(lines):
@@ -1030,12 +1048,13 @@ def _overflow(lines):
 
 
 def _pooled_and_in_process(tmp_path, monkeypatch, caplog, capsys, command, edit,
-                           worker_bytes=1, frames=_POOL_FRAMES):
+                           worker_bytes=1, frames=_POOL_FRAMES, job_ranges=(4,)):
     """Run ``command`` on a pose file of ``frames`` frames, edited, with two
-    CPUs, then with one, and ``worker_bytes`` of the file to each worker (by
-    default any file is large enough for two): for each, its exit code,
-    stdout and stderr, output bytes and log. ``edit`` changes the file's
-    lines in place or returns the file's bytes."""
+    CPUs and pool jobs of each of ``job_ranges`` ranges, then with one CPU,
+    and ``worker_bytes`` of the file to each worker (by default any file is
+    large enough for two): for each, its exit code, stdout and stderr,
+    output bytes and log. ``edit`` changes the file's lines in place or
+    returns the file's bytes."""
     monkeypatch.setattr(htks.pipeline, "_WORKER_BYTES", worker_bytes)
     monkeypatch.setattr(htks.pipeline, "_CPU_MAX", str(tmp_path / "cpu.max"))  # no CPU quota
     coords = generate_frames(SynthConfig(seed=3, jitter_stddev_ratio=0.05,
@@ -1053,12 +1072,13 @@ def _pooled_and_in_process(tmp_path, monkeypatch, caplog, capsys, command, edit,
         argv = ["run", "--poses", str(poses_path), "--labels", str(labels_path),
                 "--out-dir", str(out_dir)]
     runs = []
-    for cpus in ({0, 1}, {0}):
+    for cpus, ranges in [*(({0, 1}, ranges) for ranges in job_ranges), ({0}, 4)]:
         shutil.rmtree(out_dir, ignore_errors=True)
         out_dir.mkdir()
         caplog.clear()
         # The CPUs this process may run on decide the number of workers.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(htks.pipeline, "_JOB_RANGES", ranges)
         with caplog.at_level("INFO", logger="htks"):
             code = main(argv)
         outputs = {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
@@ -1068,12 +1088,12 @@ def _pooled_and_in_process(tmp_path, monkeypatch, caplog, capsys, command, edit,
 
 def _assert_pool_said(pooled, in_process, decided):
     """The pooled run logs the one-CPU log and, where its pool ran, how many
-    of the five chunks its workers decided."""
+    of the 2,400 frames its workers decided."""
     said = [message for message in pooled[3] if message.startswith("decided ")]
     if sys.version_info >= (3, 12):
         decided = None  # where fork warns of threads, no pool starts
     assert said == ([] if decided is None else
-                    [f"decided {decided} of 5 chunks in 2 worker processes"])
+                    [f"decided {decided} of {_POOL_FRAMES} frames in 2 worker processes"])
     assert [message for message in pooled[3] if message not in said] == in_process[3]
 
 
@@ -1091,18 +1111,26 @@ def _assert_pool_said(pooled, in_process, decided):
     (_comment_only_range, 0, 4),
     (_confidence_on_every_joint, 0, 4),
     (_integer_coordinates, 0, 4),
+    (_one_line_of_integers, 0, 4),
     (_bad_joint_at_repeated_id_chunk_edge, 2, None),
+    (_repeated_id_at_job_edge, 2, None),
+    (_bad_joint_at_repeated_id_job_edge, 2, None),
     (_overflow, 4, None),
 ], ids=lambda value: getattr(value, "__name__", str(value)))
 def test_worker_processes_change_nothing_but_the_log(tmp_path, monkeypatch, caplog, capsys,
                                                       command, edit, expected, decided):
-    pooled, in_process = _pooled_and_in_process(tmp_path, monkeypatch, caplog, capsys,
-                                                command, edit)
-    assert pooled[0] == expected
-    assert pooled[:3] == in_process[:3]
-    # A chunk is read here again only where its first frame line depends on
-    # the frames before it; a chunk of comments alone is no chunk.
-    _assert_pool_said(pooled, in_process, decided)
+    # ``decided`` counts the ranges after the first that workers decide: all
+    # four, or None where the command fails before the pool logs. In jobs of
+    # four ranges the line-1,025 rows fail inside a job, where the worker
+    # must give the one-CPU error; the line-513 rows fail where a job starts.
+    *pooled_runs, in_process = _pooled_and_in_process(
+        tmp_path, monkeypatch, caplog, capsys, command, edit, job_ranges=(1, 4))
+    for pooled in pooled_runs:
+        assert pooled[0] == expected
+        assert pooled[:3] == in_process[:3]
+        # A job is read here again only where its first frame line depends
+        # on the frames before it.
+        _assert_pool_said(pooled, in_process, None if decided is None else _POOLED_FRAMES)
 
 
 def test_a_non_utf8_byte_a_worker_would_read_is_reported_at_its_line(tmp_path, monkeypatch,
@@ -1139,26 +1167,31 @@ def test_lone_cr_lines_are_read_a_range_at_a_time(tmp_path):
 def test_a_range_job_needs_nothing_forked(tmp_path):
     # A fresh interpreter runs the worker loop on its standard streams: the
     # call, its arguments and the jobs come down the job pipe, so it decides
-    # each range as this process does, hands back a ParseError whole and
-    # writes worker 0's notice byte for each. The ranges after the first:
-    # as ``write_poses`` writes them, a confidence on every joint, and one
-    # with a malformed line 1540.
+    # each job as this process does, hands back a ParseError whole and
+    # writes worker 0's notice byte for each. The jobs after the first
+    # range: single ranges as ``write_poses`` writes them, with a confidence
+    # on every joint and with a malformed line 1540; four ranges merged; and
+    # three merged, the last ending at a byte that is not UTF-8 on line 5301.
     path = tmp_path / "poses.txt"
     save_pose_array(path, generate_frames(SynthConfig(seed=3, jitter_stddev_ratio=0.05,
-                                                      frames_per_class=400)).coords)
+                                                      frames_per_class=1400)).coords)
     lines = path.read_bytes().split(b"\n")[:-1]
     lines[1024:1536] = map(_with_confidence, lines[1024:1536])
     _set_token(lines, 1540, 1, b"head=x,1.5")
+    lines[5300] += b"\xff"
     path.write_bytes(b"\n".join(lines) + b"\n")
     with htks.formats._pose_file(path) as (ranges, _):
-        jobs = list(ranges)[1:]
+        ranges = list(ranges)
+    jobs = ranges[1:4] + list(htks.pipeline._merged(iter(ranges[4:])))
+    # Text mode stops at the 8 KiB it cannot decode: the last range ends at line 5288.
+    assert [job[3] for job in jobs[3:]] == [2048, 1024 + 168]
     args = (str(path), htks.ClassifierConfig(), 300.0)
     env = {**os.environ, "PYTHONPATH": str(Path(htks.formats.__file__).parents[1])}
     worker = subprocess.run(
         [sys.executable, "-c", "import htks.pipeline; htks.pipeline._work(0, 0, 1, 2)"],
         input=b"".join(map(pickle.dumps, [(htks.pipeline._decided_range, args), *jobs])),
         env=env, capture_output=True, timeout=300)
-    assert worker.stderr == b"\0" * 3
+    assert worker.stderr == b"\0" * 5
     spawned, results = io.BytesIO(worker.stdout), []
     for job in jobs:
         here, there = htks.pipeline._decided_range(job, *args), pickle.load(spawned)
@@ -1171,8 +1204,10 @@ def test_a_range_job_needs_nothing_forked(tmp_path):
             assert (str(error), error.path, error.line_no) == (
                 str(there[3]), there[3].path, there[3].line_no)
         results.append((len(ids), strict, error and error.line_no))
-    assert results == [(512, 0, None), (512, 512, None), (3, 1, 1540)]
-    assert "bad coordinates for head" in str(error)
+    assert results == [(512, 0, None), (512, 512, None), (3, 1, 1540), (2048, 0, None),
+                       (1192, 0, 5301)]
+    assert "bad coordinates for head" in str(htks.pipeline._decided_range(jobs[2], *args)[3])
+    assert "not valid UTF-8" in str(error)
 
 
 @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="libc has no mallopt")
@@ -1201,7 +1236,7 @@ def test_workers_keep_their_heap_between_jobs(tmp_path, command):
     assert result.returncode == 0, result.stderr
     if sys.version_info < (3, 12):  # from 3.12 on no pool starts
         if command == "run":
-            assert "decided 93 of 94 chunks in 2 worker processes" in result.stderr
+            assert "decided 47489 of 48000 frames in 2 worker processes" in result.stderr
         assert int(result.stdout.split()[-1]) <= 100 * 94
 
 
@@ -1269,18 +1304,20 @@ def _dying_at_line_1537(block, path, config, scale):
 
 def test_ranges_after_a_worker_killed_mid_run_are_decided_here(tmp_path, monkeypatch, caplog,
                                                                 capsys):
-    # The ranges a worker finished are taken; the killed worker's range and
+    # In jobs of one range, the ranges a worker finished are taken: those of
+    # lines 513 and 1025, 512 frames each, and that of line 2049, 353
+    # frames, where the other worker took it. The killed worker's range and
     # every later one no worker finished are decided here.
     monkeypatch.setattr(htks.pipeline, "_decided_range", _dying_at_line_1537)
     pooled, in_process = _pooled_and_in_process(tmp_path, monkeypatch, caplog, capsys,
-                                                "run", None)
+                                                "run", None, job_ranges=(1,))
     assert pooled[0] == 0
     assert pooled[:3] == in_process[:3]
     said = [message for message in pooled[3] if message.startswith("decided ")]
     assert [message for message in pooled[3] if message not in said] == in_process[3]
     if sys.version_info < (3, 12):
         assert len(said) == 1
-        assert re.fullmatch("decided [0-3] of 5 chunks in 2 worker processes", said[0])
+        assert re.fullmatch("decided (1024|1377) of 2400 frames in 2 worker processes", said[0])
 
 
 _PYTEST_PID = os.getpid()
@@ -1555,9 +1592,10 @@ def test_score_exit_code_for_any_script_bytes(decisions_csv, data):
     assert code in {0, 2, 3, 4} and "Traceback" not in err
 
 
-# Pose-file bytes: the canonical lines of ``decisions_csv``'s poses with
-# bytes overwritten, and comments, blank lines or bad UTF-8 between them,
-# under any line end; or raw bytes.
+# Pose-file bytes: the canonical lines of ``decisions_csv``'s poses, some
+# as estimators also write them (integer coordinates, a confidence on every
+# joint), with bytes overwritten, and comments, blank lines or bad UTF-8
+# between them, under any line end; or raw bytes.
 _POSE_BYTES = st.sampled_from([b"\xff", b"\xc3", b"#", b" ", b"\t", b"\r", b"\n", b"0", b"9",
                                b"-", b".", b"e", b",", b"=", b"x", b""])
 
@@ -1565,6 +1603,10 @@ _POSE_BYTES = st.sampled_from([b"\xff", b"\xc3", b"#", b" ", b"\t", b"\r", b"\n"
 @st.composite
 def pose_file_bytes(draw, lines: list[bytes]):
     lines = list(lines)
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(1, len(lines) - 1))
+        lines[i] = draw(st.sampled_from([re.sub(rb"\.[0-9]+", b"", lines[i]),
+                                         _with_confidence(lines[i])]))
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, len(lines) - 1))
         at, cut = draw(st.integers(0, len(lines[i]))), draw(st.integers(0, 3))
@@ -1588,6 +1630,59 @@ def test_classify_exit_code_for_any_pose_bytes(decisions_csv, data, chunk_frames
     assert code in {0, 2, 3, 4} and "Traceback" not in err
     if code == 2:
         assert re.match(rf"parse error: {re.escape(str(poses))}:\d+: ", err)
+
+
+@pytest.fixture(scope="module")
+def pool_poses(tmp_path_factory):
+    """A pose file of 40 noiseless frames, ten past the calibration window,
+    and a config file setting fixed pixels, in a directory of their own."""
+    root = tmp_path_factory.mktemp("pooled")
+    save_poses(root / "poses.txt", (pose for pose, _ in generate(SynthConfig(frames_per_class=10))))
+    (root / "fixed.yaml").write_text("classifier:\n  normalization: fixed_pixels\n",
+                                     encoding="utf-8")
+    return root / "poses.txt"
+
+
+def _classified(argv, out: Path, cpus: set) -> tuple:
+    """``main(argv)`` on ``cpus`` CPUs: its exit code and stderr, the bytes
+    of ``out`` (None where none was written) and the ``htks`` INFO log less
+    the pool's ``decided`` line."""
+    out.unlink(missing_ok=True)
+    messages, handler, logger = [], logging.Handler(), logging.getLogger("htks")
+    handler.emit, level = lambda record: messages.append(record.getMessage()), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: cpus, create=True):
+            code, err = _exit_and_stderr(argv)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    messages = [message for message in messages if not message.startswith("decided ")]
+    return code, err, out.read_bytes() if out.exists() else None, messages
+
+
+# Pooled equals one CPU: with a worker per byte, any pose file of a few
+# lines starts a pool wherever ranges follow the calibration window, and
+# jobs of one, two or four ranges of 1 to 5 lines put every line near an
+# edge of a range or a job.
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), chunk_frames=st.sampled_from([1, 2, 3, 5]),
+       job_ranges=st.sampled_from([1, 2, 4]), fixed=st.booleans())
+def test_pooled_classify_equals_one_cpu_for_any_pose_bytes(pool_poses, data, chunk_frames,
+                                                           job_ranges, fixed):
+    root = pool_poses.parent
+    poses, out = root / "fuzzed_poses.txt", root / "d.csv"
+    poses.write_bytes(data.draw(pose_file_bytes(pool_poses.read_bytes().splitlines())))
+    argv = ["classify", "--poses", str(poses), "--out", str(out)]
+    argv += ["--config", str(root / "fixed.yaml")] if fixed else []
+    with mock.patch.object(htks.formats, "_CHUNK_FRAMES", chunk_frames), \
+            mock.patch.object(htks.pipeline, "_JOB_RANGES", job_ranges), \
+            mock.patch.object(htks.pipeline, "_WORKER_BYTES", 1), \
+            mock.patch.object(htks.pipeline, "_CPU_MAX", str(root / "cpu.max")):  # no quota
+        pooled = _classified(argv, out, {0, 1})
+        assert pooled == _classified(argv, out, {0})
+    assert pooled[0] in {0, 2, 4} and "Traceback" not in pooled[1]
 
 
 # report.json bytes: raw bytes, a written report with bytes overwritten, or

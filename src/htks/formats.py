@@ -3,6 +3,8 @@
 All formats are line-oriented UTF-8 text. ``#`` starts a comment line and
 blank lines are ignored in the hand-editable formats (poses, labels,
 scripts). Parse failures raise ParseError with the file and line number.
+Lines are checked for UTF-8 where they are parsed, comments included, so
+a line that is not UTF-8 is one more failure met in file order.
 
 Pose file, one frame per line, joint entries self-describing so the order
 within a line never matters::
@@ -35,12 +37,11 @@ defaults.
 
 from __future__ import annotations
 
-import codecs
 import io
 import json
 import os
 import re
-from contextlib import contextmanager, suppress
+from contextlib import closing, contextmanager, suppress
 from dataclasses import fields
 from functools import partial
 from itertools import groupby
@@ -78,16 +79,14 @@ DECISIONS_HEADER = (
 
 
 def _not_utf8(path) -> ParseError:
-    """A ParseError at the line of the first byte in ``path`` that is not
-    UTF-8. Text files decode ahead of the line being read, so the
-    decoder's own error does not say which line holds the byte. Read again
-    line by line, such a byte decodes to a surrogate that cannot encode."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, line in enumerate(fh, 1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                return ParseError("not valid UTF-8", path, line_no)
+    """The first error of ``_text_lines(path)``, for a reader that decodes
+    the file whole: its decoder's error does not say which line holds the
+    byte that is not UTF-8."""
+    try:
+        for _ in _text_lines(path):
+            pass
+    except ParseError as exc:
+        return exc
     return ParseError("not valid UTF-8", path, None)
 
 
@@ -181,27 +180,38 @@ def _check_files(inputs: Iterable[tuple[str, object]], outputs: Iterable = ()) -
             named[key] = f"output {path}"
 
 
-def _text_lines(fh, path) -> Iterator[str]:
-    """The lines of the text file ``fh`` opened from ``path``."""
-    try:
-        yield from fh
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+def _utf8(line: str, path, line_no: int) -> str:
+    """``line``, decoded with ``surrogateescape``, or a ParseError at
+    ``line_no`` where its bytes are not UTF-8: each such byte decoded to a
+    surrogate, which cannot encode."""
+    if not line.isascii():
+        try:
+            line.encode()
+        except UnicodeEncodeError:
+            raise ParseError("not valid UTF-8", path, line_no) from None
+    return line
 
 
-def _content(numbered: Iterable[tuple[int, str]]) -> Iterator[tuple[int, str]]:
-    """Yield (line_no, stripped_line) of ``(line_no, line)`` pairs, skipping
-    blanks and # comments."""
+def _text_lines(path) -> Iterator[str]:
+    """The lines of the text file ``path``, each checked by ``_utf8``."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, 1):
+            yield _utf8(line, path, line_no)
+
+
+def _content(numbered: Iterable[tuple[int, str]], path) -> Iterator[tuple[int, str]]:
+    """Yield (line_no, stripped_line) of ``(line_no, line)`` pairs of the
+    file ``path``, each checked by ``_utf8``, skipping blanks and # comments."""
     for line_no, raw in numbered:
-        line = raw.strip()
+        line = _utf8(raw, path, line_no).strip()
         if line and not line.startswith("#"):
             yield line_no, line
 
 
 def _content_lines(path) -> Iterator[tuple[int, str]]:
     """Yield (line_no, stripped_line) of ``path`` skipping blanks and # comments."""
-    with open(path, "r", encoding="utf-8") as fh:
-        yield from _content(enumerate(_text_lines(fh, path), 1))
+    with closing(_text_lines(path)) as lines:
+        yield from _content(enumerate(lines, 1), path)
 
 
 # A frame id in every file: ASCII decimal digits that fit in an int64.
@@ -407,16 +417,8 @@ def _parse_pose_line(line: str, path, line_no: int, prev_frame_id: int | None) -
         raise ParseError(str(exc), path, line_no) from None
 
 
-def _data_lines(block: list[str]) -> list[str]:
-    """The lines of ``block`` that ``_content`` keeps, unchanged."""
-    return [line for line in block if (text := line.strip()) and not text.startswith("#")]
-
-
-# Files are scanned for line ends ``_SCAN_BYTES`` at a time. Text mode
-# decodes 8 KiB at a time, so a byte that is not UTF-8 also hides the lines
-# before it in those 8 KiB: a range is handed out only once the bytes
-# ``_DECODE_AHEAD`` past its end are known to decode.
-_SCAN_BYTES, _DECODE_AHEAD = 1 << 18, 1 << 16
+# Files are scanned for line ends ``_SCAN_BYTES`` at a time.
+_SCAN_BYTES = 1 << 18
 
 
 @contextmanager
@@ -425,21 +427,19 @@ def _pose_file(path) -> Iterator[tuple[Iterator[tuple], Callable]]:
     ``_line_ranges``, and ``parse(range, prev_frame_id)``, its
     ``_pose_block``."""
     with open(path, "rb") as fh:
-        yield _line_ranges(fh, path), partial(_pose_block, fh, path)
+        yield _line_ranges(fh), partial(_pose_block, fh, path)
 
 
-def _line_ranges(fh, path) -> Iterator[tuple[int, int, int, int, ParseError | None]]:
-    """``(line_no, offset, length, lines, error)``: the byte ranges of the
-    file ``path``, open as ``fh``, of ``_CHUNK_FRAMES`` lines each (the last
-    fewer), each range's first line number and, on the last, the
-    ParseError of a byte that is not UTF-8. Lines end where text mode ends
-    them, at ``\\n``, ``\\r\\n`` or a lone ``\\r``; the ranges stop where text
-    mode stops before such a byte."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
+def _line_ranges(fh) -> Iterator[tuple[int, int, int, int]]:
+    """``(line_no, offset, length, lines)``: the byte ranges of the binary
+    file ``fh`` of ``_CHUNK_FRAMES`` lines each (the last fewer) and each
+    range's first line number. Lines end where text mode ends them, at
+    ``\\n``, ``\\r\\n`` or a lone ``\\r``. Bytes are not decoded here: the
+    readers check each line they parse."""
     window = bytearray(_SCAN_BYTES)
     byte, is_end = np.frombuffer(window, np.uint8), np.empty(_SCAN_BYTES, np.bool_)
-    line_no, start, ends, offset, error = 1, 0, np.empty(0, np.int64), 0, None
-    while error is None:
+    line_no, start, ends, offset, last = 1, 0, np.empty(0, np.int64), 0, False
+    while not last:
         fh.seek(offset)  # ``fh`` is read between ranges too
         size = fh.readinto(window)
         last = size < _SCAN_BYTES
@@ -451,30 +451,19 @@ def _line_ranges(fh, path) -> Iterator[tuple[int, int, int, int, ParseError | No
             end |= lone
         ends = np.concatenate([ends, offset + 1 + np.flatnonzero(end)])
         offset += size
-        try:
-            if decoder.getstate()[0] or not window.isascii():
-                decoder.decode(memoryview(window)[:size], last)
-        except UnicodeDecodeError:
-            error, read = _not_utf8(path), 0
-            with open(path, "r", encoding="utf-8") as text, suppress(UnicodeDecodeError):
-                for read, _ in enumerate(text, 1):  # the lines text mode reads before it
-                    pass
-            ends = ends[:read - line_no + 1]
-        while len(ends) >= _CHUNK_FRAMES and (
-                last or error or ends[_CHUNK_FRAMES - 1] + _DECODE_AHEAD <= offset):
+        while len(ends) >= _CHUNK_FRAMES:
             stop = int(ends[_CHUNK_FRAMES - 1])
-            yield line_no, start, stop - start, _CHUNK_FRAMES, None
+            yield line_no, start, stop - start, _CHUNK_FRAMES
             line_no, start, ends = line_no + _CHUNK_FRAMES, stop, ends[_CHUNK_FRAMES:]
-        if last:
-            break
-    if error is None and offset > (ends[-1] if len(ends) else start):
+    if offset > (ends[-1] if len(ends) else start):
         ends = np.append(ends, offset)  # a last line with no line end
-    yield line_no, start, int(ends[-1]) - start if len(ends) else 0, len(ends), error
+    yield line_no, start, int(ends[-1]) - start if len(ends) else 0, len(ends)
 
 
 def _range_lines(data: bytes) -> list[str]:
-    """The lines of ``_range_bytes`` ``data``."""
-    return list(io.StringIO(data.decode(), newline="\n"))
+    """The lines of ``_range_bytes`` ``data``, decoded with ``surrogateescape``
+    for ``_utf8`` to check."""
+    return list(io.StringIO(data.decode(errors="surrogateescape"), newline="\n"))
 
 
 def _range_bytes(fh, offset: int, length: int) -> bytes:
@@ -563,8 +552,7 @@ def _canonical_arrays(data: bytes, lines: int, prev_frame_id: int | None):
     return ids, values.reshape(n, len(JointId), 2)
 
 
-def _pose_block(fh, path, block: tuple[int, int, int, int, ParseError | None],
-                prev_frame_id: int | None):
+def _pose_block(fh, path, block: tuple[int, int, int, int], prev_frame_id: int | None):
     """``(ids int64 (n,), coords float64 (n, 12, 2), strict, error)``: the
     frames of one ``_line_ranges`` range of the pose file ``path``, or of
     consecutive ones merged, open as ``fh``, after the frame
@@ -574,16 +562,17 @@ def _pose_block(fh, path, block: tuple[int, int, int, int, ParseError | None],
 
     A block of canonical lines is parsed as a whole, as bytes; in any
     other, so is each run of lines in one range that are canonical less
-    their numbers.
-    Other lines (comments, exponents, confidences) and runs the array check
-    refuses go through the strict per-line parser, in file order.
+    their numbers. Canonical lines are ASCII. Other lines (comments,
+    exponents, confidences, bytes that are not UTF-8) and runs the array
+    check refuses go through ``_content`` and the strict per-line parser,
+    in file order.
     """
-    first, offset, length, lines, error = block
+    first, offset, length, lines = block
     data = _range_bytes(fh, offset, length)
     arrays = _canonical_arrays(data, lines, prev_frame_id)
     if arrays is not None:
-        return (*arrays, 0, error)
-    pieces, poses, strict = [], [], 0
+        return (*arrays, 0, None)
+    pieces, poses, strict, error = [], [], 0, None
     try:
         for (_, canonical), run in groupby(enumerate(_range_lines(data), first), _run_key):
             run = list(run)
@@ -593,7 +582,7 @@ def _pose_block(fh, path, block: tuple[int, int, int, int, ParseError | None],
                 pieces += [_pose_arrays(poses), arrays]
                 poses, prev_frame_id = [], int(arrays[0][-1])
                 continue
-            for line_no, line in _content(run):
+            for line_no, line in _content(run, path):
                 strict += 1
                 poses.append(_parse_pose_line(line, path, line_no, prev_frame_id))
                 prev_frame_id = poses[-1].frame_id
@@ -608,7 +597,7 @@ def _run_key(numbered: tuple[int, str]) -> tuple[int, bool]:
     line less its ``_NUMERIC`` bytes is ``_POSE_TEMPLATE``: a run ends where
     a range does, so a pool job of several ranges reads as they do."""
     line_no, line = numbered
-    on_template = line.encode().translate(None, _NUMERIC) == _POSE_TEMPLATE
+    on_template = line.isascii() and line.encode().translate(None, _NUMERIC) == _POSE_TEMPLATE
     return (line_no - 1) // _CHUNK_FRAMES, on_template
 
 
@@ -644,18 +633,22 @@ def load_labels(path) -> tuple[np.ndarray, np.ndarray]:
     """Ground truth as ``(frame_ids int64, labels int8)`` arrays in file
     order, each label a LABEL_ORDER index. The file is read in
     ``_line_ranges`` of ``_CHUNK_FRAMES`` lines: a range whose text, or
-    failing that whose lines less its comment and blank lines, is as
+    failing that, for a range that decodes, whose ``_content`` lines, is as
     ``_labels_text`` spells it is parsed as a whole, any other line by
     line. Ids are sorted once at the end."""
     ids, labels, error = [np.empty(0, np.int64)], [np.empty(0, np.int8)], None
     with open(path, "rb") as fh:
-        for first, offset, length, _, error in _line_ranges(fh, path):
+        for first, offset, length, _ in _line_ranges(fh):
             data = _range_bytes(fh, offset, length)
-            text, lines = data.decode(), []
+            text, lines = data.decode(errors="surrogateescape"), []
             if not _CANONICAL_LABELS.fullmatch(text):  # only then split into lines
                 lines = _range_lines(data)
-                if _CANONICAL_LABELS.fullmatch(kept := "".join(_data_lines(lines))):
-                    text, lines = kept, []
+                # Only a range that decodes drops its comment lines: in any other,
+                # the line that is not UTF-8 is met in file order, line by line.
+                with suppress(ParseError):
+                    if _CANONICAL_LABELS.fullmatch(kept := "".join(
+                            f"{line}\n" for _, line in _content(enumerate(lines, first), path))):
+                        text, lines = kept, []
             if not lines:
                 for name, index in _LABEL_INDEX.items():
                     text = text.replace(name, str(index))
@@ -663,7 +656,7 @@ def load_labels(path) -> tuple[np.ndarray, np.ndarray]:
             else:
                 pairs = []
                 try:
-                    for line_no, line in _content(enumerate(lines, first)):
+                    for line_no, line in _content(enumerate(lines, first), path):
                         tokens = line.split()
                         if len(tokens) != 2:
                             raise ParseError(f"expected 'frame_id class', got {line!r}",
@@ -833,8 +826,7 @@ def load_decisions(path) -> tuple[np.ndarray, np.ndarray]:
     row is checked, in order: nine fields, the frame id, the class, three
     flags, four distances finite and >= 0, and rule 1 fired only on toes."""
     frame_ids, labels = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = _text_lines(fh, path)
+    with closing(_text_lines(path)) as lines:
         first = next(lines, "").rstrip("\n")
         if first != DECISIONS_HEADER:
             raise ParseError(f"bad decisions header: {first!r}", path, 1)

@@ -174,7 +174,9 @@ def _classify_chunks(blocks: Iterable, parse, decide, config: ClassifierConfig,
     ``parse`` with no frame before, on each in ``workers`` processes. A job
     is read here again only where its worker died or its first frame line
     depends on the frames before: its id does not follow them, or its error
-    comes before any frame. One INFO line counts the frames workers decided.
+    comes before any frame. A line that is not UTF-8 is a ParseError of its
+    line, met in file order as on one CPU. One INFO line counts the frames
+    workers decided.
     """
     fixed = config.normalization is Normalization.FIXED_PIXELS
     blocks, opening, prev, frames, strict, error = iter(blocks), [], None, 0, 0, None
@@ -221,12 +223,11 @@ def _classify_chunks(blocks: Iterable, parse, decide, config: ClassifierConfig,
 
 
 def _merged(ranges: Iterator[tuple]) -> Iterator[tuple]:
-    """``_line_ranges`` ``ranges`` merged ``_JOB_RANGES`` at a time into one:
-    the first's line number and offset, the lengths and lines summed, the
-    last's error. Ranges are contiguous, and only the last can have one."""
+    """Contiguous ``_line_ranges`` ``ranges`` merged ``_JOB_RANGES`` at a time
+    into one: the first's line number and offset, the lengths and lines summed."""
     for group in iter(lambda: list(islice(ranges, _JOB_RANGES)), []):
-        (line_no, offset, *_), error = group[0], group[-1][4]
-        yield line_no, offset, sum(r[2] for r in group), sum(r[3] for r in group), error
+        line_no, offset, *_ = group[0]
+        yield line_no, offset, sum(r[2] for r in group), sum(r[3] for r in group)
 
 
 def _kept(kept: Optional[list], frame_ids, decisions: tuple):
@@ -244,8 +245,8 @@ def _spelled(frame_ids: np.ndarray, coords: np.ndarray, config: ClassifierConfig
 def _decided_range(block: tuple, path, config: ClassifierConfig, scale: float):
     """A worker's job: ``(frame_ids, _spelled(...), strict, error)`` of the
     ``_pose_block`` of ``block``, a range or ranges ``_merged``, in the pose
-    file ``path``, with no frame before it. A ParseError is returned; any
-    other error ends the worker."""
+    file ``path``, with no frame before it. A ParseError, such as a line
+    that is not UTF-8, is returned; any other error ends the worker."""
     with _pose_file(path) as (_, parse):
         ids, coords, strict, error = parse(block, None)
     return ids, len(ids) and _spelled(ids, coords, config, scale), strict, error

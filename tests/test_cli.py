@@ -1011,6 +1011,14 @@ def _comment_only_range(lines):
     lines[512:512] = [b"# a note"] * 600  # lines 513 to 1112: all of the second block
 
 
+def _non_utf8_comment_in_the_first_range(lines):
+    lines.insert(100, b"# note \xff")  # line 101, read in this process to calibrate
+
+
+def _non_utf8_comment_in_a_job(lines):
+    lines.insert(1100, b"# note \xff")  # line 1101, inside a job of one range or of four
+
+
 def _with_confidence(line: bytes) -> bytes:
     """A pose line with the confidence 0.9 after every joint."""
     frame_id, *joints = line.split(b" ")
@@ -1109,6 +1117,8 @@ def _assert_pool_said(pooled, in_process, decided):
     (_no_last_newline, 0, 4),
     (_comment_and_blank_lines, 0, 4),
     (_comment_only_range, 0, 4),
+    (_non_utf8_comment_in_the_first_range, 2, None),
+    (_non_utf8_comment_in_a_job, 2, None),
     (_confidence_on_every_joint, 0, 4),
     (_integer_coordinates, 0, 4),
     (_one_line_of_integers, 0, 4),
@@ -1131,6 +1141,10 @@ def test_worker_processes_change_nothing_but_the_log(tmp_path, monkeypatch, capl
         # A job is read here again only where its first frame line depends
         # on the frames before it.
         _assert_pool_said(pooled, in_process, None if decided is None else _POOLED_FRAMES)
+    comment = {_non_utf8_comment_in_the_first_range: 101, _non_utf8_comment_in_a_job: 1101}
+    if edit in comment:
+        assert in_process[1].err == (
+            f"parse error: {tmp_path / 'poses.txt'}:{comment[edit]}: not valid UTF-8\n")
 
 
 def test_a_non_utf8_byte_a_worker_would_read_is_reported_at_its_line(tmp_path, monkeypatch,
@@ -1171,7 +1185,7 @@ def test_a_range_job_needs_nothing_forked(tmp_path):
     # writes worker 0's notice byte for each. The jobs after the first
     # range: single ranges as ``write_poses`` writes them, with a confidence
     # on every joint and with a malformed line 1540; four ranges merged; and
-    # three merged, the last ending at a byte that is not UTF-8 on line 5301.
+    # three merged, the last holding a byte that is not UTF-8 on line 5301.
     path = tmp_path / "poses.txt"
     save_pose_array(path, generate_frames(SynthConfig(seed=3, jitter_stddev_ratio=0.05,
                                                       frames_per_class=1400)).coords)
@@ -1183,8 +1197,8 @@ def test_a_range_job_needs_nothing_forked(tmp_path):
     with htks.formats._pose_file(path) as (ranges, _):
         ranges = list(ranges)
     jobs = ranges[1:4] + list(htks.pipeline._merged(iter(ranges[4:])))
-    # Text mode stops at the 8 KiB it cannot decode: the last range ends at line 5288.
-    assert [job[3] for job in jobs[3:]] == [2048, 1024 + 168]
+    # The last range ends at the file's end, line 5601.
+    assert [job[3] for job in jobs[3:]] == [2048, 1024 + 481]
     args = (str(path), htks.ClassifierConfig(), 300.0)
     env = {**os.environ, "PYTHONPATH": str(Path(htks.formats.__file__).parents[1])}
     worker = subprocess.run(
@@ -1205,7 +1219,7 @@ def test_a_range_job_needs_nothing_forked(tmp_path):
                 str(there[3]), there[3].path, there[3].line_no)
         results.append((len(ids), strict, error and error.line_no))
     assert results == [(512, 0, None), (512, 512, None), (3, 1, 1540), (2048, 0, None),
-                       (1192, 0, 5301)]
+                       (1204, 0, 5301)]
     assert "bad coordinates for head" in str(htks.pipeline._decided_range(jobs[2], *args)[3])
     assert "not valid UTF-8" in str(error)
 

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from contextlib import closing
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from unittest import mock
@@ -479,9 +480,9 @@ class TestPoseChunks:
     @pytest.mark.parametrize("scan_bytes", [1 << 12, htks.formats._SCAN_BYTES])
     def test_lines_text_mode_drops_before_a_non_utf8_byte(self, tmp_path, bad_line,
                                                            chunk_frames, scan_bytes):
-        # Text mode decodes 8 KiB at a time, so it never reads the lines
-        # just before such a byte, even in an earlier block or scan window,
-        # nor the bad token among them: its error is the byte's.
+        # Every line before such a byte is read, in its block or an earlier
+        # one, in its scan window or an earlier one: the bad token two lines
+        # before it is the error, as in text mode read line by line.
         path = tmp_path / "poses.txt"
         save_pose_array(path, generate_frames(SynthConfig(seed=2, jitter_stddev_ratio=0.05,
                                                           frames_per_class=300)).coords)
@@ -492,13 +493,37 @@ class TestPoseChunks:
         with mock.patch.object(htks.formats, "_CHUNK_FRAMES", chunk_frames), \
                 mock.patch.object(htks.formats, "_SCAN_BYTES", scan_bytes):
             ids, error = assert_same_reading(path)
-        assert error.line_no == bad_line and "UTF-8" in str(error)
-        assert len(ids) < bad_line - 3
+        assert error.line_no == bad_line - 2 and "bad coordinates for hip" in str(error)
+        assert ids == list(range(bad_line - 4))
+
+    @given(data=st.lists(st.sampled_from([b"\r", b"\n", b"\r\n", b"\xff", b"\xc3", b"a",
+                                          b"# x", b"x" * 1500]), max_size=40).map(b"".join),
+           scan_bytes=st.sampled_from([2, 3, 7, 4096]),
+           chunk_frames=st.sampled_from([1, 2, 3, CHUNK]))
+    def test_line_ranges_are_the_lines_text_mode_reads(self, scratch_dir, data, scan_bytes,
+                                                       chunk_frames):
+        # Bytes that are not UTF-8 or split a character change nothing: the
+        # scan reads bytes, and latin-1 decodes any byte to one character.
+        # The last range holds the lines left, none where the file ends in a
+        # line end after a full range.
+        path = scratch_dir / "lines.txt"
+        path.write_bytes(data)
+        with open(path, encoding="latin-1", newline="") as fh:
+            lines = list(fh)
+        ended = not data or data.endswith((b"\r", b"\n"))
+        expected, offset = [], 0
+        for first in range(0, len(lines) + ended, chunk_frames):
+            chunk = lines[first:first + chunk_frames]
+            expected.append((first + 1, offset, sum(map(len, chunk)), len(chunk)))
+            offset += expected[-1][2]
+        with open(path, "rb") as fh, mock.patch.object(htks.formats, "_SCAN_BYTES", scan_bytes), \
+                mock.patch.object(htks.formats, "_CHUNK_FRAMES", chunk_frames):
+            assert list(htks.formats._line_ranges(fh)) == expected
 
     @pytest.mark.parametrize("bad_line", [3, 300, 601])
     def test_non_utf8_byte_inside_a_canonical_block(self, tmp_path, bad_line):
-        # The frames decoded before the byte are read, as read_poses reads
-        # them, and its error follows.
+        # The frames before the byte are read, as read_poses reads them, and
+        # its error follows.
         path = tmp_path / "poses.txt"
         frames = generate_frames(SynthConfig(seed=2, jitter_stddev_ratio=0.05,
                                              frames_per_class=150))
@@ -508,7 +533,7 @@ class TestPoseChunks:
         path.write_bytes(b"\n".join(lines))
         ids, error = assert_same_reading(path)
         assert error.line_no == bad_line
-        assert len(ids) > bad_line - 20
+        assert ids == list(range(bad_line - 2))
 
 
 def read_numbers(tokens):
@@ -762,8 +787,24 @@ _LABEL_LINE = st.tuples(
     st.sampled_from([b"head", b"toes", b"Toes", b"elbows", b"\xff", b"\x00", b""]),
     st.sampled_from([b"", b"x"]),
 ).map(b" ".join)
+
+
+@st.composite
+def canonical_label_bytes(draw):
+    """Canonical labels lines around comment or blank lines, some not UTF-8:
+    a range the block reader may take whole once its comments are dropped."""
+    lines = [b"%d %s" % (i, LABEL_ORDER[i % 4].value.encode())
+             for i in range(draw(st.integers(0, 6)))]
+    for _ in range(draw(st.integers(1, 2))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from([b"# c", b"", b"# caf\xc3\xa9", b"#\xff",
+                                          b"# note \xff"])))
+    return b"".join(line + b"\n" for line in lines)
+
+
 LABEL_FILE_BYTES = st.one_of(
-    st.binary(max_size=80), st.lists(_LABEL_LINE, max_size=6).map(b"\n".join)
+    st.binary(max_size=80), st.lists(_LABEL_LINE, max_size=6).map(b"\n".join),
+    canonical_label_bytes(),
 )
 
 
@@ -968,6 +1009,7 @@ class TestLabelsFile:
     def test_any_bytes_parse_or_raise_parse_error(self, scratch_dir, data):
         path = scratch_dir / "labels.txt"
         path.write_bytes(data)
+        assert_same_labels(path)
         try:
             ids, _ = load_labels(path)
         except ParseError as exc:
@@ -1198,8 +1240,7 @@ def iter_decisions_by_line(path):
             return False
         raise ParseError(f"expected true/false, got {token!r}", path, line_no)
 
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = _text_lines(fh, path)
+    with closing(_text_lines(path)) as lines:
         first = next(lines, "").rstrip("\n")
         if first != DECISIONS_HEADER:
             raise ParseError(f"bad decisions header: {first!r}", path, 1)
@@ -1551,3 +1592,63 @@ class TestNonUtf8Input:
         with pytest.raises(ParseError) as exc_info:
             list(read_poses(path))
         assert exc_info.value.line_no == 301
+
+    # A comment line that is not UTF-8 among canonical lines: in the first
+    # range or a later one, where the block readers would otherwise take the
+    # range whole and drop the comment unread.
+    @pytest.mark.parametrize("kind, line_no", [
+        ("labels", 101), ("labels", CHUNK + 101), ("poses", 101), ("poses", CHUNK + 101),
+        ("script", 4),
+    ])
+    def test_a_comment_that_is_not_utf8_among_canonical_lines(self, tmp_path, kind, line_no):
+        path = tmp_path / "input"
+        if kind == "labels":
+            save_labels(path, ((i, LABEL_ORDER[i % 4]) for i in range(3 * CHUNK)))
+        elif kind == "poses":
+            save_pose_array(path, generate_frames(SynthConfig(seed=2,
+                                                              frames_per_class=CHUNK)).coords)
+        else:
+            save_script(path, SessionScript(trials=tuple(Trial(H, 2 * i, 2 * i + 1)
+                                                         for i in range(8))))
+        lines = path.read_bytes().split(b"\n")
+        lines.insert(line_no - 1, b"# note \xff")
+        path.write_bytes(b"\n".join(lines))
+        if kind == "labels":
+            _, error = assert_same_labels(path)
+        elif kind == "poses":
+            ids, error = assert_same_reading(path)
+            assert ids == list(range(line_no - 2))
+        else:
+            with pytest.raises(ParseError) as exc_info:
+                load_script(path)
+            error = exc_info.value
+        assert str(error) == f"{path}:{line_no}: not valid UTF-8"
+
+    # A bad line two lines before a byte that is not UTF-8, in one block or
+    # either side of a block's end: the bad line's error comes first.
+    @pytest.mark.parametrize("bad_line", [3, CHUNK - 1, CHUNK + 1, 2 * CHUNK + 40])
+    @pytest.mark.parametrize("kind, bad, message", [
+        ("labels", "5 elbows", "unknown class name: 'elbows'"),
+        ("script", "trial elbows 0 1", "unknown class name: 'elbows'"),
+        ("decisions", "5,head,false", "expected 9 fields, got 3"),
+    ], ids=["labels", "script", "decisions"])
+    def test_a_bad_line_two_lines_before_the_byte_comes_first(self, tmp_path, kind, bad, message,
+                                                              bad_line):
+        path = tmp_path / "input"
+        line = {"labels": "{} toes", "script": "trial toes {} {}",
+                "decisions": "{},toes,true,false,false,1.0,2.0,3.0,4.0"}[kind]
+        lines = [line.format(i, i).encode() for i in range(3 * CHUNK)]
+        if kind == "decisions":
+            lines[0] = DECISIONS_HEADER.encode()
+        lines[bad_line - 1] = bad.encode()
+        lines[bad_line + 1] += b"\xff"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        if kind == "labels":
+            _, error = assert_same_labels(path)
+        elif kind == "decisions":
+            _, error = assert_same_decisions(path)
+        else:
+            with pytest.raises(ParseError) as exc_info:
+                load_script(path)
+            error = exc_info.value
+        assert str(error) == f"{path}:{bad_line}: {message}"

@@ -432,10 +432,10 @@ def _pose_file(path) -> Iterator[tuple[Iterator[tuple], Callable]]:
 
 def _line_ranges(fh) -> Iterator[tuple[int, int, int, int]]:
     """``(line_no, offset, length, lines)``: the byte ranges of the binary
-    file ``fh`` of ``_CHUNK_FRAMES`` lines each (the last fewer) and each
-    range's first line number. Lines end where text mode ends them, at
-    ``\\n``, ``\\r\\n`` or a lone ``\\r``. Bytes are not decoded here: the
-    readers check each line they parse."""
+    file ``fh`` of ``_CHUNK_FRAMES`` lines each (the last fewer, but not
+    none) and each range's first line number. Lines end where text mode
+    ends them, at ``\\n``, ``\\r\\n`` or a lone ``\\r``. Bytes are not
+    decoded here: the readers check each line they parse."""
     window = bytearray(_SCAN_BYTES)
     byte, is_end = np.frombuffer(window, np.uint8), np.empty(_SCAN_BYTES, np.bool_)
     line_no, start, ends, offset, last = 1, 0, np.empty(0, np.int64), 0, False
@@ -457,7 +457,8 @@ def _line_ranges(fh) -> Iterator[tuple[int, int, int, int]]:
             line_no, start, ends = line_no + _CHUNK_FRAMES, stop, ends[_CHUNK_FRAMES:]
     if offset > (ends[-1] if len(ends) else start):
         ends = np.append(ends, offset)  # a last line with no line end
-    yield line_no, start, int(ends[-1]) - start if len(ends) else 0, len(ends)
+    if len(ends):
+        yield line_no, start, int(ends[-1]) - start, len(ends)
 
 
 def _range_lines(data: bytes) -> list[str]:
@@ -765,12 +766,11 @@ def _known_keys(data, name: str, known, keys_name: str | None = None) -> None:
 
 
 def _load_yaml(path):
+    _check_files([("config file", path)])
     import yaml  # here, so that commands without a YAML file never load PyYAML
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return yaml.safe_load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
     except UnicodeDecodeError:
         raise ConfigError(f"invalid config file: {_not_utf8(path)}") from None
     # ValueError: a value YAML's constructors reject, such as the date 2001-13-45.

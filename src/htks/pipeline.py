@@ -12,9 +12,9 @@ Pose files and pose streams are classified by one generator,
 blocks and hands each block to the classifier core. ``run_pipeline`` and
 ``htks classify`` feed it a pose file's byte ranges of lines through
 ``_classify_pose_file``; in a long file, with more than one CPU, worker
-processes read the ranges after the calibration window, ``_JOB_RANGES`` to
-a job, with the parent's reader, ``formats._pose_block``, and decide and
-spell them.
+processes read every range, ``_JOB_RANGES`` to a job from the first, with
+the parent's reader, ``formats._pose_block``, and decide and spell them;
+the parent reads the calibration window's ranges only to calibrate.
 ``classify_sequence`` feeds it blocks of poses. It stays here, not in
 ``classifier``, because it looks up ``calibration_scale`` here, where the
 benchmark's tracer (``bench/spans.py``) wraps it, as it wraps
@@ -163,28 +163,27 @@ def _classify_chunks(blocks: Iterable, parse, decide, config: ClassifierConfig,
     its lines parsed line by line (counted in one INFO line) and a
     ParseError raised after those frames.
 
-    The scale comes from the first ``CALIBRATION_WINDOW`` frames, read
-    before any block is decided (under fixed pixels it is 1.0 and only the
-    first block with frames is read ahead). A stream with no frames raises
-    EmptyInput under either normalization.
+    The scale comes from the first ``CALIBRATION_WINDOW`` frames (under
+    fixed pixels it is 1.0), parsed only to calibrate: one loop then decides
+    every block from the first. A stream with no frames raises EmptyInput
+    under either normalization.
 
     With ``workers`` above one, the blocks are the ``_line_ranges`` of the
-    pose file ``path``; those after the calibration window are ``_merged``
-    into jobs of ``_JOB_RANGES``, and ``_pooled`` runs ``_decided_range``,
-    ``parse`` with no frame before, on each in ``workers`` processes. A job
-    is read here again only where its worker died or its first frame line
-    depends on the frames before: its id does not follow them, or its error
-    comes before any frame. A line that is not UTF-8 is a ParseError of its
-    line, met in file order as on one CPU. One INFO line counts the frames
-    workers decided.
+    pose file ``path``, ``_merged`` into jobs of ``_JOB_RANGES``, and
+    ``_pooled`` runs ``_decided_range``, ``parse`` with no frame before, on
+    each in ``workers`` processes. A job is read here again only where its
+    worker died or its first frame line depends on the frames before: its
+    id does not follow them, or its error comes before any frame. A line
+    that is not UTF-8 is a ParseError of its line, met in file order as on
+    one CPU. One INFO line counts the frames workers decided.
     """
     fixed = config.normalization is Normalization.FIXED_PIXELS
-    blocks, opening, prev, frames, strict, error = iter(blocks), [], None, 0, 0, None
+    blocks, opening, window, prev, frames, error = iter(blocks), [], [], None, 0, None
     for block in blocks:
-        ids, coords, lines, error = parse(block, prev)
-        strict += lines
+        opening.append(block)
+        ids, coords, _, error = parse(block, prev)
         if len(ids):
-            opening.append((ids, coords))
+            window.append(coords)
             prev, frames = int(ids[-1]), frames + len(ids)
         if error is not None or frames >= (1 if fixed else CALIBRATION_WINDOW):
             break
@@ -193,19 +192,16 @@ def _classify_chunks(blocks: Iterable, parse, decide, config: ClassifierConfig,
     if fixed:
         scale = 1.0
     else:
-        window = np.concatenate([coords for _, coords in opening])[:CALIBRATION_WINDOW]
+        window = np.concatenate(window)[:CALIBRATION_WINDOW]
         scale = calibration_scale(window)
         log.info("calibration scale: %.3f px over first %d frames", scale, len(window))
-    for ids, coords in opening:
-        yield _kept(kept, ids, decide(ids, coords, config, scale))
-    if error is not None:
-        raise error
-    pooled, sent = 0, 0
+    pooled, prev, frames, strict, blocks = 0, None, 0, 0, chain(opening, blocks)
     jobs = _merged(blocks) if workers > 1 else blocks
     with closing(_pooled(workers, _decided_range, jobs, path, config, scale)) as results:
-        for sent, (block, result) in enumerate(results, 1):
+        for block, result in results:
             ids, decisions, lines, error = result or ((), None, 0, None)
-            if result is not None and (ids[0] > prev if len(ids) else error is None):
+            if result is not None and (
+                    prev is None or ids[0] > prev if len(ids) else error is None):
                 pooled += len(ids)
             else:
                 ids, coords, lines, error = parse(block, prev)
@@ -218,7 +214,7 @@ def _classify_chunks(blocks: Iterable, parse, decide, config: ClassifierConfig,
                 raise error
     if strict:
         log.info("%d of %d pose lines parsed line by line", strict, frames)
-    if workers > 1 and sent:
+    if workers > 1:
         log.info("decided %d of %d frames in %d worker processes", pooled, frames, workers)
 
 

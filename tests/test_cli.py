@@ -820,19 +820,32 @@ def test_input_that_cannot_be_opened_is_config_error(corpus, tmp_path, capsys, m
     assert list(out_dir.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["classify", "score", "run"])
-def test_config_that_is_a_directory_is_config_error(decisions_csv, tmp_path, capsys, command):
+_FIFO = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+
+
+@pytest.mark.parametrize("command, kind", [
+    *((command, "directory") for command in ("classify", "score", "run")),
+    *(pytest.param(command, "fifo", marks=_FIFO) for command in ("classify", "score", "run")),
+], ids=["classify", "score", "run", "classify-fifo", "score-fifo", "run-fifo"])
+def test_config_that_is_a_directory_is_config_error(decisions_csv, tmp_path, capsys, command,
+                                                    kind):
+    # The config is checked before it is opened, so a FIFO that nothing
+    # writes to blocks nothing.
     poses, script = decisions_csv.parent / "poses.txt", tmp_path / "s.txt"
     save_script(script, SessionScript(trials=(Trial(H, 0, 3),)))
+    config = tmp_path if kind == "directory" else tmp_path / "fifo"
+    if kind == "fifo":
+        os.mkfifo(config)
     args = {
         "classify": ["--poses", str(poses), "--out", str(tmp_path / "d.csv")],
         "score": ["--decisions", str(decisions_csv), "--script", str(script)],
         "run": ["--poses", str(poses), "--out-dir", str(tmp_path / "out")],
     }[command]
-    assert main([command, "--config", str(tmp_path), *args]) == 3
-    err = capsys.readouterr().err
-    assert f"config error: cannot read {tmp_path}: Is a directory\n" in err
-    assert not (tmp_path / "d.csv").exists() and not (tmp_path / "out").exists()
+    assert main([command, "--config", str(config), *args]) == 3
+    assert capsys.readouterr() == (
+        "", f"config error: config file is not a regular file: {config}\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == (
+        ["s.txt"] if kind == "directory" else ["fifo", "s.txt"])
 
 
 @pytest.mark.skipif(not os.path.isfile("/proc/self/mem"), reason="needs /proc/self/mem")
@@ -848,7 +861,7 @@ def test_pose_file_that_fails_on_read_is_config_error(tmp_path, capsys, command)
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@_FIFO
 @pytest.mark.parametrize("kind", ["fifo", "directory"])
 @pytest.mark.parametrize("command", ["classify", "evaluate"])
 def test_an_input_that_is_not_a_regular_file_is_config_error(decisions_csv, tmp_path, capsys,
@@ -955,12 +968,12 @@ def test_errors_come_in_file_order(tmp_path, capsys, command, case, expected):
     assert not decisions.exists()
 
 
-# A pose file of five ranges: the first is read for calibration, the other
-# four, 1,889 frames, go to worker processes where the pool runs, in jobs of
-# one range or in one job of four. Line 1 is the header and line i + 2 frame
-# i; the second range starts at line 513, the third at line 1025.
+# A pose file of five ranges: the first is also read for calibration, and
+# all five, 2,400 frames, go to worker processes where the pool runs, in jobs
+# of one range or in a job of four and one of one. Line 1 is the header and
+# line i + 2 frame i; the second range starts at line 513, the third at line
+# 1025 and the fifth at line 2049.
 _POOL_FRAMES = 2_400
-_POOLED_FRAMES = _POOL_FRAMES - 511
 _HUGE = b"1" + b"0" * 308 + b".0"  # 1e308 in the layout write_poses uses for short numbers
 
 
@@ -984,6 +997,10 @@ def _repeated_id_at_chunk_edge(lines):
 
 def _repeated_id_at_job_edge(lines):
     _set_token(lines, 513, 0, lines[511].split(b" ")[0])
+
+
+def _repeated_id_at_second_job_edge(lines):
+    _set_token(lines, 2049, 0, lines[2047].split(b" ")[0])
 
 
 def _exponent_and_confidence(lines):
@@ -1012,7 +1029,7 @@ def _comment_only_range(lines):
 
 
 def _non_utf8_comment_in_the_first_range(lines):
-    lines.insert(100, b"# note \xff")  # line 101, read in this process to calibrate
+    lines.insert(100, b"# note \xff")  # line 101, in the range read here to calibrate
 
 
 def _non_utf8_comment_in_a_job(lines):
@@ -1049,10 +1066,27 @@ def _bad_joint_at_repeated_id_job_edge(lines):
     _set_token(lines, 513, 1, b"head=x,1.5")
 
 
-def _overflow(lines):
-    _set_token(lines, 2001, 1, b"head=" + _HUGE + b",-300.0")
-    _set_token(lines, 2001, 1 + list(JointId).index(JointId.LEFT_WRIST),
+def _overflow(lines, line_no=2001):
+    _set_token(lines, line_no, 1, b"head=" + _HUGE + b",-300.0")
+    _set_token(lines, line_no, 1 + list(JointId).index(JointId.LEFT_WRIST),
                b"left_wrist=-" + _HUGE + b",-40.0")
+
+
+def _bad_token_in_the_calibration_window(lines):
+    _set_token(lines, 10, 1, b"head=x,1.5")
+
+
+def _overflow_in_the_calibration_window(lines):
+    _overflow(lines, 5)
+    _set_token(lines, 300, 1, b"head=x,1.5")
+
+
+def _degenerate_calibration_window(lines):
+    # Head and hip coincide in all 30 calibration frames, lines 2 to 31.
+    hip = 1 + list(JointId).index(JointId.HIP)
+    for line_no in range(2, 32):
+        _set_token(lines, line_no, hip, b"hip=" + lines[line_no - 1].split(b" ")[1][5:])
+    _set_token(lines, 200, 1, b"head=x,1.5")
 
 
 def _pooled_and_in_process(tmp_path, monkeypatch, caplog, capsys, command, edit,
@@ -1126,13 +1160,19 @@ def _assert_pool_said(pooled, in_process, decided):
     (_repeated_id_at_job_edge, 2, None),
     (_bad_joint_at_repeated_id_job_edge, 2, None),
     (_overflow, 4, None),
+    (_repeated_id_at_second_job_edge, 2, None),
+    (_bad_token_in_the_calibration_window, 2, None),
+    (_overflow_in_the_calibration_window, 4, None),
+    (_degenerate_calibration_window, 4, None),
 ], ids=lambda value: getattr(value, "__name__", str(value)))
 def test_worker_processes_change_nothing_but_the_log(tmp_path, monkeypatch, caplog, capsys,
                                                       command, edit, expected, decided):
-    # ``decided`` counts the ranges after the first that workers decide: all
-    # four, or None where the command fails before the pool logs. In jobs of
-    # four ranges the line-1,025 rows fail inside a job, where the worker
-    # must give the one-CPU error; the line-513 rows fail where a job starts.
+    # Where ``decided`` is not None the pool logs that its workers decided
+    # all 2,400 frames; it is None where the command fails before the pool
+    # logs. In jobs of four ranges the line-513 and line-1,025 rows fail
+    # inside a job, where the worker must give the one-CPU error; the
+    # line-2,049 row fails where a job starts, as every one does in jobs of
+    # one. The calibration-window rows fail in the first job.
     *pooled_runs, in_process = _pooled_and_in_process(
         tmp_path, monkeypatch, caplog, capsys, command, edit, job_ranges=(1, 4))
     for pooled in pooled_runs:
@@ -1140,11 +1180,19 @@ def test_worker_processes_change_nothing_but_the_log(tmp_path, monkeypatch, capl
         assert pooled[:3] == in_process[:3]
         # A job is read here again only where its first frame line depends
         # on the frames before it.
-        _assert_pool_said(pooled, in_process, None if decided is None else _POOLED_FRAMES)
+        _assert_pool_said(pooled, in_process, None if decided is None else _POOL_FRAMES)
     comment = {_non_utf8_comment_in_the_first_range: 101, _non_utf8_comment_in_a_job: 1101}
     if edit in comment:
         assert in_process[1].err == (
             f"parse error: {tmp_path / 'poses.txt'}:{comment[edit]}: not valid UTF-8\n")
+    calibration_errors = {
+        _bad_token_in_the_calibration_window:
+            f"parse error: {tmp_path / 'poses.txt'}:10: bad coordinates for head: ",
+        _overflow_in_the_calibration_window: "evaluation error: frame 3: d_head must be finite",
+        _degenerate_calibration_window: "evaluation error: head and hip coincide in every ",
+    }
+    if edit in calibration_errors:
+        assert in_process[1].err.startswith(calibration_errors[edit])
 
 
 def test_a_non_utf8_byte_a_worker_would_read_is_reported_at_its_line(tmp_path, monkeypatch,
@@ -1224,6 +1272,16 @@ def test_a_range_job_needs_nothing_forked(tmp_path):
     assert "not valid UTF-8" in str(error)
 
 
+def test_a_file_of_whole_ranges_has_no_empty_job(tmp_path):
+    # 4,096 lines are eight full ranges with no empty range after them, so
+    # two jobs of four; an empty file has no range at all.
+    path = tmp_path / "poses.txt"
+    for data, jobs in [(b"x\n" * 4096, [2048, 2048]), (b"", [])]:
+        path.write_bytes(data)
+        with htks.formats._pose_file(path) as (ranges, _):
+            assert [job[3] for job in htks.pipeline._merged(ranges)] == jobs
+
+
 @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="libc has no mallopt")
 @pytest.mark.parametrize("command", ["run", "generate"])
 def test_workers_keep_their_heap_between_jobs(tmp_path, command):
@@ -1250,7 +1308,7 @@ def test_workers_keep_their_heap_between_jobs(tmp_path, command):
     assert result.returncode == 0, result.stderr
     if sys.version_info < (3, 12):  # from 3.12 on no pool starts
         if command == "run":
-            assert "decided 47489 of 48000 frames in 2 worker processes" in result.stderr
+            assert "decided 48000 of 48000 frames in 2 worker processes" in result.stderr
         assert int(result.stdout.split()[-1]) <= 100 * 94
 
 
@@ -1318,9 +1376,9 @@ def _dying_at_line_1537(block, path, config, scale):
 
 def test_ranges_after_a_worker_killed_mid_run_are_decided_here(tmp_path, monkeypatch, caplog,
                                                                 capsys):
-    # In jobs of one range, the ranges a worker finished are taken: those of
-    # lines 513 and 1025, 512 frames each, and that of line 2049, 353
-    # frames, where the other worker took it. The killed worker's range and
+    # In jobs of one range, the ranges a worker finished are taken: that of
+    # line 1, 511 frames, those of lines 513 and 1025, 512 frames each, and
+    # that of line 2049, 353 frames, where the other worker took it. The killed worker's range and
     # every later one no worker finished are decided here.
     monkeypatch.setattr(htks.pipeline, "_decided_range", _dying_at_line_1537)
     pooled, in_process = _pooled_and_in_process(tmp_path, monkeypatch, caplog, capsys,
@@ -1331,7 +1389,7 @@ def test_ranges_after_a_worker_killed_mid_run_are_decided_here(tmp_path, monkeyp
     assert [message for message in pooled[3] if message not in said] == in_process[3]
     if sys.version_info < (3, 12):
         assert len(said) == 1
-        assert re.fullmatch("decided (1024|1377) of 2400 frames in 2 worker processes", said[0])
+        assert re.fullmatch("decided (1535|1888) of 2400 frames in 2 worker processes", said[0])
 
 
 _PYTEST_PID = os.getpid()

@@ -2,12 +2,17 @@
 
 The sha256 of every artifact of a fixed ``generate`` + ``run`` corpus is
 pinned here, so a rewrite of any layer must keep the files byte for byte.
+Each command runs on one CPU, in this process, and on two, where its
+worker processes write or decide the corpus, whatever CPUs the machine has.
 """
 
 import hashlib
+import os
+import sys
 
 import pytest
 
+import htks.pipeline
 from htks.cli import main
 
 GENERATE_ARGS = ["--seed", "5", "--frames-per-class", "2000", "--jitter", "0.05"]
@@ -49,6 +54,14 @@ def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+@pytest.fixture
+def on_cpus(monkeypatch, tmp_path):
+    """Call ``on_cpus(n)`` to run the commands as on ``n`` CPUs, with no CPU quota."""
+    monkeypatch.setattr(htks.pipeline, "_CPU_MAX", str(tmp_path / "cpu.max"))
+    return lambda cpus: monkeypatch.setattr(os, "sched_getaffinity",
+                                            lambda pid: set(range(cpus)), raising=False)
+
+
 def generate_corpus(directory, confusable: bool):
     poses, labels = directory / "poses.txt", directory / "labels.txt"
     argv = ["generate", "--out-poses", str(poses), "--out-labels", str(labels), *GENERATE_ARGS]
@@ -57,19 +70,31 @@ def generate_corpus(directory, confusable: bool):
 
 
 @pytest.mark.parametrize("confusable", [False, True], ids=["plain", "confusable"])
-def test_generate_bytes(tmp_path, confusable):
-    generate_corpus(tmp_path, confusable)
-    assert {name: sha256(tmp_path / name) for name in GENERATED[confusable]} == (
-        GENERATED[confusable]
-    )
+def test_generate_bytes(tmp_path, on_cpus, confusable):
+    for cpus in (1, 2):
+        on_cpus(cpus)
+        (tmp_path / str(cpus)).mkdir()
+        generate_corpus(tmp_path / str(cpus), confusable)
+        assert {name: sha256(tmp_path / str(cpus) / name) for name in GENERATED[confusable]} == (
+            GENERATED[confusable]
+        )
 
 
-def test_run_artifact_bytes(tmp_path):
+def test_run_artifact_bytes(tmp_path, on_cpus, caplog):
+    on_cpus(1)
     poses, labels = generate_corpus(tmp_path, confusable=False)
     script = tmp_path / "script.txt"
     script.write_text(SCRIPT, encoding="utf-8")
-    out = tmp_path / "out"
-    code = main(["run", "--poses", str(poses), "--labels", str(labels),
-                 "--script", str(script), "--out-dir", str(out)])
-    assert code == 0
-    assert {path.name: sha256(path) for path in sorted(out.iterdir())} == RUN_ARTIFACTS
+    for cpus in (1, 2):
+        on_cpus(cpus)
+        out = tmp_path / f"out{cpus}"
+        caplog.clear()
+        with caplog.at_level("INFO", logger="htks"):
+            code = main(["run", "--poses", str(poses), "--labels", str(labels),
+                         "--script", str(script), "--out-dir", str(out)])
+        assert code == 0
+        assert {path.name: sha256(path) for path in sorted(out.iterdir())} == RUN_ARTIFACTS
+        # From Python 3.12 on no pool starts.
+        pooled = cpus == 2 and sys.version_info < (3, 12)
+        assert [message for message in caplog.messages if message.startswith("decided ")] == (
+            ["decided 8000 of 8000 frames in 2 worker processes"] if pooled else [])
